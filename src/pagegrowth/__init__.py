@@ -24,6 +24,7 @@ from .cohort import (
     label_pages,
     match_cohorts,
     page_features,
+    reliability_comparison,
     standardize_features,
 )
 from .growth import (
@@ -76,7 +77,6 @@ from .stats import (
     fit_laplace,
     laplace_pdf,
     mann_whitney,
-    reliability_comparison,
 )
 from .synth import GeneratorConfig, generate, gibrat_null_coefficients
 

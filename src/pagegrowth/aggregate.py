@@ -32,10 +32,6 @@ class Timescale(Enum):
     M = "M"
     Q = "Q"
 
-    def __lt__(self, other: "Timescale") -> bool:
-        order = ["D", "W", "M", "Q"]
-        return order.index(self.value) < order.index(other.value)
-
     @classmethod
     def parse(cls, text: str) -> "Timescale":
         try:

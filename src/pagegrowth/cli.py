@@ -1,9 +1,11 @@
 """Command-line front end: aggregate, analyze, model, simulate, cohort, synth.
 
-All randomness flows from a single --seed flag; identical inputs and
-seed produce byte-identical outputs. Exit codes: 0 success, 2
-input/config error, 3 numerical failure. Displayed p-values floor at
-"<0.0001"; machine-readable CSVs keep full precision.
+Each command maps its flags onto a library call (the data commands onto
+``pipeline``), writes the files and prints the console report. Only
+``synth`` and ``simulate`` draw random numbers, from their --seed flag;
+identical inputs and seed produce byte-identical outputs. Exit codes: 0
+success, 2 input/config error, 3 numerical failure. Displayed p-values
+floor at "<0.0001"; machine-readable CSVs keep full precision.
 """
 
 from __future__ import annotations
@@ -11,45 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
-from . import synth
-from .aggregate import Timescale, aggregate_dataset, write_series_csv
-from .cohort import (
-    MatchInfeasibleError,
-    greedy_match,
-    label_pages,
-    match_cohorts,
-    page_features,
-    standardize_features,
-    write_cohort_summary_csv,
-    write_match_csv,
-)
-from .growth import (
-    DEFAULT_FOLLOWER_CLASSES,
-    DegenerateBinningError,
-    SizeClass,
-    class_bins,
-    engagement_quartile_bins,
-    pooled_growth_samples,
-    split_class_by_median,
-    trim,
-    validate_scheme,
-    write_growth_samples_csv,
-)
-from .ingest import (
-    Dataset,
-    FatalParseError,
-    NoUsableDataError,
-    PageMeta,
-    build_dataset,
-    parse_pages,
-    parse_posts,
-)
+from . import pipeline, synth
+from .aggregate import Timescale, write_series_csv
+from .cohort import MatchInfeasibleError, write_cohort_summary_csv, write_match_csv
+from .growth import DegenerateBinningError, write_growth_samples_csv
+from .ingest import Dataset, FatalParseError, NoUsableDataError
 from .model import (
     DEFAULT_STARTING_FOLLOWERS,
     SIM_TIMESCALES,
@@ -57,75 +28,24 @@ from .model import (
     ModelCoefficients,
     published_coefficients,
     read_coefficients_csv,
-    regress_parameters,
     simulate,
     summarize_trajectories,
     write_coefficients_csv,
     write_summary_csv,
     write_trajectories_csv,
 )
-from .stats import (
-    DegenerateSampleError,
-    FitConvergenceError,
-    class_test_matrix,
-    detailed_balance_check,
-    fit_burr,
-    fit_laplace,
-    format_p,
-    reliability_comparison,
-)
+from .stats import DegenerateSampleError, FitConvergenceError, format_p
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-MATRIX_HEADER = [
-    "metric",
-    "size_by",
-    "timescale",
-    "row_class",
-    "col_class",
-    "alternative",
-    "u",
-    "p",
-    "method",
-]
 
-FITS_HEADER = ["cohort", "timescale", "distribution", "param", "value"]
-
-
-@dataclass
-class RunConfig:
-    """Validated common options shared by the pipeline commands."""
-
-    input_path: Path | None
-    pages_path: Path | None
-    out_dir: Path
-    timescales: list[Timescale]
-    classes: list[SizeClass]
-    trim_bounds: tuple[float, float]
-    trim_rates: bool
-    metric: str
-    seed: int
-    quarter_rule: str = "latest"
-
-    def __post_init__(self):
-        if not self.timescales:
-            raise ValueError("at least one timescale is required")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-
-
-def _parse_timescales(text: str) -> list[Timescale]:
+def _parse_timescales(text: str) -> tuple[Timescale, ...]:
     scales = [Timescale.parse(part) for part in text.split(",") if part.strip()]
     if not scales:
         raise ValueError("empty timescale list")
-    seen = set()
-    unique = []
-    for s in scales:
-        if s.value not in seen:
-            seen.add(s.value)
-            unique.append(s)
-    return unique
+    return tuple(dict.fromkeys(scales))
 
 
 def _parse_trim(text: str) -> tuple[float, float]:
@@ -138,93 +58,47 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _load_classes(path: str | None) -> list[SizeClass]:
-    if path is None:
-        return list(DEFAULT_FOLLOWER_CLASSES)
-    scheme = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["label", "lower", "upper"]:
-            raise ValueError("size-class file must have header label,lower,upper")
-        for row in reader:
-            if not row:
-                continue
-            scheme.append(SizeClass(row[0].strip(), int(row[1]), int(row[2])))
-    validate_scheme(scheme)
-    return scheme
+def _options(args) -> tuple[pipeline.Options, Path]:
+    """Validate the flags the data commands share and create the output directory."""
+    options = pipeline.Options(
+        timescales=_parse_timescales(args.timescales),
+        classes=pipeline.load_classes(args.classes),
+        trim_bounds=_parse_trim(args.trim),
+        trim_rates=args.trim_rates,
+        metric=args.metric,
+        quarter_rule=args.quarter_rule,
+    )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return options, out_dir
 
 
-def _load_dataset(config: RunConfig) -> Dataset:
-    if config.input_path is None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _warn(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _load_dataset(args, out_dir: Path) -> Dataset:
+    if not args.input:
         raise FatalParseError("missing --input posts file")
-    if not config.input_path.exists():
-        raise FatalParseError(f"input file not found: {config.input_path}")
-    fmt = "jsonl" if config.input_path.suffix == ".jsonl" else "csv"
-    with open(config.input_path, "rb") as fh:
-        posts, post_report = parse_posts(fh, format=fmt)
-    if config.pages_path is not None:
-        if not config.pages_path.exists():
-            raise FatalParseError(f"pages file not found: {config.pages_path}")
-        with open(config.pages_path, "rb") as fh:
-            pages, page_report = parse_pages(fh)
-    else:
-        # no metadata supplied: stub a page per distinct id so the posts
-        # can still be aggregated (scores stay absent)
-        pages = {}
-        for p in posts:
-            if p.page_id not in pages:
-                pages[p.page_id] = PageMeta(
-                    page_id=p.page_id,
-                    name=p.page_id,
-                    created_at=p.timestamp.date(),
-                )
-        page_report = None
-    dataset, join_report = build_dataset(posts, pages)
-    rejected = len(post_report) + len(join_report) + (len(page_report) if page_report else 0)
-    if rejected:
-        print(f"rejected rows: {rejected}", file=sys.stderr)
-        report_path = config.out_dir / "rejections.csv"
-        with open(report_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source", "line", "reason"])
-            for name, report in (
-                ("posts", post_report),
-                ("pages", page_report),
-                ("join", join_report),
-            ):
-                if report is None:
-                    continue
-                for row in report.rows:
-                    writer.writerow([name, row.line, row.reason])
+    dataset, rejections = pipeline.load_dataset(Path(args.input), Path(args.pages) if args.pages else None)
+    if rejections:
+        _warn(f"rejected rows: {len(rejections)}")
+        _write_csv(out_dir / "rejections.csv", ["source", "line", "reason"], rejections)
     return dataset
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        input_path=Path(args.input) if getattr(args, "input", None) else None,
-        pages_path=Path(args.pages) if getattr(args, "pages", None) else None,
-        out_dir=Path(args.out),
-        timescales=_parse_timescales(args.timescales),
-        classes=_load_classes(getattr(args, "classes", None)),
-        trim_bounds=_parse_trim(getattr(args, "trim", "5,95")),
-        trim_rates=bool(getattr(args, "trim_rates", False)),
-        metric=getattr(args, "metric", "engagement"),
-        seed=getattr(args, "seed", 0),
-        quarter_rule=getattr(args, "quarter_rule", "latest"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# aggregate
-# ---------------------------------------------------------------------------
-
 def cmd_aggregate(args) -> int:
-    config = _config_from_args(args)
-    dataset = _load_dataset(config)
-    for scale in config.timescales:
-        series = aggregate_dataset(dataset, scale, config.quarter_rule)
-        path = config.out_dir / f"series_{scale.value}.csv"
+    options, out_dir = _options(args)
+    dataset = _load_dataset(args, out_dir)
+    for scale, series in pipeline.aggregate(dataset, options):
+        path = out_dir / f"series_{scale.value}.csv"
         with open(path, "w", newline="") as fh:
             write_series_csv(series, fh)
         windows = sum(len(s.entries) for s in series.values())
@@ -232,326 +106,78 @@ def cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# analyze
-# ---------------------------------------------------------------------------
-
-def _maybe_trim_rates(bins: dict[str, list[float]], config: RunConfig) -> dict[str, list[float]]:
-    if not config.trim_rates:
-        return bins
-    lo, hi = config.trim_bounds
-    return {label: list(trim(values, lo, hi)) for label, values in bins.items()}
-
-
-def _matrix_rows(metric, size_by, scale, cells):
-    rows = []
-    for cell in cells:
-        if cell.result is None:
-            rows.append(
-                [metric, size_by, scale.value, cell.row, cell.col, cell.alternative,
-                 "", "", f"error: {cell.error}"]
-            )
-        else:
-            r = cell.result
-            rows.append(
-                [metric, size_by, scale.value, cell.row, cell.col, cell.alternative,
-                 format(r.u_statistic, ".10g"), format(r.p_value, ".10g"), r.method]
-            )
-    return rows
-
-
-def _print_matrix(metric, size_by, scale, cells) -> None:
-    one_sided = [c for c in cells if c.alternative == "greater"]
+def _print_matrix(block: pipeline.MatrixBlock, scale: Timescale) -> None:
+    one_sided = [c for c in block.cells if c.alternative == "greater"]
     if not one_sided:
         return
-    labels: list[str] = []
-    for c in one_sided:
-        for lab in (c.row, c.col):
-            if lab not in labels:
-                labels.append(lab)
-    print(f"\n[{metric} growth | size by {size_by} | {scale.value}] one-sided p (smaller > larger)")
+    labels = list(dict.fromkeys(label for c in one_sided for label in (c.row, c.col)))
+    print(f"\n[{block.metric} growth | size by {block.size_by} | {scale.value}] one-sided p (smaller > larger)")
     width = max(8, max(len(l) for l in labels)) + 2
     print(" " * width + "".join(f"{l:>{width}}" for l in labels[1:]))
     lookup = {(c.row, c.col): c for c in one_sided}
-    for i, row_label in enumerate(labels[:-1]):
-        cols = []
-        for col_label in labels[1:]:
-            cell = lookup.get((row_label, col_label))
-            if cell is None:
-                cols.append(" " * width)
-            elif cell.result is None:
-                cols.append(f"{'-':>{width}}")
-            else:
-                cols.append(f"{format_p(cell.result.p_value):>{width}}")
-        print(f"{row_label:<{width}}" + "".join(cols))
 
+    def entry(cell) -> str:
+        if cell is None:
+            return ""
+        return "-" if cell.result is None else format_p(cell.result.p_value)
 
-def _growth_values(samples) -> list[float]:
-    return [s.log_growth for s in samples]
+    for row_label in labels[:-1]:
+        cols = (entry(lookup.get((row_label, col_label))) for col_label in labels[1:])
+        print(f"{row_label:<{width}}" + "".join(f"{c:>{width}}" for c in cols))
 
 
 def cmd_analyze(args) -> int:
-    config = _config_from_args(args)
-    dataset = _load_dataset(config)
-    matrix_rows: list[list] = []
-    fit_rows: list[list] = []
-    balance_rows: list[list] = []
-
-    for scale in config.timescales:
-        series = aggregate_dataset(dataset, scale, config.quarter_rule)
-        eng_samples, _ = pooled_growth_samples(series, config.metric)
-        fol_samples, _ = pooled_growth_samples(series, "followers")
-        with open(config.out_dir / f"growth_samples_{scale.value}.csv", "w", newline="") as fh:
-            write_growth_samples_csv(eng_samples, fh)
-
-        # growth by follower size class, for the configured metric, the
-        # mean-engagement variant, and follower growth itself
-        matrix_metrics: list[tuple[str, list]] = [(config.metric, eng_samples)]
-        if config.metric != "mean_engagement":
-            mean_samples, _ = pooled_growth_samples(series, "mean_engagement")
-            matrix_metrics.append(("mean_engagement", mean_samples))
-        if config.metric != "followers":
-            matrix_metrics.append(("followers", fol_samples))
-        for metric_name, samples in matrix_metrics:
-            bins = class_bins(samples, config.classes)
-            if len(bins) < 2:
-                print(
-                    f"warning: {metric_name}/{scale.value}: fewer than 2 follower "
-                    "classes populated; matrix empty",
-                    file=sys.stderr,
-                )
-                continue
-            value_bins = _maybe_trim_rates(
-                {label: _growth_values(b) for label, b in bins.items()}, config
-            )
-            cells = class_test_matrix(value_bins)
-            matrix_rows += _matrix_rows(metric_name, "followers_class", scale, cells)
-            _print_matrix(metric_name, "followers_class", scale, cells)
-
-        # variant: classes split at their median follower value
-        bins = class_bins(eng_samples, config.classes)
-        if len(bins) >= 2:
-            split_bins: dict[str, list[float]] = {}
-            for label, members in bins.items():
-                try:
-                    lower, upper = split_class_by_median(members)
-                except (DegenerateBinningError, ValueError):
-                    continue
-                split_bins[f"{label}/lo"] = _growth_values(lower)
-                split_bins[f"{label}/hi"] = _growth_values(upper)
-            if len(split_bins) >= 2:
-                cells = class_test_matrix(_maybe_trim_rates(split_bins, config))
-                matrix_rows += _matrix_rows(config.metric, "followers_median_split", scale, cells)
-
-        # variant: engagement quartile bins
-        try:
-            qbins = engagement_quartile_bins(eng_samples, *config.trim_bounds)
-            value_bins = _maybe_trim_rates(
-                {label: _growth_values(b) for label, b in qbins.items()}, config
-            )
-            cells = class_test_matrix(value_bins)
-            matrix_rows += _matrix_rows(config.metric, "engagement_quartile", scale, cells)
-            _print_matrix(config.metric, "engagement_quartile", scale, cells)
-        except (DegenerateBinningError, ValueError) as exc:
-            print(f"warning: quartile bins at {scale.value}: {exc}", file=sys.stderr)
-
-        # distribution fits: Laplace on engagement log growth, Burr on follower gross growth
-        pools: list[tuple[str, list]] = [("all", eng_samples)]
-        pools += [(label, b) for label, b in class_bins(eng_samples, config.classes).items()]
-        for cohort_name, samples in pools:
-            values = _growth_values(samples)
-            try:
-                lap = fit_laplace(values)
-                fit_rows.append([cohort_name, scale.value, "laplace", "mu", format(lap.mu, ".10g")])
-                fit_rows.append([cohort_name, scale.value, "laplace", "b", format(lap.b, ".10g")])
-            except DegenerateSampleError:
-                continue
-
-        burr_pools: list[tuple[str, list]] = [("all", fol_samples)]
-        burr_pools += [(label, b) for label, b in class_bins(fol_samples, config.classes).items()]
-        for cohort_name, samples in burr_pools:
-            gross = [s.gross_growth for s in samples]
-            try:
-                burr = fit_burr(gross)
-                fit_rows.append([cohort_name, scale.value, "burr", "c", format(burr.c, ".10g")])
-                fit_rows.append([cohort_name, scale.value, "burr", "k", format(burr.k, ".10g")])
-            except (DegenerateSampleError, ValueError, FitConvergenceError) as exc:
-                print(f"warning: burr fit {cohort_name}/{scale.value}: {exc}", file=sys.stderr)
-
-        # time-reversal symmetry of engagement growth
-        values = _growth_values(eng_samples)
-        try:
-            res = detailed_balance_check(values)
-            balance_rows.append(
-                [config.metric, scale.value, len(values),
-                 format(res.u_statistic, ".10g"), format(res.p_value, ".10g")]
-            )
-            print(f"\n[detailed balance | {scale.value}] p = {format_p(res.p_value)}")
-        except DegenerateSampleError as exc:
-            print(f"warning: detailed balance at {scale.value}: {exc}", file=sys.stderr)
-
-    with open(config.out_dir / "matrices.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MATRIX_HEADER)
-        writer.writerows(matrix_rows)
-    with open(config.out_dir / "fits.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FITS_HEADER)
-        writer.writerows(fit_rows)
-    with open(config.out_dir / "detailed_balance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "timescale", "n", "u", "p"])
-        writer.writerows(balance_rows)
-    print(f"\nwrote {config.out_dir / 'matrices.csv'}")
+    options, out_dir = _options(args)
+    dataset = _load_dataset(args, out_dir)
+    matrix_rows, fit_rows, balance_rows = [], [], []
+    for result in pipeline.analyze(dataset, options, _warn):
+        scale = result.scale.value
+        with open(out_dir / f"growth_samples_{scale}.csv", "w", newline="") as fh:
+            write_growth_samples_csv(result.samples, fh)
+        for block in result.matrices:
+            matrix_rows += block.rows(result.scale)
+            if block.size_by != "followers_median_split":
+                _print_matrix(block, result.scale)
+        fit_rows += result.fit_rows
+        if result.balance is not None:
+            b = result.balance
+            balance_rows.append([options.metric, scale, b.n1, format(b.u_statistic, ".10g"), format(b.p_value, ".10g")])
+            print(f"\n[detailed balance | {scale}] p = {format_p(b.p_value)}")
+    _write_csv(out_dir / "matrices.csv", pipeline.MATRIX_HEADER, matrix_rows)
+    _write_csv(out_dir / "fits.csv", pipeline.FITS_HEADER, fit_rows)
+    _write_csv(out_dir / "detailed_balance.csv", ["metric", "timescale", "n", "u", "p"], balance_rows)
+    print(f"\nwrote {out_dir / 'matrices.csv'}")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# model
-# ---------------------------------------------------------------------------
-
-def _quantile_edges(values, n_bins: int):
-    qs = np.linspace(0, 100, n_bins + 1)[1:-1]
-    return list(np.percentile(values, qs))
-
-
-def _bin_index(value, edges) -> int:
-    idx = 0
-    for edge in edges:
-        if value > edge:
-            idx += 1
-    return idx
-
-
 def cmd_model(args) -> int:
-    config = _config_from_args(args)
-    dataset = _load_dataset(config)
+    options, out_dir = _options(args)
+    dataset = _load_dataset(args, out_dir)
     coeffs = ModelCoefficients()
     detail_rows = []
-    lo, hi = config.trim_bounds
-
-    scales = [s for s in config.timescales if s in SIM_TIMESCALES]
-    if not scales:
-        raise FatalParseError("model works on W, M, Q timescales")
-    for scale in scales:
-        series = aggregate_dataset(dataset, scale, config.quarter_rule)
-
-        # Laplace side: engagement log growth binned by (followers, engagement)
-        eng_samples, _ = pooled_growth_samples(series, config.metric)
-        eng_samples = [s for s in eng_samples if s.prior_followers is not None]
-        if len(eng_samples) >= 100:
-            f_vals = np.array([s.prior_followers for s in eng_samples], dtype=float)
-            e_vals = np.array([s.prior_engagement for s in eng_samples], dtype=float)
-            f_lo, f_hi = np.percentile(f_vals, [lo, hi])
-            e_lo, e_hi = np.percentile(e_vals, [lo, hi])
-            kept = [
-                s
-                for s, f, e in zip(eng_samples, f_vals, e_vals)
-                if f_lo <= f <= f_hi and e_lo <= e <= e_hi
-            ]
-            if len(kept) >= 100:
-                f_edges = _quantile_edges([s.prior_followers for s in kept], 4)
-                e_edges = _quantile_edges([s.prior_engagement for s in kept], 4)
-                grouped: dict[tuple[int, int], list] = {}
-                for s in kept:
-                    key = (_bin_index(s.prior_followers, f_edges), _bin_index(s.prior_engagement, e_edges))
-                    grouped.setdefault(key, []).append(s)
-                binned_fits = []
-                for key in sorted(grouped):
-                    members = grouped[key]
-                    if len(members) < 20:
-                        continue
-                    try:
-                        lap = fit_laplace([s.log_growth for s in members])
-                    except DegenerateSampleError:
-                        continue
-                    mean_ln_f = float(np.mean(np.log([s.prior_followers for s in members])))
-                    mean_ln_e = float(np.mean(np.log([s.prior_engagement for s in members])))
-                    binned_fits.append((mean_ln_f, mean_ln_e, lap))
-                for parameter in ("mu", "b"):
-                    if len(binned_fits) >= 3:
-                        reg = regress_parameters(binned_fits, parameter, scale)
-                        coeffs.add(reg)
-                        detail_rows.append(_detail_row(reg, len(binned_fits)))
-                    else:
-                        print(
-                            f"warning: {parameter}/{scale.value}: only {len(binned_fits)} usable bins",
-                            file=sys.stderr,
-                        )
-
-        # Burr side: follower gross growth binned by followers
-        fol_samples, _ = pooled_growth_samples(series, "followers")
-        if len(fol_samples) >= 100:
-            f_vals = np.array([s.prior_followers for s in fol_samples], dtype=float)
-            f_lo, f_hi = np.percentile(f_vals, [lo, hi])
-            kept = [s for s, f in zip(fol_samples, f_vals) if f_lo <= f <= f_hi]
-            f_edges = _quantile_edges([s.prior_followers for s in kept], 8)
-            grouped = {}
-            for s in kept:
-                grouped.setdefault(_bin_index(s.prior_followers, f_edges), []).append(s)
-            binned_fits = []
-            for key in sorted(grouped):
-                members = grouped[key]
-                if len(members) < 50:
-                    continue
-                try:
-                    burr = fit_burr([s.gross_growth for s in members])
-                except (DegenerateSampleError, FitConvergenceError, ValueError):
-                    continue
-                mean_ln_f = float(np.mean(np.log([s.prior_followers for s in members])))
-                binned_fits.append((mean_ln_f, 0.0, burr))
-            for parameter in ("c", "k"):
-                if len(binned_fits) >= 2:
-                    reg = regress_parameters(binned_fits, parameter, scale)
-                    coeffs.add(reg)
-                    detail_rows.append(_detail_row(reg, len(binned_fits)))
-                else:
-                    print(
-                        f"warning: {parameter}/{scale.value}: only {len(binned_fits)} usable bins",
-                        file=sys.stderr,
-                    )
-
-    if not coeffs.entries:
-        raise DegenerateSampleError("no parameter regressions could be fitted")
-    path = config.out_dir / "coefficients.csv"
+    for result in pipeline.model(dataset, options, _warn):
+        for reg in result.regressions:
+            coeffs.add(reg)
+        detail_rows += result.detail_rows
+    path = out_dir / "coefficients.csv"
     with open(path, "w", newline="") as fh:
         write_coefficients_csv(coeffs, fh)
-    with open(config.out_dir / "regression_details.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["parameter", "timescale", "beta0", "beta1", "beta2", "p0", "p1", "p2", "r_squared", "n_bins"]
-        )
-        writer.writerows(detail_rows)
+    _write_csv(out_dir / "regression_details.csv", pipeline.DETAILS_HEADER, detail_rows)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _detail_row(reg, n_bins):
-    ps = list(reg.p_values) + [""] * (3 - len(reg.p_values))
-    return [
-        reg.parameter,
-        reg.timescale.value,
-        format(reg.beta0, ".10g"),
-        format(reg.beta1, ".10g"),
-        "" if reg.beta2 is None else format(reg.beta2, ".10g"),
-        *(format(p, ".6g") if p != "" else "" for p in ps),
-        "" if reg.r_squared is None else format(reg.r_squared, ".6g"),
-        n_bins,
-    ]
+def _read_coefficients(spec: str) -> ModelCoefficients:
+    if spec == "builtin-table1":
+        return published_coefficients()
+    with open(spec, newline="") as fh:
+        return read_coefficients_csv(fh)
 
-
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.coefficients == "builtin-table1":
-        coeffs = published_coefficients()
-    else:
-        with open(args.coefficients, newline="") as fh:
-            coeffs = read_coefficients_csv(fh)
+    coeffs = _read_coefficients(args.coefficients)
     scales = [s for s in _parse_timescales(args.timescales) if s in SIM_TIMESCALES]
     if not scales:
         raise FatalParseError("simulate supports W, M, Q timescales")
@@ -579,99 +205,41 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# cohort
-# ---------------------------------------------------------------------------
-
 def cmd_cohort(args) -> int:
-    config = _config_from_args(args)
-    if config.pages_path is None:
+    options, out_dir = _options(args)
+    if not args.pages:
         raise FatalParseError("cohort requires --pages with newsguard scores")
-    dataset = _load_dataset(config)
-    labels, unscored = label_pages(dataset.pages)
-    if unscored:
-        print(f"unscored pages excluded: {len(unscored)}", file=sys.stderr)
-    questionable_ids = [l.page_id for l in labels if l.label == "questionable"]
-    reliable_ids = [l.page_id for l in labels if l.label == "reliable"]
-    if not questionable_ids or not reliable_ids:
-        raise DegenerateSampleError("need both questionable and reliable pages")
+    dataset = _load_dataset(args, out_dir)
+    result = pipeline.cohort(dataset, options, _warn, args.matching)
+    match = result.match
+    print(f"matched {len(match.pairs)} pairs ({match.method}), total distance {match.total_distance:.4f}")
 
-    weekly = aggregate_dataset(dataset, Timescale.W, config.quarter_rule)
-    end = dataset.end_date
-    raw: dict[str, tuple[float, float]] = {}
-    skipped = []
-    for page_id in questionable_ids + reliable_ids:
-        series = weekly.get(page_id)
-        feats = page_features(dataset.pages[page_id], series, end) if series else None
-        if feats is None:
-            skipped.append(page_id)
-            continue
-        raw[page_id] = feats
-    if skipped:
-        print(f"pages without follower observations: {len(skipped)}", file=sys.stderr)
-    standardized = standardize_features(raw)
-    q_vecs = {i: standardized[i] for i in questionable_ids if i in standardized}
-    r_vecs = {i: standardized[i] for i in reliable_ids if i in standardized}
-    matcher = greedy_match if args.matching == "greedy" else match_cohorts
-    result = matcher(q_vecs, r_vecs)
-    matched_ids = [r for _, r in result.pairs]
-    print(
-        f"matched {len(result.pairs)} pairs ({result.method}), "
-        f"total distance {result.total_distance:.4f}"
-    )
-
-    with open(config.out_dir / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["page_id", "score", "label"])
-        for l in labels:
-            writer.writerow([l.page_id, format(l.score, "g"), l.label])
-    with open(config.out_dir / "matches.csv", "w", newline="") as fh:
-        write_match_csv(result, q_vecs, r_vecs, fh)
-    with open(config.out_dir / "cohort_summary.csv", "w", newline="") as fh:
+    labels = ([l.page_id, format(l.score, "g"), l.label] for l in result.labels)
+    _write_csv(out_dir / "labels.csv", ["page_id", "score", "label"], labels)
+    with open(out_dir / "matches.csv", "w", newline="") as fh:
+        write_match_csv(match, result.questionable, result.reliable, fh)
+    with open(out_dir / "cohort_summary.csv", "w", newline="") as fh:
         write_cohort_summary_csv(
-            {i: raw[i] for i in q_vecs},
-            {i: raw[i] for i in matched_ids},
+            {i: result.features[i] for i in result.questionable},
+            {r: result.features[r] for _, r in match.pairs},
             fh,
         )
 
     test_rows = []
-    for scale in config.timescales:
-        series = aggregate_dataset(dataset, scale, config.quarter_rule)
-        q_series = {i: series[i] for i in q_vecs if i in series}
-        r_series = {i: series[i] for i in matched_ids if i in series}
-        try:
-            results = reliability_comparison(q_series, r_series)
-        except DegenerateSampleError as exc:
-            print(f"warning: reliability tests at {scale.value}: {exc}", file=sys.stderr)
-            continue
+    for scale, tests in result.tests:
         for metric_name in ("engagement", "engagement_growth"):
-            r = results[metric_name]
-            test_rows.append(
-                [scale.value, metric_name, format(r.u_statistic, ".10g"),
-                 format(r.p_value, ".10g"), r.n1, r.n2, r.method]
-            )
-            print(f"[{scale.value}] reliable > questionable ({metric_name}): "
-                  f"p = {format_p(r.p_value)}")
-    with open(config.out_dir / "reliability_tests.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timescale", "metric", "u", "p", "n_reliable", "n_questionable", "method"])
-        writer.writerows(test_rows)
+            r = tests[metric_name]
+            test_rows.append([scale.value, metric_name, format(r.u_statistic, ".10g"),
+                              format(r.p_value, ".10g"), r.n1, r.n2, r.method])
+            print(f"[{scale.value}] reliable > questionable ({metric_name}): p = {format_p(r.p_value)}")
+    header = ["timescale", "metric", "u", "p", "n_reliable", "n_questionable", "method"]
+    _write_csv(out_dir / "reliability_tests.csv", header, test_rows)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# synth
-# ---------------------------------------------------------------------------
-
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    if args.model == "gibrat-null":
-        coeffs = synth.gibrat_null_coefficients()
-    elif args.model == "builtin-table1":
-        coeffs = published_coefficients()
-    else:
-        with open(args.model, newline="") as fh:
-            coeffs = read_coefficients_csv(fh)
+    coeffs = synth.gibrat_null_coefficients() if args.model == "gibrat-null" else _read_coefficients(args.model)
     config = synth.GeneratorConfig(
         n_pages=args.pages_count,
         start=date.fromisoformat(args.start),
@@ -687,16 +255,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
 def _add_common(sub, timescales_default="D,W,M,Q"):
     sub.add_argument("--input", help="posts file (.csv or .jsonl)")
     sub.add_argument("--pages", help="pages metadata CSV")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--timescales", default=timescales_default)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--classes", help="size-class scheme CSV (label,lower,upper)")
     sub.add_argument("--trim", default="5,95", help="percentile trim bounds")
     sub.add_argument("--trim-rates", action="store_true",

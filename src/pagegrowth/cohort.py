@@ -5,7 +5,9 @@ questionable; unscored pages are excluded and reported. The matched
 reliable sample minimizes the total Euclidean distance to the
 questionable cohort in standardized (max followers, lifespan) space,
 solved as an exact rectangular assignment problem. A greedy
-nearest-neighbour variant is available for comparison.
+nearest-neighbour variant is available for comparison. The comparison
+tests ask whether the matched reliable pages out-engage the questionable
+ones.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .aggregate import AggregatedSeries
+from .growth import pooled_growth_samples
 from .ingest import PageMeta
+from .stats import DegenerateSampleError, TestResult, mann_whitney
 
 RELIABLE_THRESHOLD = 60.0
 
@@ -157,6 +161,33 @@ def greedy_match(
         total += float(dist[i, j])
     pairs.sort()
     return MatchResult(pairs=pairs, total_distance=total, method="greedy")
+
+
+def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
+    """One-sided tests that reliable pages exceed questionable ones.
+
+    Both arguments map page_id -> AggregatedSeries at a common timescale.
+    Tested metrics: absolute window engagement, and window-to-window log
+    engagement growth.
+    """
+    if not questionable or not reliable:
+        raise DegenerateSampleError("reliability_comparison: empty cohort")
+
+    def _engagement_pool(series_map):
+        return [e.engagement for pid in sorted(series_map) for e in series_map[pid].entries]
+
+    def _growth_pool(series_map):
+        samples, _ = pooled_growth_samples(series_map, "engagement")
+        return [s.log_growth for s in samples]
+
+    out: dict[str, TestResult] = {}
+    out["engagement"] = mann_whitney(
+        _engagement_pool(reliable), _engagement_pool(questionable), alternative="greater"
+    )
+    out["engagement_growth"] = mann_whitney(
+        _growth_pool(reliable), _growth_pool(questionable), alternative="greater"
+    )
+    return out
 
 
 MATCH_HEADER = ["questionable_id", "reliable_id", "distance"]

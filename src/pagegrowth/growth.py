@@ -152,16 +152,12 @@ def trim(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
     through unchanged with a warning since the band is not meaningful.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return arr
-    if arr.size < TRIM_MIN_SAMPLES:
+    if 0 < arr.size < TRIM_MIN_SAMPLES:
         warnings.warn(
             f"trim: only {arr.size} values (< {TRIM_MIN_SAMPLES}); passing through",
             stacklevel=2,
         )
-        return arr
-    lo, hi = np.percentile(arr, [lo_pct, hi_pct])
-    return arr[(arr >= lo) & (arr <= hi)]
+    return arr[trim_mask(arr, lo_pct, hi_pct)]
 
 
 def trim_mask(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:

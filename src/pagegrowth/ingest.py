@@ -93,9 +93,6 @@ class RejectionReport:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def extend(self, other: "RejectionReport") -> None:
-        self.rows.extend(other.rows)
-
 
 @dataclass
 class Dataset:
@@ -103,9 +100,6 @@ class Dataset:
 
     posts: list[PostRecord]
     pages: dict[str, PageMeta]
-
-    def pages_with_posts(self) -> list[str]:
-        return sorted({p.page_id for p in self.posts})
 
     def posts_by_page(self) -> dict[str, list[PostRecord]]:
         out: dict[str, list[PostRecord]] = {}
@@ -122,11 +116,12 @@ class Dataset:
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
+    # utf-8-sig: a byte order mark before the header is dropped, not fatal
     if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8"))
+        return io.StringIO(stream.decode("utf-8-sig"))
     if isinstance(stream, str):
         return io.StringIO(stream)
-    return io.TextIOWrapper(stream, encoding="utf-8")
+    return io.TextIOWrapper(stream, encoding="utf-8-sig")
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -168,9 +163,18 @@ def _opt_count(raw, what: str) -> int | None:
     return value
 
 
+def _opt_text(raw, what: str) -> str:
+    """Stripped string, or "" when absent. JSON numbers and the like are rejected."""
+    if raw is None:
+        return ""
+    if not isinstance(raw, str):
+        raise ValueError(f"{what} is not a string: {raw!r}")
+    return raw.strip()
+
+
 def _build_post(fields: dict, line: int) -> PostRecord:
-    page_id = (fields.get("page_id") or "").strip()
-    post_id = (fields.get("post_id") or "").strip()
+    page_id = _opt_text(fields.get("page_id"), "page_id")
+    post_id = _opt_text(fields.get("post_id"), "post_id")
     if not page_id:
         raise ValueError("missing page_id")
     if not post_id:

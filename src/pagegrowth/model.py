@@ -373,22 +373,21 @@ def summarize_trajectories(trajectories: list[Trajectory]) -> list[StepSummary]:
     def _se(a):
         return a.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(steps)
 
-    out = []
-    for i in range(steps):
-        out.append(
-            StepSummary(
-                step=i,
-                mean_followers=float(f[:, i].mean()),
-                se_followers=float(_se(f)[i]),
-                mean_engagement=float(e[:, i].mean()),
-                se_engagement=float(_se(e)[i]),
-                mean_norm_followers=float(f_norm[:, i].mean()),
-                se_norm_followers=float(_se(f_norm)[i]),
-                mean_norm_engagement=float(e_norm[:, i].mean()),
-                se_norm_engagement=float(_se(e_norm)[i]),
-            )
+    se_f, se_e, se_f_norm, se_e_norm = _se(f), _se(e), _se(f_norm), _se(e_norm)
+    return [
+        StepSummary(
+            step=i,
+            mean_followers=float(f[:, i].mean()),
+            se_followers=float(se_f[i]),
+            mean_engagement=float(e[:, i].mean()),
+            se_engagement=float(se_e[i]),
+            mean_norm_followers=float(f_norm[:, i].mean()),
+            se_norm_followers=float(se_f_norm[i]),
+            mean_norm_engagement=float(e_norm[:, i].mean()),
+            se_norm_engagement=float(se_e_norm[i]),
         )
-    return out
+        for i in range(steps)
+    ]
 
 
 COEFFS_HEADER = ["parameter", "timescale", "beta0", "beta1", "beta2"]

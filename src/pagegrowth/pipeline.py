@@ -1,0 +1,442 @@
+"""The data commands as library calls: load, aggregate, analyze, model, cohort.
+
+``load_dataset`` reads and joins the input files. ``aggregate``,
+``analyze`` and ``model`` are generators that aggregate one timescale,
+yield its results and only then go on to the next, so a caller that
+writes each result out before asking for the next never holds more than
+one timescale. ``cohort`` matches the cohorts up front and yields its
+per-timescale tests the same way. Tables come back as rows in the format
+of the output files; warnings go to the ``warn`` callback as they arise.
+"""
+
+from __future__ import annotations
+
+import csv
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .aggregate import AggregatedSeries, Timescale, aggregate_dataset
+from .cohort import (
+    MatchResult,
+    ReliabilityLabel,
+    greedy_match,
+    label_pages,
+    match_cohorts,
+    page_features,
+    reliability_comparison,
+    standardize_features,
+)
+from .growth import (
+    DEFAULT_FOLLOWER_CLASSES,
+    GrowthSample,
+    SizeClass,
+    class_bins,
+    engagement_quartile_bins,
+    pooled_growth_samples,
+    split_class_by_median,
+    trim,
+    validate_scheme,
+)
+from .ingest import Dataset, FatalParseError, PageMeta, RejectionReport, build_dataset, parse_pages, parse_posts
+from .model import SIM_TIMESCALES, ParamRegression, regress_parameters
+from .stats import (
+    DegenerateSampleError,
+    FitConvergenceError,
+    MatrixCell,
+    TestResult,
+    class_test_matrix,
+    detailed_balance_check,
+    fit_burr,
+    fit_laplace,
+)
+
+Warn = Callable[[str], object]  # receives each warning line as it arises
+
+MATRIX_HEADER = ["metric", "size_by", "timescale", "row_class", "col_class", "alternative", "u", "p", "method"]
+FITS_HEADER = ["cohort", "timescale", "distribution", "param", "value"]
+DETAILS_HEADER = ["parameter", "timescale", "beta0", "beta1", "beta2", "p0", "p1", "p2", "r_squared", "n_bins"]
+
+MODEL_MIN_SAMPLES = 100  # growth samples a timescale needs before model bins them
+
+
+def _g(value: float) -> str:
+    return format(value, ".10g")
+
+
+@dataclass(frozen=True)
+class Options:
+    """Settings the data commands share; the defaults are the CLI defaults."""
+
+    timescales: tuple[Timescale, ...] = tuple(Timescale)
+    classes: tuple[SizeClass, ...] = tuple(DEFAULT_FOLLOWER_CLASSES)
+    metric: str = "engagement"  # growth metric analyzed and modelled
+    trim_bounds: tuple[float, float] = (5.0, 95.0)  # percentile band
+    trim_rates: bool = False  # also trim growth rates inside each bin
+    quarter_rule: str = "latest"  # follower point of a quarter
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
+    """Size-class scheme from a ``label,lower,upper`` CSV; the default one without a file."""
+    if path is None:
+        return tuple(DEFAULT_FOLLOWER_CLASSES)
+    scheme = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["label", "lower", "upper"]:
+            raise ValueError("size-class file must have header label,lower,upper")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"size-class file line {line}: expected label,lower,upper, got {row}")
+            scheme.append(SizeClass(row[0].strip(), int(row[1]), int(row[2])))
+    validate_scheme(scheme)
+    return tuple(scheme)
+
+
+def _stub_pages(posts) -> dict[str, PageMeta]:
+    # no metadata supplied: a page per distinct id, so the posts can still
+    # be aggregated (scores stay absent)
+    pages: dict[str, PageMeta] = {}
+    for p in posts:
+        if p.page_id not in pages:
+            pages[p.page_id] = PageMeta(page_id=p.page_id, name=p.page_id, created_at=p.timestamp.date())
+    return pages
+
+
+def load_dataset(posts_path: Path, pages_path: Path | None) -> tuple[Dataset, list[tuple[str, int, str]]]:
+    """Parse and join the input files.
+
+    Returns the dataset and every rejected row as (source, line, reason),
+    posts first, then pages, then the join. Without a pages file every
+    page id in the posts gets a stub page with no score.
+    """
+    if not posts_path.exists():
+        raise FatalParseError(f"input file not found: {posts_path}")
+    fmt = "jsonl" if posts_path.suffix == ".jsonl" else "csv"
+    with open(posts_path, "rb") as fh:
+        posts, post_report = parse_posts(fh, format=fmt)
+    if pages_path is None:
+        pages, page_report = _stub_pages(posts), RejectionReport()
+    else:
+        if not pages_path.exists():
+            raise FatalParseError(f"pages file not found: {pages_path}")
+        with open(pages_path, "rb") as fh:
+            pages, page_report = parse_pages(fh)
+    dataset, join_report = build_dataset(posts, pages)
+    reports = (("posts", post_report), ("pages", page_report), ("join", join_report))
+    return dataset, [(source, row.line, row.reason) for source, report in reports for row in report.rows]
+
+
+# ---------------------------------------------------------------------------
+# aggregate
+# ---------------------------------------------------------------------------
+
+def aggregate(dataset: Dataset, options: Options) -> Iterator[tuple[Timescale, dict[str, AggregatedSeries]]]:
+    """Each timescale's per-page series, one timescale at a time."""
+    for scale in options.timescales:
+        yield scale, aggregate_dataset(dataset, scale, options.quarter_rule)
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MatrixBlock:
+    """Pairwise class tests of one metric's growth under one binning."""
+
+    metric: str
+    size_by: str
+    cells: list[MatrixCell]
+
+    def rows(self, scale: Timescale) -> list[list]:
+        head = [self.metric, self.size_by, scale.value]
+        return [
+            [*head, c.row, c.col, c.alternative, "", "", f"error: {c.error}"]
+            if c.result is None
+            else [*head, c.row, c.col, c.alternative, _g(c.result.u_statistic), _g(c.result.p_value), c.result.method]
+            for c in self.cells
+        ]
+
+
+@dataclass
+class ScaleAnalysis:
+    """What ``analyze`` finds at one timescale."""
+
+    scale: Timescale
+    samples: list[GrowthSample]  # growth samples of the analyzed metric
+    matrices: list[MatrixBlock]
+    fit_rows: list[list]
+    balance: TestResult | None  # time-reversal symmetry of the samples
+
+
+def _log_growth(samples) -> list[float]:
+    return [s.log_growth for s in samples]
+
+
+def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAnalysis]:
+    """Size-class test matrices, distribution fits and symmetry check per timescale.
+
+    Matrices: growth of the metric, of mean engagement and of followers by
+    follower class; the metric by median-split class and by engagement
+    quartile. Fits: Laplace on the log growth of the metric, Burr on
+    follower gross growth, pooled and per class.
+    """
+    for scale in options.timescales:
+        yield _analyze_scale(aggregate_dataset(dataset, scale, options.quarter_rule), scale, options, warn)
+
+
+def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> ScaleAnalysis:
+    metric = options.metric
+
+    def values(bins: dict[str, list]) -> dict[str, list[float]]:
+        if not options.trim_rates:
+            return bins
+        return {label: list(trim(v, *options.trim_bounds)) for label, v in bins.items()}
+
+    # each sample set, and its follower classes, computed once
+    samples = {m: pooled_growth_samples(series, m)[0] for m in dict.fromkeys((metric, "mean_engagement", "followers"))}
+    bins = {m: class_bins(s, options.classes) for m, s in samples.items()}
+    matrices = []
+    for name, by_class in bins.items():
+        if len(by_class) < 2:
+            warn(f"warning: {name}/{scale.value}: fewer than 2 follower classes populated; matrix empty")
+            continue
+        cells = class_test_matrix(values({label: _log_growth(b) for label, b in by_class.items()}))
+        matrices.append(MatrixBlock(name, "followers_class", cells))
+
+    # variant: classes split at their median follower value
+    if len(bins[metric]) >= 2:
+        split: dict[str, list[float]] = {}
+        for label, members in bins[metric].items():
+            try:
+                lower, upper = split_class_by_median(members)
+            except ValueError:  # DegenerateBinningError among them
+                continue
+            split[f"{label}/lo"] = _log_growth(lower)
+            split[f"{label}/hi"] = _log_growth(upper)
+        if len(split) >= 2:
+            matrices.append(MatrixBlock(metric, "followers_median_split", class_test_matrix(values(split))))
+
+    # variant: engagement quartile bins
+    try:
+        quartiles = engagement_quartile_bins(samples[metric], *options.trim_bounds)
+        cells = class_test_matrix(values({label: _log_growth(b) for label, b in quartiles.items()}))
+        matrices.append(MatrixBlock(metric, "engagement_quartile", cells))
+    except ValueError as exc:
+        warn(f"warning: quartile bins at {scale.value}: {exc}")
+
+    # Laplace on log growth of the metric, Burr on follower gross growth
+    fit_rows = []
+    for name, members in [("all", samples[metric]), *bins[metric].items()]:
+        try:
+            lap = fit_laplace(_log_growth(members))
+        except DegenerateSampleError:
+            continue
+        fit_rows += [[name, scale.value, "laplace", "mu", _g(lap.mu)], [name, scale.value, "laplace", "b", _g(lap.b)]]
+    for name, members in [("all", samples["followers"]), *bins["followers"].items()]:
+        try:
+            burr = fit_burr([s.gross_growth for s in members])
+        except (ValueError, FitConvergenceError) as exc:
+            warn(f"warning: burr fit {name}/{scale.value}: {exc}")
+            continue
+        fit_rows += [[name, scale.value, "burr", "c", _g(burr.c)], [name, scale.value, "burr", "k", _g(burr.k)]]
+
+    try:
+        balance = detailed_balance_check(_log_growth(samples[metric]))
+    except DegenerateSampleError as exc:
+        warn(f"warning: detailed balance at {scale.value}: {exc}")
+        balance = None
+    return ScaleAnalysis(scale, samples[metric], matrices, fit_rows, balance)
+
+
+# ---------------------------------------------------------------------------
+# model
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BinnedFits:
+    """One distribution's side of ``model``: how its samples are binned and fitted."""
+
+    parameters: tuple[str, ...]  # regressed on the mean log covariates of the bins
+    covariates: tuple[str, ...]  # GrowthSample fields, each cut into quantile bins
+    n_bins: int  # quantile bins per covariate
+    min_members: int  # smaller bins are not fitted
+    min_trimmed: int  # samples needed inside the percentile band
+    fit: Callable[[list[GrowthSample]], object]
+
+
+@dataclass
+class ScaleModel:
+    """Parameter regressions ``model`` fitted at one timescale."""
+
+    scale: Timescale
+    regressions: list[ParamRegression]
+    detail_rows: list[list]
+
+
+def _detail_row(reg: ParamRegression, n_bins: int) -> list:
+    ps = [format(p, ".6g") for p in reg.p_values] + [""] * (3 - len(reg.p_values))
+    return [
+        reg.parameter,
+        reg.timescale.value,
+        _g(reg.beta0),
+        _g(reg.beta1),
+        "" if reg.beta2 is None else _g(reg.beta2),
+        *ps,
+        "" if reg.r_squared is None else format(reg.r_squared, ".6g"),
+        n_bins,
+    ]
+
+
+def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) -> list[tuple[ParamRegression, int]]:
+    """Trim each covariate to the percentile band, cut quantile bins, fit each
+    bin, then regress every parameter on the bins' mean log covariates."""
+    samples = [s for s in samples if s.prior_followers is not None]
+    if len(samples) < MODEL_MIN_SAMPLES:
+        return []
+    columns = [np.array([getattr(s, c) for s in samples], dtype=float) for c in side.covariates]
+    keep = np.ones(len(samples), dtype=bool)
+    for col in columns:
+        lo, hi = np.percentile(col, trim_bounds)
+        keep &= (col >= lo) & (col <= hi)
+    kept = [s for s, k in zip(samples, keep) if k]
+    if len(kept) < side.min_trimmed:
+        return []
+    columns = [col[keep] for col in columns]
+    qs = np.linspace(0, 100, side.n_bins + 1)[1:-1]
+    # bin index = number of quantile edges strictly below the value
+    index = [np.searchsorted(np.percentile(col, qs), col, side="left") for col in columns]
+    codes = np.ravel_multi_index(index, (side.n_bins,) * len(columns))
+    fits = []
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        if rows.size < side.min_members:
+            continue
+        try:
+            params = side.fit([kept[i] for i in rows])
+        except (ValueError, FitConvergenceError):
+            continue
+        ln_f, ln_e = ([float(np.mean(np.log(col[rows]))) for col in columns] + [0.0])[:2]
+        fits.append((ln_f, ln_e, params))
+    out = []
+    for parameter in side.parameters:
+        if len(fits) > len(columns):  # at least one bin per regression coefficient
+            reg = regress_parameters(fits, parameter, scale)
+            out.append((reg, len(fits)))
+        else:
+            warn(f"warning: {parameter}/{scale.value}: only {len(fits)} usable bins")
+    return out
+
+
+def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel]:
+    """Per-bin distribution fits regressed on log size, per W/M/Q timescale.
+
+    Laplace (mu, b) on the log growth of the metric in 4x4 quartile bins of
+    prior followers and prior engagement; Burr (c, k) on follower gross
+    growth in 8 quantile bins of prior followers. Raises
+    DegenerateSampleError after the last timescale if nothing was fitted.
+    """
+    scales = [s for s in options.timescales if s in SIM_TIMESCALES]
+    if not scales:
+        raise FatalParseError("model works on W, M, Q timescales")
+    laplace = _BinnedFits(
+        parameters=("mu", "b"),
+        covariates=("prior_followers", "prior_engagement"),
+        n_bins=4,
+        min_members=20,
+        min_trimmed=MODEL_MIN_SAMPLES,
+        fit=lambda members: fit_laplace([s.log_growth for s in members]),
+    )
+    burr = _BinnedFits(
+        parameters=("c", "k"),
+        covariates=("prior_followers",),
+        n_bins=8,
+        min_members=50,
+        min_trimmed=0,
+        fit=lambda members: fit_burr([s.gross_growth for s in members]),
+    )
+    fitted = 0
+    for scale in scales:
+        series = aggregate_dataset(dataset, scale, options.quarter_rule)
+        regressions = []
+        for metric, side in ((options.metric, laplace), ("followers", burr)):
+            samples, _ = pooled_growth_samples(series, metric)
+            regressions += _binned_regressions(samples, side, scale, options.trim_bounds, warn)
+        fitted += len(regressions)
+        yield ScaleModel(scale, [r for r, _ in regressions], [_detail_row(r, n) for r, n in regressions])
+    if not fitted:
+        raise DegenerateSampleError("no parameter regressions could be fitted")
+
+
+# ---------------------------------------------------------------------------
+# cohort
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Cohort:
+    """Reliability labels, the matched sample, and the tests still to run."""
+
+    labels: list[ReliabilityLabel]
+    match: MatchResult
+    questionable: dict[str, np.ndarray]  # standardized features of the cohort
+    reliable: dict[str, np.ndarray]  # standardized features of the reliable pool
+    features: dict[str, tuple[float, float]]  # raw (max followers, lifespan days)
+    tests: Iterator[tuple[Timescale, dict[str, TestResult]]]
+
+
+def cohort(dataset: Dataset, options: Options, warn: Warn, matching: str = "assignment") -> Cohort:
+    """Label pages, match each questionable page to a reliable one on weekly
+    features, and set up the one-sided reliable > questionable tests.
+
+    ``tests`` yields each timescale's results when iterated; a timescale
+    whose cohorts have no data is skipped with a warning.
+    """
+    labels, unscored = label_pages(dataset.pages)
+    if unscored:
+        warn(f"unscored pages excluded: {len(unscored)}")
+    questionable_ids = [l.page_id for l in labels if l.label == "questionable"]
+    reliable_ids = [l.page_id for l in labels if l.label == "reliable"]
+    if not questionable_ids or not reliable_ids:
+        raise DegenerateSampleError("need both questionable and reliable pages")
+
+    weekly = aggregate_dataset(dataset, Timescale.W, options.quarter_rule)
+    end = dataset.end_date
+    raw: dict[str, tuple[float, float]] = {}
+    unobserved = 0
+    for page_id in questionable_ids + reliable_ids:
+        series = weekly.get(page_id)
+        feats = page_features(dataset.pages[page_id], series, end) if series else None
+        if feats is None:
+            unobserved += 1
+        else:
+            raw[page_id] = feats
+    if unobserved:
+        warn(f"pages without follower observations: {unobserved}")
+    standardized = standardize_features(raw)
+    q_vecs = {i: standardized[i] for i in questionable_ids if i in standardized}
+    r_vecs = {i: standardized[i] for i in reliable_ids if i in standardized}
+    result = (greedy_match if matching == "greedy" else match_cohorts)(q_vecs, r_vecs)
+    matched_ids = [r for _, r in result.pairs]
+
+    def tests():
+        for scale in options.timescales:
+            series = weekly if scale is Timescale.W else aggregate_dataset(dataset, scale, options.quarter_rule)
+            q_series = {i: series[i] for i in q_vecs if i in series}
+            r_series = {i: series[i] for i in matched_ids if i in series}
+            try:
+                results = reliability_comparison(q_series, r_series)
+            except DegenerateSampleError as exc:
+                warn(f"warning: reliability tests at {scale.value}: {exc}")
+                continue
+            yield scale, results
+
+    return Cohort(labels, result, q_vecs, r_vecs, raw, tests())

@@ -147,7 +147,7 @@ def _burr_cdf_from_logx(lnx: np.ndarray, c: float, k: float) -> np.ndarray:
     return -np.expm1(-k * np.logaddexp(0.0, c * lnx))
 
 
-def fit_burr(samples, max_iter: int = BURR_FIT_MAX_ITER) -> BurrParams:
+def fit_burr(samples) -> BurrParams:
     """Least-squares fit of the Burr CDF to the empirical CDF.
 
     The objective is the sum of squared deviations between the empirical
@@ -189,7 +189,7 @@ def fit_burr(samples, max_iter: int = BURR_FIT_MAX_ITER) -> BurrParams:
         objective,
         best_theta,
         method="Nelder-Mead",
-        options={"maxiter": max_iter, "fatol": BURR_FIT_FATOL, "xatol": 1e-8},
+        options={"maxiter": BURR_FIT_MAX_ITER, "fatol": BURR_FIT_FATOL, "xatol": 1e-8},
     )
     c, k = math.exp(res.x[0]), math.exp(res.x[1])
     if not res.success:
@@ -369,39 +369,6 @@ def detailed_balance_check(samples) -> TestResult:
     z = (abs(u - mean_u) - 0.5) / math.sqrt(var_u)
     p = float(min(1.0, 2.0 * norm.sf(z)))
     return TestResult(u, p, "two-sided", n, n, "normal-approx")
-
-
-# ---------------------------------------------------------------------------
-# Reliability cohorts
-# ---------------------------------------------------------------------------
-
-def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
-    """One-sided tests that reliable pages exceed questionable ones.
-
-    Both arguments map page_id -> AggregatedSeries at a common timescale.
-    Tested metrics: absolute window engagement, and window-to-window log
-    engagement growth.
-    """
-    from .growth import pooled_growth_samples
-
-    if not questionable or not reliable:
-        raise DegenerateSampleError("reliability_comparison: empty cohort")
-
-    def _engagement_pool(series_map):
-        return [e.engagement for pid in sorted(series_map) for e in series_map[pid].entries]
-
-    def _growth_pool(series_map):
-        samples, _ = pooled_growth_samples(series_map, "engagement")
-        return [s.log_growth for s in samples]
-
-    out: dict[str, TestResult] = {}
-    out["engagement"] = mann_whitney(
-        _engagement_pool(reliable), _engagement_pool(questionable), alternative="greater"
-    )
-    out["engagement_growth"] = mann_whitney(
-        _growth_pool(reliable), _growth_pool(questionable), alternative="greater"
-    )
-    return out
 
 
 def format_p(p: float, floor: float = 1e-4) -> str:

@@ -66,7 +66,6 @@ class GeneratorConfig:
     end: date = date(2020, 1, 1)  # exclusive
     posts_per_day: float = 3.0
     coefficients: ModelCoefficients | None = None  # default: gibrat null
-    law_timescale: Timescale = Timescale.W
     followers_range: tuple[float, float] = (12_000.0, 4_000_000.0)
     engagement_range: tuple[float, float] = (1_000.0, 50_000.0)
     questionable_fraction: float = 0.2
@@ -98,7 +97,6 @@ def _split_counts(total: int, parts: int, rng: np.random.Generator) -> np.ndarra
 def generate(config: GeneratorConfig, seed: int) -> SynthResult:
     """Generate posts and page metadata under the configured growth law."""
     coeffs = config.coefficients if config.coefficients is not None else gibrat_null_coefficients()
-    law_scale = config.law_timescale
     posts: list[PostRecord] = []
     pages: dict[str, PageMeta] = {}
 
@@ -152,8 +150,8 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
                         )
                     )
                     counter += 1
-            lap = eval_mu_b(coeffs, law_scale, followers, engagement)
-            burr = eval_c_k(coeffs, law_scale, followers)
+            lap = eval_mu_b(coeffs, Timescale.W, followers, engagement)
+            burr = eval_c_k(coeffs, Timescale.W, followers)
             engagement = max(1.0, engagement * float(np.exp(sample_laplace(lap, rng))))
             followers = max(1.0, followers * sample_burr(burr, rng))
             week_start = week_start + timedelta(days=7)
@@ -164,7 +162,7 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
         "start": config.start.isoformat(),
         "end": config.end.isoformat(),
         "posts_per_day": config.posts_per_day,
-        "law_timescale": law_scale.value,
+        "law_timescale": Timescale.W.value,
         "questionable_fraction": config.questionable_fraction,
         "coefficients": {
             f"{p}/{s}": {

@@ -104,6 +104,20 @@ class TestAggregateCmd:
         code = main(["aggregate", "--input", str(bad), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_short_classes_row_exit_2(self, synth_dir, tmp_path, capsys):
+        classes = tmp_path / "classes.csv"
+        classes.write_text("label,lower,upper\nbig,100\n")
+        code = main(
+            [
+                "aggregate",
+                "--input", str(synth_dir / "posts.csv"),
+                "--classes", str(classes),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "size-class file line 2" in capsys.readouterr().err
+
     def test_idempotent_outputs(self, synth_dir, tmp_path):
         args = [
             "aggregate",

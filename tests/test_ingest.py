@@ -122,6 +122,25 @@ class TestParsePosts:
         assert len(posts) == 1 and len(report) == 1
         assert posts[0].total_interactions == 7
 
+    def test_jsonl_non_string_id_quarantined(self):
+        lines = b"""{"page_id": 7, "post_id": "a", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+{"page_id": "p1", "post_id": ["b"], "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+{"page_id": "p1", "post_id": "c", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+"""
+        posts, report = parse_posts(lines, format="jsonl")
+        assert [p.post_id for p in posts] == ["c"]
+        assert [(r.line, r.reason) for r in report.rows] == [
+            (1, "page_id is not a string: 7"),
+            (2, "post_id is not a string: ['b']"),
+        ]
+
+    def test_utf8_bom_before_header(self):
+        data = b"\xef\xbb\xbf" + _posts_csv("p1,a,2020-01-01T00:00:00Z,1,2,3,6,")
+        for source in (data, io.BytesIO(data)):
+            posts, report = parse_posts(source)
+            assert len(posts) == 1 and len(report) == 0
+            assert posts[0].page_id == "p1"
+
     def test_deterministic(self):
         data = _posts_csv(
             "p1,a,2020-01-01T00:00:00Z,1,2,3,6,",
@@ -144,6 +163,12 @@ class TestParseTimestamp:
 
 
 class TestParsePages:
+    def test_utf8_bom_before_header(self):
+        data = b"\xef\xbb\xbf" + _pages_csv("p1,One,2015-01-01,80,en")
+        for source in (data, io.BytesIO(data)):
+            pages, report = parse_pages(source)
+            assert list(pages) == ["p1"] and len(report) == 0
+
     def test_score_parsed(self):
         pages, report = parse_pages(_pages_csv("p1,Daily Bugle,2010-05-01,92.5,en"))
         assert pages["p1"].newsguard_score == 92.5

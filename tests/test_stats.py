@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from pagegrowth.cohort import reliability_comparison
 from pagegrowth.stats import (
     EXACT_MAX_PRODUCT,
     BurrParams,
@@ -23,7 +24,6 @@ from pagegrowth.stats import (
     fit_laplace,
     laplace_pdf,
     mann_whitney,
-    reliability_comparison,
 )
 
 
