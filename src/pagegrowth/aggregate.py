@@ -13,17 +13,26 @@ window:
   the earlier observation),
 * Q - value on the latest observed date of the quarter (switchable to
   earliest via ``quarter_rule``).
+
+One kernel does the work on a dataset's columns. Window keys are day
+numbers since 1970-01-01: the day is seconds // 86400, the ISO week
+starts at day - (day + 3) % 7 (1970-01-01 was a Thursday), months and
+quarters come from ``datetime64[M]``. Posts sorted by (page, time) form
+contiguous groups per window; engagement is a ``np.add.reduceat`` over
+them, and each follower rule is a sort key whose first observed row wins.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from enum import Enum
 from typing import Sequence
 
-from .ingest import Dataset, PostRecord
+import numpy as np
+
+from .ingest import DAY_S, EPOCH_ORDINAL, Dataset, PostColumns, PostRecord
 
 
 class Timescale(Enum):
@@ -53,24 +62,34 @@ class Window:
             raise ValueError(f"window start {self.start} not before end {self.end}")
 
 
+def _day_date(day: int) -> date:
+    return date.fromordinal(EPOCH_ORDINAL + day)
+
+
+def _window_bounds(days: np.ndarray, scale: Timescale) -> tuple[np.ndarray, np.ndarray]:
+    """First day of the window holding each day, and the first day after it."""
+    if scale is Timescale.D:
+        return days, days + 1
+    if scale is Timescale.W:
+        start = days - (days + 3) % 7
+        return start, start + 7
+    if scale not in (Timescale.M, Timescale.Q):
+        raise ValueError(f"unknown timescale {scale!r}")
+    step = 1 if scale is Timescale.M else 3
+    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    months -= months % step  # quarters start in January, April, July and October
+
+    def first_day(m):
+        return m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+
+    return first_day(months), first_day(months + step)
+
+
 def window_of(ts: datetime | date, scale: Timescale) -> Window:
     """Calendar window containing a UTC instant."""
     d = ts.date() if isinstance(ts, datetime) else ts
-    if scale is Timescale.D:
-        return Window(scale, d, d + timedelta(days=1))
-    if scale is Timescale.W:
-        start = d - timedelta(days=d.isoweekday() - 1)
-        return Window(scale, start, start + timedelta(days=7))
-    if scale is Timescale.M:
-        start = d.replace(day=1)
-        end = date(start.year + 1, 1, 1) if start.month == 12 else start.replace(month=start.month + 1)
-        return Window(scale, start, end)
-    if scale is Timescale.Q:
-        q_month = 3 * ((d.month - 1) // 3) + 1
-        start = date(d.year, q_month, 1)
-        end = date(d.year + 1, 1, 1) if q_month == 10 else date(d.year, q_month + 3, 1)
-        return Window(scale, start, end)
-    raise ValueError(f"unknown timescale {scale!r}")
+    start, end = _window_bounds(np.array([d.toordinal() - EPOCH_ORDINAL]), scale)
+    return Window(scale, _day_date(int(start[0])), _day_date(int(end[0])))
 
 
 @dataclass(frozen=True)
@@ -82,117 +101,132 @@ class SeriesEntry:
     followers: int | None
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregatedSeries:
-    """Per-page windowed series at one timescale, windows strictly increasing."""
+    """Per-page windowed series at one timescale, windows strictly increasing.
+
+    One array element per window; days count from 1970-01-01 and
+    ``followers`` holds a value only where ``observed`` is true.
+    """
 
     page_id: str
     timescale: Timescale
-    entries: list[SeriesEntry]
+    start: np.ndarray
+    end: np.ndarray
+    engagement: np.ndarray
+    post_count: np.ndarray
+    followers: np.ndarray
+    observed: np.ndarray
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    @property
+    def mean_engagement(self) -> np.ndarray:
+        return self.engagement / self.post_count
+
+    @property
+    def entries(self) -> list[SeriesEntry]:
+        """The windows as objects, built on each request."""
+        columns = (self.start, self.end, self.engagement, self.post_count, self.followers, self.observed)
+        return [
+            SeriesEntry(Window(self.timescale, _day_date(s), _day_date(e)), g, g / n, n, f if o else None)
+            for s, e, g, n, f, o in zip(*(c.tolist() for c in columns))
+        ]
 
     def total_engagement(self) -> int:
-        return sum(e.engagement for e in self.entries)
+        return int(self.engagement.sum())
 
 
-def select_followers(
-    posts_in_window: Sequence[PostRecord],
-    window: Window,
-    quarter_rule: str = "latest",
-) -> int | None:
+def _representative(cols, group, n_groups, start, scale, quarter_rule) -> tuple[np.ndarray, np.ndarray]:
+    """Follower value per group and whether one was observed.
+
+    ``group`` numbers the window of each row of ``cols`` and ``start`` is
+    its first day. The first observed row of each group under the rule's
+    sort key wins.
+    """
+    observed = np.flatnonzero(cols.has_followers)
+    group = group[observed]
+    if scale is Timescale.M:  # days from the 15th; ties keep time order
+        key = np.abs(cols.seconds[observed] // DAY_S - (start[observed] + 14))
+    elif scale is not Timescale.Q or quarter_rule == "earliest":
+        key = np.zeros(observed.size, dtype=np.int64)
+    elif quarter_rule == "latest":  # the last observed row first
+        key = -np.arange(observed.size)
+    else:
+        raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
+    order = np.lexsort((key, group))
+    group, observed = group[order], observed[order]
+    wins = np.ones(group.size, dtype=bool)
+    wins[1:] = group[1:] != group[:-1]
+    followers = np.zeros(n_groups, dtype=np.int64)
+    has = np.zeros(n_groups, dtype=bool)
+    followers[group[wins]] = cols.followers[observed[wins]]
+    has[group[wins]] = True
+    return followers, has
+
+
+def _aggregate(cols: PostColumns, scale: Timescale, quarter_rule: str) -> dict[str, AggregatedSeries]:
+    """The kernel: every page's series from columns sorted by (page, seconds, post_id)."""
+    n = cols.seconds.size
+    start, end = _window_bounds(cols.seconds // DAY_S, scale)
+    opens = np.ones(n, dtype=bool)  # row opens a new (page, window) group
+    opens[1:] = (cols.page[1:] != cols.page[:-1]) | (start[1:] != start[:-1])
+    first = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    followers, observed = _representative(cols, group, first.size, start, scale, quarter_rule)
+    engagement = np.add.reduceat(cols.total, first)
+    count = np.diff(np.append(first, n))
+    columns = (start[first], end[first], engagement, count, followers, observed)
+    cuts = np.searchsorted(cols.page[first], np.arange(len(cols.page_ids) + 1)).tolist()
+    return {
+        page_id: AggregatedSeries(page_id, scale, *(c[lo:hi] for c in columns))
+        for page_id, lo, hi in zip(cols.page_ids, cuts, cuts[1:])
+    }
+
+
+def select_followers(posts_in_window: Sequence[PostRecord], window: Window, quarter_rule: str = "latest") -> int | None:
     """Representative follower value for one window, or None if unobserved.
 
     Only posts carrying followers_at_posting participate; the value is
     always one actually observed in the window (no interpolation).
     """
-    observed = [p for p in posts_in_window if p.followers_at_posting is not None]
-    if not observed:
-        return None
-    scale = window.timescale
-    if scale in (Timescale.D, Timescale.W):
-        pick = min(observed, key=lambda p: (p.timestamp, p.post_id))
-    elif scale is Timescale.M:
-        mid = window.start.replace(day=15)
-        pick = min(
-            observed,
-            key=lambda p: (abs((p.timestamp.date() - mid).days), p.timestamp, p.post_id),
-        )
-    elif scale is Timescale.Q:
-        if quarter_rule == "latest":
-            pick = max(observed, key=lambda p: (p.timestamp, p.post_id))
-        elif quarter_rule == "earliest":
-            pick = min(observed, key=lambda p: (p.timestamp, p.post_id))
-        else:
-            raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
-    else:
-        raise ValueError(f"unknown timescale {scale!r}")
-    return pick.followers_at_posting
+    cols = PostColumns.from_records(posts_in_window)[0]
+    n = cols.seconds.size
+    start = np.full(n, window.start.toordinal() - EPOCH_ORDINAL)
+    followers, has = _representative(cols, np.zeros(n, dtype=np.int64), 1, start, window.timescale, quarter_rule)
+    return int(followers[0]) if has[0] else None
 
 
 def aggregate_engagement(
-    posts: Sequence[PostRecord],
-    scale: Timescale,
-    quarter_rule: str = "latest",
+    posts: Sequence[PostRecord], scale: Timescale, quarter_rule: str = "latest"
 ) -> AggregatedSeries:
-    """Roll one page's posts (sorted by timestamp) into a windowed series."""
-    if not posts:
-        return AggregatedSeries(page_id="", timescale=scale, entries=[])
-    page_id = posts[0].page_id
-    groups: dict[Window, list[PostRecord]] = {}
-    for post in posts:
-        if post.page_id != page_id:
-            raise ValueError("aggregate_engagement expects posts from a single page")
-        groups.setdefault(window_of(post.timestamp, scale), []).append(post)
-    entries = []
-    for window in sorted(groups, key=lambda w: w.start):
-        bucket = groups[window]
-        engagement = sum(p.total_interactions for p in bucket)
-        entries.append(
-            SeriesEntry(
-                window=window,
-                engagement=engagement,
-                mean_engagement=engagement / len(bucket),
-                post_count=len(bucket),
-                followers=select_followers(bucket, window, quarter_rule),
-            )
-        )
-    return AggregatedSeries(page_id=page_id, timescale=scale, entries=entries)
+    """Roll one page's posts (in any order) into a windowed series."""
+    cols = PostColumns.from_records(posts)[0]
+    if len(cols.page_ids) > 1:
+        raise ValueError("aggregate_engagement expects posts from a single page")
+    if not cols.page_ids:
+        empty = np.zeros(0, dtype=np.int64)
+        return AggregatedSeries("", scale, empty, empty, empty, empty, empty, empty.astype(bool))
+    return _aggregate(cols, scale, quarter_rule)[cols.page_ids[0]]
 
 
-def aggregate_dataset(
-    ds: Dataset, scale: Timescale, quarter_rule: str = "latest"
-) -> dict[str, AggregatedSeries]:
+def aggregate_dataset(ds: Dataset, scale: Timescale, quarter_rule: str = "latest") -> dict[str, AggregatedSeries]:
     """Aggregate every page independently; pages without posts are absent."""
-    return {
-        page_id: aggregate_engagement(posts, scale, quarter_rule)
-        for page_id, posts in sorted(ds.posts_by_page().items())
-    }
+    return _aggregate(ds.columns, scale, quarter_rule)
 
 
-SERIES_HEADER = [
-    "page_id",
-    "timescale",
-    "window_start",
-    "engagement",
-    "mean_engagement",
-    "post_count",
-    "followers",
-]
+SERIES_HEADER = ["page_id", "timescale", "window_start", "engagement", "mean_engagement", "post_count", "followers"]
 
 
 def write_series_csv(series_map: dict[str, AggregatedSeries], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SERIES_HEADER)
     for page_id in sorted(series_map):
-        series = series_map[page_id]
-        for e in series.entries:
-            writer.writerow(
-                [
-                    page_id,
-                    series.timescale.value,
-                    e.window.start.isoformat(),
-                    e.engagement,
-                    format(e.mean_engagement, ".10g"),
-                    e.post_count,
-                    "" if e.followers is None else e.followers,
-                ]
+        s = series_map[page_id]
+        writer.writerows(
+            [page_id, s.timescale.value, _day_date(d).isoformat(), g, format(m, ".10g"), n, f if o else ""]
+            for d, g, m, n, f, o in zip(
+                *(c.tolist() for c in (s.start, s.engagement, s.mean_engagement, s.post_count, s.followers, s.observed))
             )
+        )

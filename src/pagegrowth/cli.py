@@ -101,7 +101,7 @@ def cmd_aggregate(args) -> int:
         path = out_dir / f"series_{scale.value}.csv"
         with open(path, "w", newline="") as fh:
             write_series_csv(series, fh)
-        windows = sum(len(s.entries) for s in series.values())
+        windows = sum(len(s) for s in series.values())
         print(f"{scale.value}: {len(series)} pages, {windows} windows -> {path}")
     return EXIT_OK
 

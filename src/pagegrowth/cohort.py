@@ -74,11 +74,10 @@ def page_features(
     Returns None when the page never carries a follower observation;
     such pages cannot participate in matching.
     """
-    observed = [e.followers for e in series.entries if e.followers is not None]
-    if not observed:
+    if not series.observed.any():
         return None
     lifespan = float((end_date - meta.created_at).days)
-    return float(max(observed)), lifespan
+    return float(series.followers[series.observed].max()), lifespan
 
 
 def standardize_features(
@@ -174,7 +173,7 @@ def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
         raise DegenerateSampleError("reliability_comparison: empty cohort")
 
     def _engagement_pool(series_map):
-        return [e.engagement for pid in sorted(series_map) for e in series_map[pid].entries]
+        return np.concatenate([series_map[pid].engagement for pid in sorted(series_map)])
 
     def _growth_pool(series_map):
         samples, _ = pooled_growth_samples(series_map, "engagement")

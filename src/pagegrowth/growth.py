@@ -18,6 +18,7 @@ from datetime import date
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
+from .ingest import EPOCH_ORDINAL
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -82,9 +83,7 @@ DEFAULT_FOLLOWER_CLASSES = [
 ]
 
 
-def growth_samples(
-    series: AggregatedSeries, metric: str
-) -> tuple[list[GrowthSample], SkipReport]:
+def growth_samples(series: AggregatedSeries, metric: str) -> tuple[list[GrowthSample], SkipReport]:
     """Growth samples for one page series at the requested metric.
 
     A sample requires two calendar-adjacent windows with positive metric
@@ -93,41 +92,23 @@ def growth_samples(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    skips = SkipReport()
-    samples: list[GrowthSample] = []
-    for earlier, later in zip(series.entries, series.entries[1:]):
-        if later.window.start != earlier.window.end:
-            continue  # gap in the chain, not a pair
-        v0 = _metric_value(earlier, metric)
-        v1 = _metric_value(later, metric)
-        if v0 is None or v1 is None:
-            skips.missing_followers += 1
-            continue
-        if v0 <= 0 or v1 <= 0:
-            skips.zero_value += 1
-            continue
-        gross = v1 / v0
-        samples.append(
-            GrowthSample(
-                page_id=series.page_id,
-                timescale=series.timescale,
-                window_start=later.window.start,
-                metric=metric,
-                gross_growth=gross,
-                log_growth=math.log(gross),
-                prior_engagement=earlier.engagement,
-                prior_followers=earlier.followers,
-            )
-        )
-    return samples, skips
-
-
-def _metric_value(entry, metric: str) -> float | None:
+    values = getattr(series, metric)
+    pairs = series.start[1:] == series.end[:-1]  # a gap in the chain is not a pair
+    missing = np.zeros(pairs.size, dtype=bool)
     if metric == "followers":
-        return entry.followers
-    if metric == "engagement":
-        return entry.engagement
-    return entry.mean_engagement
+        missing = pairs & ~(series.observed[:-1] & series.observed[1:])
+    zero = pairs & ~missing & ((values[:-1] <= 0) | (values[1:] <= 0))
+    skips = SkipReport(zero_value=int(zero.sum()), missing_followers=int(missing.sum()))
+    earlier = np.flatnonzero(pairs & ~missing & ~zero)
+    later = earlier + 1
+    columns = (series.start[later] + EPOCH_ORDINAL, values[later] / values[earlier],
+               series.engagement[earlier], series.followers[earlier], series.observed[earlier])
+    samples = [
+        # math.log, not np.log: the two differ in the last bit on some values
+        GrowthSample(series.page_id, series.timescale, date.fromordinal(d), metric, g, math.log(g), e, f if o else None)
+        for d, g, e, f, o in zip(*(c.tolist() for c in columns))
+    ]
+    return samples, skips
 
 
 def pooled_growth_samples(
@@ -227,18 +208,9 @@ def engagement_quartile_bins(
         raise DegenerateBinningError(
             "degenerate binning: fewer than 4 distinct prior_engagement values"
         )
-    q1, q2, q3 = np.percentile(kept_priors, [25.0, 50.0, 75.0])
-    bins: dict[str, list[GrowthSample]] = {"Q1": [], "Q2": [], "Q3": [], "Q4": []}
-    for s, v in zip(kept, kept_priors):
-        if v <= q1:
-            bins["Q1"].append(s)
-        elif v <= q2:
-            bins["Q2"].append(s)
-        elif v <= q3:
-            bins["Q3"].append(s)
-        else:
-            bins["Q4"].append(s)
-    return bins
+    # bin index = number of quartiles strictly below the value
+    index = np.searchsorted(np.percentile(kept_priors, [25.0, 50.0, 75.0]), kept_priors, side="left").tolist()
+    return {f"Q{q + 1}": [s for s, i in zip(kept, index) if i == q] for q in range(4)}
 
 
 def split_class_by_median(
@@ -262,16 +234,8 @@ def split_class_by_median(
     return lower, upper
 
 
-GROWTH_HEADER = [
-    "page_id",
-    "timescale",
-    "window_start",
-    "metric",
-    "gross_growth",
-    "log_growth",
-    "prior_followers",
-    "prior_engagement",
-]
+GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth", "log_growth",
+                 "prior_followers", "prior_engagement"]
 
 
 def write_growth_samples_csv(samples: list[GrowthSample], stream) -> None:

@@ -18,6 +18,10 @@ normalized to UTC at second precision on ingest. Rows that fail
 validation are quarantined into a rejection report rather than aborting
 the parse; only structural problems (bad header, duplicate page ids,
 nothing left after filtering) are fatal.
+
+A ``Dataset`` keeps its posts twice: as records, and once as columns
+(``PostColumns``: page code, epoch seconds, total, followers with a
+validity mask) that the calendar aggregation works on.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
-from typing import BinaryIO, Iterable
+from datetime import date, datetime, timedelta, timezone
+from typing import BinaryIO, Iterable, Sequence
+
+import numpy as np
 
 POSTS_HEADER = [
     "page_id",
@@ -41,6 +47,12 @@ POSTS_HEADER = [
 ]
 
 PAGES_HEADER = ["page_id", "name", "created_at", "newsguard_score", "language"]
+
+MAX_COUNT = 2**53 - 1  # larger counts would not survive the int64 and float64 columns exactly
+DAY_S = 86_400
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+EPOCH_ORDINAL = EPOCH.date().toordinal()
+_SECOND = timedelta(seconds=1)
 
 
 class FatalParseError(Exception):
@@ -94,25 +106,77 @@ class RejectionReport:
         return len(self.rows)
 
 
+def _epoch_seconds(ts: datetime) -> int:
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - EPOCH) // _SECOND
+
+
+def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct values, and each value's index among them (Python string order)."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.array([index[v] for v in values], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class PostColumns:
+    """Posts as parallel arrays, one row per post, sorted by (page, seconds, post_id).
+
+    ``page`` indexes ``page_ids`` (sorted); ``seconds`` counts from
+    1970-01-01T00:00:00Z; ``followers`` is 0 where ``has_followers`` is false.
+    """
+
+    page_ids: list[str]
+    page: np.ndarray
+    seconds: np.ndarray
+    total: np.ndarray
+    followers: np.ndarray
+    has_followers: np.ndarray
+
+    @classmethod
+    def from_records(cls, posts: Sequence[PostRecord]) -> tuple["PostColumns", np.ndarray]:
+        """The posts as columns, and their (page_id, timestamp, post_id) order as indices into ``posts``."""
+        page_ids, page = _codes([p.page_id for p in posts])
+        seconds = np.array([_epoch_seconds(p.timestamp) for p in posts], dtype=np.int64)
+        order = np.lexsort((seconds, page))
+        same = (np.diff(seconds[order]) == 0) & (np.diff(page[order]) == 0)
+        if same.any():  # posts of a page in the same second: their post_ids decide
+            tied = order[np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))]
+            post_rank = np.zeros(len(posts), dtype=np.int64)
+            post_rank[tied] = _codes([posts[i].post_id for i in tied.tolist()])[1]
+            order = np.lexsort((post_rank, seconds, page))
+        followers = [p.followers_at_posting for p in posts]
+        columns = cls(
+            page_ids=page_ids,
+            page=page[order],
+            seconds=seconds[order],
+            total=np.array([p.total_interactions for p in posts], dtype=np.int64)[order],
+            followers=np.array([f or 0 for f in followers], dtype=np.int64)[order],
+            has_followers=np.array([f is not None for f in followers], dtype=bool)[order],
+        )
+        return columns, order
+
+
 @dataclass
 class Dataset:
-    """Validated posts sorted by (page_id, timestamp, post_id) plus page metadata."""
+    """Validated posts sorted by (page_id, timestamp, post_id), the same posts
+    as columns, and page metadata."""
 
     posts: list[PostRecord]
     pages: dict[str, PageMeta]
+    columns: PostColumns = field(default=None, repr=False)  # type: ignore[assignment]
 
-    def posts_by_page(self) -> dict[str, list[PostRecord]]:
-        out: dict[str, list[PostRecord]] = {}
-        for post in self.posts:
-            out.setdefault(post.page_id, []).append(post)
-        return out
+    def __post_init__(self):
+        if self.columns is None:  # built directly rather than by build_dataset
+            self.columns = PostColumns.from_records(self.posts)[0]
 
     @property
     def end_date(self) -> date:
         """Last posting date in the dataset (used as the lifespan anchor)."""
-        if not self.posts:
+        if not self.columns.seconds.size:
             raise NoUsableDataError("no usable data")
-        return max(p.timestamp.date() for p in self.posts)
+        return date.fromordinal(EPOCH_ORDINAL + int(self.columns.seconds.max()) // DAY_S)
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
@@ -122,6 +186,13 @@ def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
     if isinstance(stream, str):
         return io.StringIO(stream)
     return io.TextIOWrapper(stream, encoding="utf-8-sig")
+
+
+def _release(text: io.TextIOBase) -> None:
+    # hand a caller's binary file back open: a wrapper left attached closes
+    # it whenever the wrapper is collected, with a ResourceWarning
+    if isinstance(text, io.TextIOWrapper):
+        text.detach()
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -160,6 +231,8 @@ def _opt_count(raw, what: str) -> int | None:
         raise ValueError(f"{what} is not an integer: {raw!r}")
     if value < 0:
         raise ValueError(f"{what} is negative")
+    if value > MAX_COUNT:
+        raise ValueError(f"{what} exceeds {MAX_COUNT}")
     return value
 
 
@@ -223,6 +296,13 @@ def parse_posts(
     if format not in ("csv", "jsonl"):
         raise FatalParseError(f"unknown posts format {format!r}")
     text = _text_lines(stream)
+    try:
+        return _read_posts(text, format)
+    finally:
+        _release(text)
+
+
+def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], RejectionReport]:
     report = RejectionReport()
     posts: list[PostRecord] = []
     seen_ids: set[str] = set()
@@ -285,6 +365,13 @@ def parse_pages(
 ) -> tuple[dict[str, PageMeta], RejectionReport]:
     """Parse a pages CSV into page_id -> PageMeta. Duplicate ids are fatal."""
     text = _text_lines(stream)
+    try:
+        return _read_pages(text)
+    finally:
+        _release(text)
+
+
+def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionReport]:
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -341,7 +428,7 @@ def parse_pages(
 def build_dataset(
     posts: Iterable[PostRecord], pages: dict[str, PageMeta]
 ) -> tuple[Dataset, RejectionReport]:
-    """Join posts against page metadata, rejecting orphans, and sort.
+    """Join posts against page metadata, rejecting orphans; sort and build the columns.
 
     Raises NoUsableDataError when nothing survives filtering.
     """
@@ -354,8 +441,8 @@ def build_dataset(
         kept.append(post)
     if not kept:
         raise NoUsableDataError("no usable data")
-    kept.sort(key=lambda p: (p.page_id, p.timestamp, p.post_id))
-    return Dataset(posts=kept, pages=dict(pages)), report
+    columns, order = PostColumns.from_records(kept)
+    return Dataset(posts=[kept[i] for i in order.tolist()], pages=dict(pages), columns=columns), report
 
 
 def format_timestamp(ts: datetime) -> str:

@@ -5,9 +5,8 @@ appended, goes through ``aggregate``, ``analyze``, ``model`` and
 ``cohort`` twice: once with default flags and once with the flags no
 other CLI test covers. A small ``simulate`` runs too. The sha256 of every
 output file, of stdout and of stderr (temporary directory replaced by
-``<tmp>``), of the Python warnings raised (category and message; resource
-warnings aside) and each exit code are compared with
-``golden_digests.json``.
+``<tmp>``), of the Python warnings raised (category and message) and
+each exit code are compared with ``golden_digests.json``.
 
 A refactor must leave every digest unchanged. A change that alters an
 output on purpose re-pins the digests and says why::
@@ -84,8 +83,6 @@ def observe(tmp: Path) -> dict[str, str]:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            # when an unclosed stream is collected depends on the collector
-            warnings.simplefilter("ignore", ResourceWarning)
             code = main(argv)
         digests[f"{name}/exit"] = str(code)
         raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)

@@ -1,6 +1,8 @@
 """Parsing, validation quarantine, and round-trip serialization."""
 
+import gc
 import io
+import warnings
 from datetime import date, datetime, timezone
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagegrowth.ingest import (
+    MAX_COUNT,
+    Dataset,
     FatalParseError,
     NoUsableDataError,
     PageMeta,
@@ -141,6 +145,27 @@ class TestParsePosts:
             assert len(posts) == 1 and len(report) == 0
             assert posts[0].page_id == "p1"
 
+    def test_counts_beyond_float_precision_quarantined(self):
+        posts, report = parse_posts(
+            _posts_csv(f"p1,a,2020-01-01T00:00:00Z,,,,{MAX_COUNT},", f"p1,b,2020-01-01T00:00:00Z,,,,1,{MAX_COUNT + 1}")
+        )
+        assert [p.total_interactions for p in posts] == [MAX_COUNT]
+        assert [(r.line, r.reason) for r in report.rows] == [(3, f"followers_at_posting exceeds {MAX_COUNT}")]
+
+    def test_open_files_stay_open_without_resource_warnings(self, tmp_path):
+        (tmp_path / "posts.csv").write_bytes(_posts_csv("p1,a,2020-01-01T00:00:00Z,1,2,3,6,"))
+        (tmp_path / "pages.csv").write_bytes(_pages_csv("p1,P1,2010-01-01,70,en"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(tmp_path / "posts.csv", "rb") as posts_fh, open(tmp_path / "pages.csv", "rb") as pages_fh:
+                posts, _ = parse_posts(posts_fh)
+                pages, _ = parse_pages(pages_fh)
+                gc.collect()
+                assert not posts_fh.closed and not pages_fh.closed
+            gc.collect()
+        assert len(posts) == 1 and list(pages) == ["p1"]
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_deterministic(self):
         data = _posts_csv(
             "p1,a,2020-01-01T00:00:00Z,1,2,3,6,",
@@ -220,6 +245,21 @@ class TestBuildDataset:
         ds, _ = build_dataset(posts, self._pages("p1", "p2"))
         keys = [(p.page_id, p.timestamp) for p in ds.posts]
         assert keys == sorted(keys)
+
+    def test_columns_follow_the_sorted_posts(self):
+        posts = self._posts("p2", "p1", "p1")
+        posts.append(PostRecord("p1", "p1-0b", datetime(2020, 1, 2, tzinfo=timezone.utc), 7, followers_at_posting=9))
+        ds, _ = build_dataset(list(reversed(posts)), self._pages("p1", "p2"))
+        cols = ds.columns
+        assert [p.post_id for p in ds.posts] == ["p1-0b", "p1-1", "p1-2", "p2-0"]
+        assert [cols.page_ids[i] for i in cols.page.tolist()] == [p.page_id for p in ds.posts]
+        assert cols.seconds.tolist() == [int(p.timestamp.timestamp()) for p in ds.posts]
+        assert cols.total.tolist() == [7, 5, 5, 5]
+        assert cols.has_followers.tolist() == [True, False, False, False]
+        assert cols.followers[cols.has_followers].tolist() == [9]
+        assert ds.end_date == date(2020, 1, 3)
+        direct = Dataset(posts=ds.posts, pages=ds.pages)
+        assert all((getattr(direct.columns, k) == getattr(cols, k)).all() for k in ("page", "seconds", "total"))
 
 
 timestamps = st.datetimes(
