@@ -31,13 +31,14 @@ from .cohort import (
 )
 from .growth import (
     DEFAULT_FOLLOWER_CLASSES,
+    TRIM_MIN_SAMPLES,
     GrowthSample,
     SizeClass,
     class_bins,
     engagement_quartile_bins,
     pooled_growth_samples,
     split_class_by_median,
-    trim,
+    trim_mask,
     validate_scheme,
 )
 from .ingest import Dataset, FatalParseError, PageMeta, RejectionReport, build_dataset, parse_pages, parse_posts
@@ -197,10 +198,16 @@ def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAna
 def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> ScaleAnalysis:
     metric = options.metric
 
-    def values(bins: dict[str, list]) -> dict[str, list[float]]:
-        if not options.trim_rates:
-            return bins
-        return {label: list(trim(v, *options.trim_bounds)) for label, v in bins.items()}
+    def block(name: str, size_by: str, groups: dict[str, list[float]]) -> MatrixBlock:
+        # with --trim-rates each group is first cut to the percentile band
+        if options.trim_rates:
+            groups = {label: np.asarray(v, dtype=float) for label, v in groups.items()}
+            for label, v in groups.items():
+                if 0 < v.size < TRIM_MIN_SAMPLES:
+                    warn(f"warning: trim {name}/{size_by}/{label}/{scale.value}: only {v.size} values "
+                         f"(< {TRIM_MIN_SAMPLES}); passing through")
+            groups = {label: list(v[trim_mask(v, *options.trim_bounds)]) for label, v in groups.items()}
+        return MatrixBlock(name, size_by, class_test_matrix(groups))
 
     # each sample set, and its follower classes, computed once
     samples = {m: pooled_growth_samples(series, m)[0] for m in dict.fromkeys((metric, "mean_engagement", "followers"))}
@@ -210,8 +217,7 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
         if len(by_class) < 2:
             warn(f"warning: {name}/{scale.value}: fewer than 2 follower classes populated; matrix empty")
             continue
-        cells = class_test_matrix(values({label: _log_growth(b) for label, b in by_class.items()}))
-        matrices.append(MatrixBlock(name, "followers_class", cells))
+        matrices.append(block(name, "followers_class", {label: _log_growth(b) for label, b in by_class.items()}))
 
     # variant: classes split at their median follower value
     if len(bins[metric]) >= 2:
@@ -224,13 +230,12 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
             split[f"{label}/lo"] = _log_growth(lower)
             split[f"{label}/hi"] = _log_growth(upper)
         if len(split) >= 2:
-            matrices.append(MatrixBlock(metric, "followers_median_split", class_test_matrix(values(split))))
+            matrices.append(block(metric, "followers_median_split", split))
 
     # variant: engagement quartile bins
     try:
         quartiles = engagement_quartile_bins(samples[metric], *options.trim_bounds)
-        cells = class_test_matrix(values({label: _log_growth(b) for label, b in quartiles.items()}))
-        matrices.append(MatrixBlock(metric, "engagement_quartile", cells))
+        matrices.append(block(metric, "engagement_quartile", {label: _log_growth(b) for label, b in quartiles.items()}))
     except ValueError as exc:
         warn(f"warning: quartile bins at {scale.value}: {exc}")
 

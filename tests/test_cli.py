@@ -189,6 +189,22 @@ class TestAnalyzeCmd:
             rows = list(csv.reader(fh))
         assert not any(r[1] == "followers_class" for r in rows[1:])
 
+    def test_small_trimmed_bins_warn_on_stderr(self, synth_dir, tmp_path, capsys, recwarn):
+        code = main(
+            [
+                "analyze",
+                "--input", str(synth_dir / "posts.csv"),
+                "--pages", str(synth_dir / "pages.csv"),
+                "--timescales", "Q",
+                "--trim-rates",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        trim_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning: trim ")]
+        assert trim_lines and all(l.endswith("values (< 20); passing through") for l in trim_lines)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
     def test_floored_p_in_stdout(self, synth_dir, tmp_path, capsys):
         main(
             [
