@@ -146,12 +146,15 @@ class PostColumns:
             post_rank = np.zeros(len(posts), dtype=np.int64)
             post_rank[tied] = _codes([posts[i].post_id for i in tied.tolist()])[1]
             order = np.lexsort((post_rank, seconds, page))
+        totals = [p.total_interactions for p in posts]
+        if sum(totals) > MAX_COUNT:  # so every window sum stays exact in int64 and float64
+            raise FatalParseError(f"total_interactions sum to more than {MAX_COUNT}")
         followers = [p.followers_at_posting for p in posts]
         columns = cls(
             page_ids=page_ids,
             page=page[order],
             seconds=seconds[order],
-            total=np.array([p.total_interactions for p in posts], dtype=np.int64)[order],
+            total=np.array(totals, dtype=np.int64)[order],
             followers=np.array([f or 0 for f in followers], dtype=np.int64)[order],
             has_followers=np.array([f is not None for f in followers], dtype=bool)[order],
         )

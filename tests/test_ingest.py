@@ -246,6 +246,12 @@ class TestBuildDataset:
         keys = [(p.page_id, p.timestamp) for p in ds.posts]
         assert keys == sorted(keys)
 
+    def test_interaction_sum_beyond_float_precision_fatal(self):
+        posts = self._posts("p1", "p1")
+        posts[0] = PostRecord("p1", "big", posts[0].timestamp, MAX_COUNT)
+        with pytest.raises(FatalParseError, match="sum to more than"):
+            build_dataset(posts, self._pages("p1"))
+
     def test_columns_follow_the_sorted_posts(self):
         posts = self._posts("p2", "p1", "p1")
         posts.append(PostRecord("p1", "p1-0b", datetime(2020, 1, 2, tzinfo=timezone.utc), 7, followers_at_posting=9))
