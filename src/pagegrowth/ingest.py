@@ -168,7 +168,7 @@ class Dataset:
 
     posts: list[PostRecord]
     pages: dict[str, PageMeta]
-    columns: PostColumns = field(default=None, repr=False)  # type: ignore[assignment]
+    columns: PostColumns = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.columns is None:  # built directly rather than by build_dataset

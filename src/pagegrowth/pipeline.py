@@ -201,12 +201,14 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
     def block(name: str, size_by: str, groups: dict[str, list[float]]) -> MatrixBlock:
         # with --trim-rates each group is first cut to the percentile band
         if options.trim_rates:
-            groups = {label: np.asarray(v, dtype=float) for label, v in groups.items()}
+            trimmed = {}
             for label, v in groups.items():
+                v = np.asarray(v, dtype=float)
                 if 0 < v.size < TRIM_MIN_SAMPLES:
                     warn(f"warning: trim {name}/{size_by}/{label}/{scale.value}: only {v.size} values "
                          f"(< {TRIM_MIN_SAMPLES}); passing through")
-            groups = {label: list(v[trim_mask(v, *options.trim_bounds)]) for label, v in groups.items()}
+                trimmed[label] = list(v[trim_mask(v, *options.trim_bounds)])
+            groups = trimmed
         return MatrixBlock(name, size_by, class_test_matrix(groups))
 
     # each sample set, and its follower classes, computed once
