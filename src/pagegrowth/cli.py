@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -167,6 +168,21 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
+def _parse_f0(text: str) -> dict[int, float]:
+    """--f0 values keyed by the integer part that tags their output files."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError("--f0 lists no starting follower count")
+    by_tag: dict[int, float] = {}
+    for f0 in values:
+        if not math.isfinite(f0):
+            raise ValueError(f"--f0 value {f0} is not finite")
+        if int(f0) in by_tag:
+            raise ValueError(f"--f0 values {by_tag[int(f0)]!r} and {f0!r} share the file tag {int(f0)}")
+        by_tag[int(f0)] = f0
+    return by_tag
+
+
 def _read_coefficients(spec: str) -> ModelCoefficients:
     if spec == "builtin-table1":
         return published_coefficients()
@@ -175,21 +191,21 @@ def _read_coefficients(spec: str) -> ModelCoefficients:
 
 
 def cmd_simulate(args) -> int:
+    f0_by_tag = _parse_f0(args.f0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     coeffs = _read_coefficients(args.coefficients)
     scales = [s for s in _parse_timescales(args.timescales) if s in SIM_TIMESCALES]
     if not scales:
         raise FatalParseError("simulate supports W, M, Q timescales")
-    f0_list = [float(v) for v in str(args.f0).split(",") if v.strip()]
     clamp_total = 0
     for scale in scales:
-        for f0 in f0_list:
+        for f0_tag, f0 in f0_by_tag.items():
             trajectories = simulate(
                 coeffs, scale, f0, float(args.e0), args.steps, args.runs, args.seed
             )
             clamp_total += sum(t.clamps.total for t in trajectories)
-            tag = f"{scale.value}_{int(f0)}"
+            tag = f"{scale.value}_{f0_tag}"
             with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
                 write_trajectories_csv(trajectories, fh)
             with open(out_dir / f"summary_{tag}.csv", "w", newline="") as fh:
@@ -197,7 +213,7 @@ def cmd_simulate(args) -> int:
             final_f = sum(t.final().followers for t in trajectories) / len(trajectories)
             final_e = sum(t.final().engagement for t in trajectories) / len(trajectories)
             print(
-                f"{scale.value} f0={f0:.0f}: mean final followers {final_f:.0f}, "
+                f"{scale.value} f0={f0_tag}: mean final followers {final_f:.0f}, "
                 f"mean final engagement {final_e:.0f}"
             )
     if clamp_total:

@@ -4,9 +4,9 @@ The engagement growth rate is Laplace-distributed with location and
 scale that are linear in ln(followers) and ln(engagement); the follower
 gross growth rate is Burr-distributed with shapes linear in
 ln(followers). ``regress_parameters`` estimates those linear maps from
-per-bin distribution fits by ordinary least squares; ``simulate`` runs
-the two multiplicative processes forward from a pair of starting values,
-one independent substream per run.
+per-bin distribution fits by ordinary least squares; ``simulate`` steps
+the two multiplicative processes forward for all runs at once, from a
+pair of starting values, one independent substream per run.
 
 A built-in coefficient set (PUBLISHED_COEFFICIENTS) covers the weekly,
 monthly and quarterly timescales so simulations are runnable without any
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import t as t_dist
 
 from .aggregate import Timescale
-from .stats import BurrParams, LaplaceParams, burr_ppf, laplace_ppf
+from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
 SIM_TIMESCALES = (Timescale.W, Timescale.M, Timescale.Q)
@@ -102,17 +102,6 @@ class ModelCoefficients:
             raise ValueError(f"coefficient table incomplete, missing {missing}")
 
 
-def _published(parameter, scale, beta0, beta1, beta2, p_values) -> ParamRegression:
-    return ParamRegression(
-        parameter=parameter,
-        timescale=scale,
-        beta0=beta0,
-        beta1=beta1,
-        beta2=beta2,
-        p_values=p_values,
-    )
-
-
 def published_coefficients() -> ModelCoefficients:
     """The built-in weekly/monthly/quarterly coefficient set.
 
@@ -120,18 +109,18 @@ def published_coefficients() -> ModelCoefficients:
     """
     W, M, Q = Timescale.W, Timescale.M, Timescale.Q
     rows = [
-        _published("mu", W, -0.109, 0.054, -0.062, (0.063, 0.001, 0.001)),
-        _published("mu", M, 0.073, 0.037, -0.051, (0.248, 0.001, 0.001)),
-        _published("mu", Q, 0.384, 0.031, -0.065, (0.001, 0.001, 0.001)),
-        _published("b", W, 0.613, 0.027, -0.054, (0.001, 0.001, 0.001)),
-        _published("b", M, 0.593, 0.041, -0.066, (0.001, 0.001, 0.001)),
-        _published("b", Q, 0.844, 0.056, -0.094, (0.001, 0.001, 0.001)),
-        _published("c", W, 8420.469, -372.77, None, (0.001, 0.025)),
-        _published("c", M, 2550.01, -127.559, None, (0.001, 0.014)),
-        _published("c", Q, 1053.905, -56.113, None, (0.002, 0.017)),
-        _published("k", W, -0.778, 0.083, None, (0.001, 0.001)),
-        _published("k", M, -0.751, 0.078, None, (0.001, 0.001)),
-        _published("k", Q, -0.714, 0.073, None, (0.001, 0.001)),
+        ParamRegression("mu", W, -0.109, 0.054, -0.062, (0.063, 0.001, 0.001)),
+        ParamRegression("mu", M, 0.073, 0.037, -0.051, (0.248, 0.001, 0.001)),
+        ParamRegression("mu", Q, 0.384, 0.031, -0.065, (0.001, 0.001, 0.001)),
+        ParamRegression("b", W, 0.613, 0.027, -0.054, (0.001, 0.001, 0.001)),
+        ParamRegression("b", M, 0.593, 0.041, -0.066, (0.001, 0.001, 0.001)),
+        ParamRegression("b", Q, 0.844, 0.056, -0.094, (0.001, 0.001, 0.001)),
+        ParamRegression("c", W, 8420.469, -372.77, None, (0.001, 0.025)),
+        ParamRegression("c", M, 2550.01, -127.559, None, (0.001, 0.014)),
+        ParamRegression("c", Q, 1053.905, -56.113, None, (0.002, 0.017)),
+        ParamRegression("k", W, -0.778, 0.083, None, (0.001, 0.001)),
+        ParamRegression("k", M, -0.751, 0.078, None, (0.001, 0.001)),
+        ParamRegression("k", Q, -0.714, 0.073, None, (0.001, 0.001)),
     ]
     coeffs = ModelCoefficients()
     for row in rows:
@@ -215,6 +204,20 @@ class ClampCounter:
         return self.b_floored + self.c_floored + self.k_floored
 
 
+def _mu_b(coeffs: ModelCoefficients, timescale: Timescale, ln_f, ln_e):
+    # mu, b (floored) and the mask of floored b, from log sizes as floats or arrays
+    mu = coeffs.get("mu", timescale).evaluate(ln_f, ln_e)
+    b = coeffs.get("b", timescale).evaluate(ln_f, ln_e)
+    return mu, np.maximum(b, B_FLOOR), b < B_FLOOR
+
+
+def _c_k(coeffs: ModelCoefficients, timescale: Timescale, ln_f):
+    # c, k (floored) and their floored masks, from ln followers as floats or arrays
+    c = coeffs.get("c", timescale).evaluate(ln_f)
+    k = coeffs.get("k", timescale).evaluate(ln_f)
+    return np.maximum(c, CK_FLOOR), np.maximum(k, CK_FLOOR), c < CK_FLOOR, k < CK_FLOOR
+
+
 def eval_mu_b(
     coeffs: ModelCoefficients,
     timescale: Timescale,
@@ -225,14 +228,10 @@ def eval_mu_b(
     """Laplace parameters at a state; the scale is floored at B_FLOOR."""
     if followers <= 0 or engagement <= 0:
         raise ValueError("eval_mu_b domain error: followers and engagement must be positive")
-    ln_f, ln_e = math.log(followers), math.log(engagement)
-    mu = coeffs.get("mu", timescale).evaluate(ln_f, ln_e)
-    b = coeffs.get("b", timescale).evaluate(ln_f, ln_e)
-    if b < B_FLOOR:
-        b = B_FLOOR
-        if clamps is not None:
-            clamps.b_floored += 1
-    return LaplaceParams(mu=mu, b=b)
+    mu, b, b_low = _mu_b(coeffs, timescale, math.log(followers), math.log(engagement))
+    if clamps is not None:
+        clamps.b_floored += int(b_low)
+    return LaplaceParams(mu=mu, b=float(b))
 
 
 def eval_c_k(
@@ -244,18 +243,11 @@ def eval_c_k(
     """Burr parameters at a follower count; shapes are floored at CK_FLOOR."""
     if followers <= 0:
         raise ValueError("eval_c_k domain error: followers must be positive")
-    ln_f = math.log(followers)
-    c = coeffs.get("c", timescale).evaluate(ln_f)
-    k = coeffs.get("k", timescale).evaluate(ln_f)
-    if c < CK_FLOOR:
-        c = CK_FLOOR
-        if clamps is not None:
-            clamps.c_floored += 1
-    if k < CK_FLOOR:
-        k = CK_FLOOR
-        if clamps is not None:
-            clamps.k_floored += 1
-    return BurrParams(c=c, k=k)
+    c, k, c_low, k_low = _c_k(coeffs, timescale, math.log(followers))
+    if clamps is not None:
+        clamps.c_floored += int(c_low)
+        clamps.k_floored += int(k_low)
+    return BurrParams(c=float(c), k=float(k))
 
 
 def _uniform_open(rng: np.random.Generator) -> float:
@@ -264,6 +256,20 @@ def _uniform_open(rng: np.random.Generator) -> float:
     while u == 0.0:
         u = rng.random()
     return u
+
+
+def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The n values that n successive _uniform_open(rng) calls return."""
+    u = rng.random(n)
+    while not u.all():
+        u = u[u != 0.0]
+        u = np.concatenate([u, rng.random(n - u.size)])
+    return u
+
+
+def _map(fn, a: np.ndarray) -> np.ndarray:
+    # fn per element: numpy's SIMD exp can differ from math.exp in the last bit
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
 def sample_laplace(p: LaplaceParams, rng: np.random.Generator) -> float:
@@ -288,15 +294,26 @@ class SimState:
             raise ValueError("simulation state must stay positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    states: list[SimState]
+    """One run: followers[s] and engagement[s] are the state after s steps."""
+
+    followers: np.ndarray
+    engagement: np.ndarray
+    timescale: Timescale
     seed: int
     run_index: int
     clamps: ClampCounter = field(default_factory=ClampCounter)
 
+    @property
+    def states(self) -> list[SimState]:
+        """The states as objects, built on each access."""
+        pairs = enumerate(zip(self.followers.tolist(), self.engagement.tolist()))
+        return [SimState(f, e, step, self.timescale) for step, (f, e) in pairs]
+
     def final(self) -> SimState:
-        return self.states[-1]
+        f, e = float(self.followers[-1]), float(self.engagement[-1])
+        return SimState(f, e, self.followers.size - 1, self.timescale)
 
 
 def simulate(
@@ -308,14 +325,15 @@ def simulate(
     runs: int,
     seed: int,
 ) -> list[Trajectory]:
-    """Iterate the two multiplicative processes forward.
+    """Iterate the two multiplicative processes forward, all runs at once.
 
     Per step, from the current state (F, E): the engagement log-rate g is
     drawn from Laplace(mu(F,E), b(F,E)) and E <- E*exp(g); the follower
     gross rate r is drawn from Burr(c(F), k(F)) and F <- F*r. Both
     parameter evaluations use the pre-update state. Run i consumes the
-    substream seeded by (seed, i), so results are reproducible and runs
-    are order-independent.
+    substream seeded by (seed, i), the Laplace then the Burr uniform of
+    each step in turn, so results are reproducible and runs are
+    order-independent.
     """
     if steps < 1 or runs < 1:
         raise ValueError("steps and runs must both be at least 1")
@@ -323,22 +341,30 @@ def simulate(
         raise ValueError(f"simulation supports W, M, Q; got {timescale.value}")
     if not coeffs.has_timescale(timescale):
         raise KeyError(f"coefficient table lacks timescale {timescale.value}")
-    trajectories = []
+    if not all(math.isfinite(v) and v > 0 for v in (f0, e0)):
+        raise ValueError("starting followers and engagement must be finite and positive")
+    u = np.empty((2 * steps, runs))  # column i: run i's stream; row 2s-2 Laplace, 2s-1 Burr
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        clamps = ClampCounter()
-        f, e = float(f0), float(e0)
-        states = [SimState(f, e, 0, timescale)]
-        for step in range(1, steps + 1):
-            lap = eval_mu_b(coeffs, timescale, f, e, clamps)
-            burr = eval_c_k(coeffs, timescale, f, clamps)
-            g = sample_laplace(lap, rng)
-            r = sample_burr(burr, rng)
-            e = e * math.exp(g)
-            f = f * r
-            states.append(SimState(f, e, step, timescale))
-        trajectories.append(Trajectory(states=states, seed=seed, run_index=run, clamps=clamps))
-    return trajectories
+        u[:, run] = _open_uniforms(rng, 2 * steps)
+    followers, engagement = np.empty((runs, steps + 1)), np.empty((runs, steps + 1))
+    f, e = np.full(runs, float(f0)), np.full(runs, float(e0))
+    followers[:, 0], engagement[:, 0] = f, e
+    floored = np.zeros((3, runs), dtype=np.int64)  # b, c, k floor events per run
+    for step in range(1, steps + 1):
+        ln_f = _map(math.log, f)
+        mu, b, b_low = _mu_b(coeffs, timescale, ln_f, _map(math.log, e))
+        c, k, c_low, k_low = _c_k(coeffs, timescale, ln_f)
+        floored += (b_low, c_low, k_low)
+        e = e * _map(math.exp, _laplace_ppf(u[2 * step - 2], mu, b))
+        f = f * _burr_ppf(u[2 * step - 1], c, k)
+        if not ((f > 0).all() and (e > 0).all()):
+            raise ValueError("simulation state must stay positive")
+        followers[:, step], engagement[:, step] = f, e
+    return [
+        Trajectory(followers[i], engagement[i], timescale, seed, i, ClampCounter(*floored[:, i].tolist()))
+        for i in range(runs)
+    ]
 
 
 @dataclass
@@ -363,29 +389,18 @@ def summarize_trajectories(trajectories: list[Trajectory]) -> list[StepSummary]:
     """
     if not trajectories:
         raise ValueError("no trajectories to summarize")
-    steps = len(trajectories[0].states)
-    runs = len(trajectories)
-    f = np.array([[s.followers for s in t.states] for t in trajectories])
-    e = np.array([[s.engagement for s in t.states] for t in trajectories])
+    f = np.array([t.followers for t in trajectories])
+    e = np.array([t.engagement for t in trajectories])
+    runs, steps = f.shape
     f_norm = f / f[:, -1][:, None]
     e_norm = e / e[:, -1][:, None]
 
     def _se(a):
         return a.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(steps)
 
-    se_f, se_e, se_f_norm, se_e_norm = _se(f), _se(e), _se(f_norm), _se(e_norm)
+    columns = [(a, _se(a)) for a in (f, e, f_norm, e_norm)]
     return [
-        StepSummary(
-            step=i,
-            mean_followers=float(f[:, i].mean()),
-            se_followers=float(se_f[i]),
-            mean_engagement=float(e[:, i].mean()),
-            se_engagement=float(se_e[i]),
-            mean_norm_followers=float(f_norm[:, i].mean()),
-            se_norm_followers=float(se_f_norm[i]),
-            mean_norm_engagement=float(e_norm[:, i].mean()),
-            se_norm_engagement=float(se_e_norm[i]),
-        )
+        StepSummary(i, *(float(v) for a, se in columns for v in (a[:, i].mean(), se[i])))
         for i in range(steps)
     ]
 
@@ -447,40 +462,17 @@ TRAJECTORY_HEADER = ["run", "step", "followers", "engagement"]
 def write_trajectories_csv(trajectories: list[Trajectory], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TRAJECTORY_HEADER)
-    for t in trajectories:
-        for s in t.states:
-            writer.writerow(
-                [t.run_index, s.step, format(s.followers, ".12g"), format(s.engagement, ".12g")]
-            )
+    writer.writerows(
+        [t.run_index, step, format(f, ".12g"), format(e, ".12g")]
+        for t in trajectories
+        for step, (f, e) in enumerate(zip(t.followers.tolist(), t.engagement.tolist()))
+    )
 
 
-SUMMARY_HEADER = [
-    "step",
-    "mean_followers",
-    "se_followers",
-    "mean_engagement",
-    "se_engagement",
-    "mean_norm_followers",
-    "se_norm_followers",
-    "mean_norm_engagement",
-    "se_norm_engagement",
-]
+SUMMARY_HEADER = [f.name for f in fields(StepSummary)]
 
 
 def write_summary_csv(summaries: list[StepSummary], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SUMMARY_HEADER)
-    for s in summaries:
-        writer.writerow(
-            [
-                s.step,
-                format(s.mean_followers, ".12g"),
-                format(s.se_followers, ".12g"),
-                format(s.mean_engagement, ".12g"),
-                format(s.se_engagement, ".12g"),
-                format(s.mean_norm_followers, ".12g"),
-                format(s.se_norm_followers, ".12g"),
-                format(s.mean_norm_engagement, ".12g"),
-                format(s.se_norm_engagement, ".12g"),
-            ]
-        )
+    writer.writerows([s.step, *(format(v, ".12g") for v in astuple(s)[1:])] for s in summaries)

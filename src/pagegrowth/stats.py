@@ -94,11 +94,15 @@ def laplace_pdf(x, p: LaplaceParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _laplace_ppf(u, mu, b):
+    # laplace_ppf with u, mu and b each a float or an array
+    d = u - 0.5
+    return mu - b * np.sign(d) * np.log1p(-2.0 * np.abs(d))
+
+
 def laplace_ppf(u, p: LaplaceParams):
     """Inverse CDF: mu - b*sgn(u-1/2)*ln(1-2|u-1/2|), u in (0,1)."""
-    u = np.asarray(u, dtype=float)
-    d = u - 0.5
-    out = p.mu - p.b * np.sign(d) * np.log1p(-2.0 * np.abs(d))
+    out = _laplace_ppf(np.asarray(u, dtype=float), p.mu, p.b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,8 +111,7 @@ def burr_cdf(x, p: BurrParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("burr_cdf domain error: x must be positive")
-    t = p.c * np.log(x)
-    out = -np.expm1(-p.k * np.logaddexp(0.0, t))
+    out = _burr_cdf_from_logx(np.log(x), p.c, p.k)
     return float(out) if out.ndim == 0 else out
 
 
@@ -127,6 +130,12 @@ def burr_pdf(x, p: BurrParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _burr_ppf(u, c, k):
+    # burr_ppf with u, c and k each a float or an array, u already in (0,1)
+    w = -np.log1p(-u) / k  # positive
+    return np.exp((w + np.log(-np.expm1(-w))) / c)
+
+
 def burr_ppf(u, p: BurrParams):
     """Inverse CDF ((1-u)^(-1/k) - 1)^(1/c) for u in (0,1).
 
@@ -137,9 +146,7 @@ def burr_ppf(u, p: BurrParams):
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u >= 1)):
         raise ValueError("burr_ppf domain error: u must lie in (0,1)")
-    w = -np.log1p(-u) / p.k  # positive
-    log_term = w + np.log(-np.expm1(-w))
-    out = np.exp(log_term / p.c)
+    out = _burr_ppf(u, p.c, p.k)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -268,6 +269,33 @@ class TestSimulateCmd:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("f0", ["25000,25000.5", ",", "inf", "nan"])
+    def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, f0):
+        out = tmp_path / "out"
+        code = main(["simulate", "--f0", f0, "--runs", "2", "--steps", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "--f0" in capsys.readouterr().err
+
+    def test_f0_printed_as_its_file_tag(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--timescales", "W", "--f0", "25000.7", "--runs", "2", "--steps", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("W f0=25000: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "summary_W_25000.csv", "trajectories_W_25000.csv"
+        ]
+
+    @pytest.mark.parametrize("flag, value", [("--f0", "0"), ("--f0", "-3"), ("--e0", "inf")])
+    def test_bad_start_exits_2_without_numpy_warning(self, tmp_path, capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", flag, value, "--runs", "2", "--steps", "1", "--out", str(tmp_path)])
+        assert code == 2 and not caught
+        assert "finite and positive" in capsys.readouterr().err
 
     def test_daily_not_supported(self, tmp_path):
         code = main(
