@@ -175,8 +175,8 @@ def _parse_f0(text: str) -> dict[int, float]:
         raise ValueError("--f0 lists no starting follower count")
     by_tag: dict[int, float] = {}
     for f0 in values:
-        if not math.isfinite(f0):
-            raise ValueError(f"--f0 value {f0} is not finite")
+        if not (math.isfinite(f0) and f0 > 0):
+            raise ValueError(f"--f0 value {f0!r} is not finite and positive")
         if int(f0) in by_tag:
             raise ValueError(f"--f0 values {by_tag[int(f0)]!r} and {f0!r} share the file tag {int(f0)}")
         by_tag[int(f0)] = f0

@@ -270,7 +270,7 @@ class TestSimulateCmd:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("f0", ["25000,25000.5", ",", "inf", "nan"])
+    @pytest.mark.parametrize("f0", ["25000,25000.5", ",", "inf", "nan", "25000,0", "25000,-3"])
     def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, f0):
         out = tmp_path / "out"
         code = main(["simulate", "--f0", f0, "--runs", "2", "--steps", "1", "--out", str(out)])
@@ -289,11 +289,11 @@ class TestSimulateCmd:
             "summary_W_25000.csv", "trajectories_W_25000.csv"
         ]
 
-    @pytest.mark.parametrize("flag, value", [("--f0", "0"), ("--f0", "-3"), ("--e0", "inf")])
-    def test_bad_start_exits_2_without_numpy_warning(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("e0", ["inf", "0"])
+    def test_bad_e0_exits_2_without_numpy_warning(self, tmp_path, capsys, e0):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["simulate", flag, value, "--runs", "2", "--steps", "1", "--out", str(tmp_path)])
+            code = main(["simulate", "--e0", e0, "--runs", "2", "--steps", "1", "--out", str(tmp_path)])
         assert code == 2 and not caught
         assert "finite and positive" in capsys.readouterr().err
 
