@@ -1,9 +1,11 @@
 """From windowed series to growth-rate samples and size-class bins.
 
-A growth sample needs two calendar-adjacent windows with positive values;
-gaps break the chain. Pages are binned by the earlier window's follower
-count into the standard classes (10K-50K up to 500K-5M), or by quartiles
-of prior engagement after a 5th-95th percentile trim.
+A growth sample needs two calendar-adjacent windows of one page with
+positive values; gaps break the chain. The samples of all pages form one
+table with a column per field. Samples are binned by the earlier window's
+follower count into the standard classes (10K-50K up to 500K-5M), or by
+quartiles of prior engagement after a 5th-95th percentile trim; each bin
+is a sub-table.
 """
 
 from datetime import date
@@ -35,7 +37,7 @@ samples, skips = pooled_growth_samples(weekly, "engagement")
 print(f"{len(samples)} weekly engagement growth samples "
       f"({skips.total} degenerate pairs skipped)")
 
-logs = np.array([s.log_growth for s in samples])
+logs = samples.log_growth  # a column: one float per sample
 print(f"log growth: mean {logs.mean():+.4f}, sd {logs.std():.4f}")
 
 print("\ntrim keeps the 5th..95th percentile band:")
@@ -49,12 +51,14 @@ for label, members in class_bins(samples, DEFAULT_FOLLOWER_CLASSES).items():
 
 print("\nquartile bins of prior engagement (trimmed covariate):")
 for label, members in engagement_quartile_bins(samples).items():
-    priors = [s.prior_engagement for s in members]
-    print(f"  {label}: {len(members)} samples, priors {min(priors)}..{max(priors)}")
+    priors = members.prior_engagement
+    print(f"  {label}: {len(members)} samples, priors {priors.min()}..{priors.max()}")
 
-chain = samples[:3]
-import math
+first = samples[0]  # one row, built on request
+print(f"\nfirst sample: page {first.page_id}, week of {first.window_start}, "
+      f"gross growth {first.gross_growth:.4f}")
+chain = samples[:3]  # a sub-table
 if len(chain) == 3:
-    telescoped = math.exp(sum(s.log_growth for s in chain))
-    print(f"\ntelescoping: exp(sum of 3 log rates) = {telescoped:.6f} "
+    telescoped = float(np.exp(chain.log_growth.sum()))
+    print(f"telescoping: exp(sum of 3 log rates) = {telescoped:.6f} "
           f"(= last/first engagement ratio)")

@@ -30,8 +30,8 @@ from .cohort import (
 from .growth import (
     DEFAULT_FOLLOWER_CLASSES,
     GrowthSample,
+    GrowthSamples,
     SizeClass,
-    assign_follower_class,
     class_bins,
     engagement_quartile_bins,
     growth_samples,

@@ -172,21 +172,15 @@ def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
     if not questionable or not reliable:
         raise DegenerateSampleError("reliability_comparison: empty cohort")
 
-    def _engagement_pool(series_map):
-        return np.concatenate([series_map[pid].engagement for pid in sorted(series_map)])
+    def pools(series_map):  # window engagement, and the log growth samples of engagement
+        engagement = np.concatenate([series_map[pid].engagement for pid in sorted(series_map)])
+        return engagement, pooled_growth_samples(series_map, "engagement")[0].log_growth
 
-    def _growth_pool(series_map):
-        samples, _ = pooled_growth_samples(series_map, "engagement")
-        return [s.log_growth for s in samples]
-
-    out: dict[str, TestResult] = {}
-    out["engagement"] = mann_whitney(
-        _engagement_pool(reliable), _engagement_pool(questionable), alternative="greater"
-    )
-    out["engagement_growth"] = mann_whitney(
-        _growth_pool(reliable), _growth_pool(questionable), alternative="greater"
-    )
-    return out
+    (r_engagement, r_growth), (q_engagement, q_growth) = pools(reliable), pools(questionable)
+    return {
+        "engagement": mann_whitney(r_engagement, q_engagement, alternative="greater"),
+        "engagement_growth": mann_whitney(r_growth, q_growth, alternative="greater"),
+    }
 
 
 MATCH_HEADER = ["questionable_id", "reliable_id", "distance"]

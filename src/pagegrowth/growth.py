@@ -1,10 +1,10 @@
 """Growth-rate samples, percentile trimming, and size-class binning.
 
-A growth sample is one window-to-window observation: the gross ratio of
-a metric across two calendar-adjacent windows together with the earlier
-window's followers and engagement as covariates. Pairs separated by an
-empty window, or with a non-positive metric value on either side, never
-produce samples; they are counted in a skip report instead.
+A growth sample is one window-to-window observation of one page: the gross
+ratio of a metric across two calendar-adjacent windows, with the earlier
+window's followers and engagement as covariates. Gaps and non-positive
+values yield no sample; they are counted in a skip report instead. Samples
+form one table, ``GrowthSamples``, with an array per field; bins are sub-tables.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +48,48 @@ class GrowthSample:
     prior_followers: int | None = None
 
 
+@dataclass(eq=False)
+class GrowthSamples:
+    """Growth samples of one metric at one timescale, one array element per sample.
+
+    ``start`` is the later window's first day since 1970-01-01; ``prior_followers``
+    holds a value only where ``observed`` is true. An int index builds that row
+    as a ``GrowthSample``; a slice, mask or index array selects a sub-table.
+    """
+
+    timescale: Timescale | None
+    metric: str
+    page_id: np.ndarray  # str objects
+    start: np.ndarray
+    gross_growth: np.ndarray
+    log_growth: np.ndarray
+    prior_engagement: np.ndarray
+    prior_followers: np.ndarray
+    observed: np.ndarray
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            followers = int(self.prior_followers[key]) if self.observed[key] else None
+            day = date.fromordinal(EPOCH_ORDINAL + int(self.start[key]))
+            return GrowthSample(self.page_id[key], self.timescale, day, self.metric, float(self.gross_growth[key]),
+                                float(self.log_growth[key]), int(self.prior_engagement[key]), followers)
+        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)[2:]})  # the columns
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[GrowthSample]) -> "GrowthSamples":
+        """A table from row objects, all of one timescale and metric."""
+        kinds = {(r.timescale, r.metric) for r in rows}
+        if len(kinds) > 1:
+            raise ValueError("growth samples of different timescales or metrics in one table")
+        values = [(r.page_id, r.window_start.toordinal() - EPOCH_ORDINAL, r.gross_growth, r.log_growth,
+                   r.prior_engagement, r.prior_followers or 0, r.prior_followers is not None) for r in rows]
+        columns = zip(list(zip(*values)) or [()] * 7, (object, np.int64, float, float, np.int64, np.int64, bool))
+        return cls(*(kinds.pop() if kinds else (None, "")), *(np.array(c, dtype=t) for c, t in columns))
+
+
 @dataclass
 class SkipReport:
     """Degenerate adjacent pairs that produced no sample."""
@@ -71,9 +114,6 @@ class SizeClass:
         if self.lower >= self.upper:
             raise ValueError(f"size class {self.label}: lower must be below upper")
 
-    def contains(self, followers: int) -> bool:
-        return self.lower <= followers < self.upper
-
 
 DEFAULT_FOLLOWER_CLASSES = [
     SizeClass("10K-50K", 10_000, 50_000),
@@ -83,46 +123,43 @@ DEFAULT_FOLLOWER_CLASSES = [
 ]
 
 
-def growth_samples(series: AggregatedSeries, metric: str) -> tuple[list[GrowthSample], SkipReport]:
-    """Growth samples for one page series at the requested metric.
-
-    A sample requires two calendar-adjacent windows with positive metric
-    values in both; for the followers metric, the representative value
-    must additionally be observed in both windows.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    values = getattr(series, metric)
-    pairs = series.start[1:] == series.end[:-1]  # a gap in the chain is not a pair
-    missing = np.zeros(pairs.size, dtype=bool)
-    if metric == "followers":
-        missing = pairs & ~(series.observed[:-1] & series.observed[1:])
-    zero = pairs & ~missing & ((values[:-1] <= 0) | (values[1:] <= 0))
-    skips = SkipReport(zero_value=int(zero.sum()), missing_followers=int(missing.sum()))
-    earlier = np.flatnonzero(pairs & ~missing & ~zero)
-    later = earlier + 1
-    columns = (series.start[later] + EPOCH_ORDINAL, values[later] / values[earlier],
-               series.engagement[earlier], series.followers[earlier], series.observed[earlier])
-    samples = [
-        # math.log, not np.log: the two differ in the last bit on some values
-        GrowthSample(series.page_id, series.timescale, date.fromordinal(d), metric, g, math.log(g), e, f if o else None)
-        for d, g, e, f, o in zip(*(c.tolist() for c in columns))
-    ]
-    return samples, skips
+def growth_samples(series: AggregatedSeries, metric: str) -> tuple[GrowthSamples, SkipReport]:
+    """Growth samples for one page series at the requested metric."""
+    return pooled_growth_samples({series.page_id: series}, metric)
 
 
 def pooled_growth_samples(
     series_map: dict[str, AggregatedSeries], metric: str
-) -> tuple[list[GrowthSample], SkipReport]:
-    """Samples across all pages, with a merged skip report."""
-    pooled: list[GrowthSample] = []
-    skips = SkipReport()
-    for page_id in sorted(series_map):
-        samples, s = growth_samples(series_map[page_id], metric)
-        pooled.extend(samples)
-        skips.zero_value += s.zero_value
-        skips.missing_followers += s.missing_followers
-    return pooled, skips
+) -> tuple[GrowthSamples, SkipReport]:
+    """Samples of every page in page order, and the merged skip report.
+
+    A sample needs two calendar-adjacent windows of one page with positive
+    metric values in both; for followers, both values must also be observed.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    ids = sorted(series_map)
+    parts = [series_map[i] for i in ids]
+
+    def column(name, dtype=np.int64):
+        return np.concatenate([getattr(s, name) for s in parts] or [np.zeros(0, dtype)])
+
+    page = np.repeat(np.arange(len(parts)), [len(s) for s in parts])
+    start, end, values, observed = column("start"), column("end"), column(metric, float), column("observed", bool)
+    pairs = (page[1:] == page[:-1]) & (start[1:] == end[:-1])  # a gap in the chain is not a pair
+    missing = pairs & ~(observed[:-1] & observed[1:]) & (metric == "followers")
+    zero = pairs & ~missing & ((values[:-1] <= 0) | (values[1:] <= 0))
+    skips = SkipReport(zero_value=int(zero.sum()), missing_followers=int(missing.sum()))
+    earlier = np.flatnonzero(pairs & ~missing & ~zero)
+    later = earlier + 1
+    gross = values[later] / values[earlier]
+    # math.log, not np.log: the two differ in the last bit on some values
+    log = np.fromiter(map(math.log, gross.tolist()), dtype=float, count=gross.size)
+    samples = GrowthSamples(
+        parts[0].timescale if parts else None, metric, np.array(ids, dtype=object)[page[later]], start[later],
+        gross, log, column("engagement")[earlier], column("followers")[earlier], observed[earlier],
+    )
+    return samples, skips
 
 
 def trim(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
@@ -151,46 +188,38 @@ def trim_mask(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
 
 
 def validate_scheme(scheme: list[SizeClass]) -> None:
+    for i, c in enumerate(scheme):
+        if c.label in (d.label for d in scheme[:i]):
+            raise ValueError(f"size class label {c.label!r} appears more than once")
     ordered = sorted(scheme, key=lambda c: c.lower)
     for a, b in zip(ordered, ordered[1:]):
         if b.lower < a.upper:
             raise ValueError(f"size classes {a.label} and {b.label} overlap")
 
 
-def assign_follower_class(followers: int, scheme: list[SizeClass]) -> SizeClass | None:
-    """The unique class containing the count, or None outside the scheme."""
-    for cls in scheme:
-        if cls.contains(followers):
-            return cls
-    return None
-
-
 def class_bins(
-    samples: list[GrowthSample], scheme: list[SizeClass] | None = None
-) -> dict[str, list[GrowthSample]]:
+    samples: GrowthSamples | Sequence[GrowthSample], scheme: list[SizeClass] | None = None
+) -> dict[str, GrowthSamples]:
     """Group samples into follower size classes by prior_followers.
 
     Samples lacking prior_followers, and those outside the scheme, are
     left out. Returned keys follow the scheme order; empty classes are
-    omitted.
+    omitted. A list of rows is turned into a table first.
     """
     scheme = DEFAULT_FOLLOWER_CLASSES if scheme is None else scheme
     validate_scheme(scheme)
-    bins: dict[str, list[GrowthSample]] = {c.label: [] for c in scheme}
-    for s in samples:
-        if s.prior_followers is None:
-            continue
-        cls = assign_follower_class(s.prior_followers, scheme)
-        if cls is not None:
-            bins[cls.label].append(s)
-    return {label: members for label, members in bins.items() if members}
+    if not isinstance(samples, GrowthSamples):
+        samples = GrowthSamples.from_rows(samples)
+    f = samples.prior_followers
+    bins = {c.label: samples[samples.observed & (c.lower <= f) & (f < c.upper)] for c in scheme}
+    return {label: members for label, members in bins.items() if len(members)}
 
 
 def engagement_quartile_bins(
-    samples: list[GrowthSample],
+    samples: GrowthSamples,
     lo_pct: float = 5.0,
     hi_pct: float = 95.0,
-) -> dict[str, list[GrowthSample]]:
+) -> dict[str, GrowthSamples]:
     """Split samples into quartile bins of prior_engagement.
 
     The prior_engagement covariate is first trimmed to its [lo_pct,
@@ -198,24 +227,19 @@ def engagement_quartile_bins(
     boundaries are computed on the surviving values. Bins are
     lower-open/upper-closed above Q1: (q1,q2], (q2,q3], (q3,...].
     """
-    if any(s.prior_engagement is None for s in samples):
-        raise ValueError("engagement_quartile_bins requires prior_engagement on all samples")
-    priors = np.array([s.prior_engagement for s in samples], dtype=float)
+    priors = samples.prior_engagement.astype(float)
     mask = trim_mask(priors, lo_pct, hi_pct)
-    kept = [s for s, keep in zip(samples, mask) if keep]
-    kept_priors = priors[mask]
+    kept, kept_priors = samples[mask], priors[mask]
     if np.unique(kept_priors).size < 4:
         raise DegenerateBinningError(
             "degenerate binning: fewer than 4 distinct prior_engagement values"
         )
     # bin index = number of quartiles strictly below the value
-    index = np.searchsorted(np.percentile(kept_priors, [25.0, 50.0, 75.0]), kept_priors, side="left").tolist()
-    return {f"Q{q + 1}": [s for s, i in zip(kept, index) if i == q] for q in range(4)}
+    index = np.searchsorted(np.percentile(kept_priors, [25.0, 50.0, 75.0]), kept_priors, side="left")
+    return {f"Q{q + 1}": kept[index == q] for q in range(4)}
 
 
-def split_class_by_median(
-    class_samples: list[GrowthSample],
-) -> tuple[list[GrowthSample], list[GrowthSample]]:
+def split_class_by_median(class_samples: GrowthSamples) -> tuple[GrowthSamples, GrowthSamples]:
     """Partition one class at its median prior_followers value.
 
     Values below the median go to the lower half, values at or above it
@@ -223,34 +247,28 @@ def split_class_by_median(
     """
     if len(class_samples) < 2:
         raise ValueError("split_class_by_median needs at least 2 samples")
-    if any(s.prior_followers is None for s in class_samples):
+    if not class_samples.observed.all():
         raise ValueError("split_class_by_median requires prior_followers on all samples")
-    priors = np.array([s.prior_followers for s in class_samples], dtype=float)
+    priors = class_samples.prior_followers.astype(float)
     if np.unique(priors).size < 2:
         raise DegenerateBinningError("all prior_followers values are equal")
-    med = float(np.median(priors))
-    lower = [s for s, v in zip(class_samples, priors) if v < med]
-    upper = [s for s, v in zip(class_samples, priors) if v >= med]
-    return lower, upper
+    lower = priors < np.median(priors)
+    return class_samples[lower], class_samples[~lower]
 
 
 GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth", "log_growth",
                  "prior_followers", "prior_engagement"]
 
 
-def write_growth_samples_csv(samples: list[GrowthSample], stream) -> None:
+def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(GROWTH_HEADER)
-    for s in samples:
-        writer.writerow(
-            [
-                s.page_id,
-                s.timescale.value,
-                s.window_start.isoformat(),
-                s.metric,
-                format(s.gross_growth, ".12g"),
-                format(s.log_growth, ".12g"),
-                "" if s.prior_followers is None else s.prior_followers,
-                s.prior_engagement,
-            ]
+    scale = samples.timescale.value if samples.timescale else ""
+    writer.writerows(
+        [p, scale, date.fromordinal(EPOCH_ORDINAL + d).isoformat(), samples.metric, format(g, ".12g"),
+         format(l, ".12g"), f if o else "", e]
+        for p, d, g, l, f, o, e in zip(
+            *(c.tolist() for c in (samples.page_id, samples.start, samples.gross_growth, samples.log_growth,
+                                   samples.prior_followers, samples.observed, samples.prior_engagement))
         )
+    )

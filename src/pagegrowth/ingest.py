@@ -13,10 +13,12 @@ Pages CSV header::
 Posts may also arrive as JSONL, one object per line with the same field
 names. Empty strings (CSV) and missing/null keys (JSONL) encode absence.
 
-Timestamps must be RFC 3339 with an explicit UTC offset; they are
-normalized to UTC at second precision on ingest. Rows that fail
+Timestamps must be RFC 3339 date-times (section 5.6) with an explicit
+offset; they are normalized to UTC at second precision on ingest. Dates
+(``created_at``) are ``YYYY-MM-DD``; counts are ASCII digits. Rows that fail
 validation are quarantined into a rejection report rather than aborting
 the parse; only structural problems (bad header, duplicate page ids,
+text that is not UTF-8, a field beyond the csv module's size limit,
 nothing left after filtering) are fatal.
 
 A ``Dataset`` keeps its posts twice: as records, and once as columns
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Sequence
@@ -53,6 +56,10 @@ DAY_S = 86_400
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 EPOCH_ORDINAL = EPOCH.date().toordinal()
 _SECOND = timedelta(seconds=1)
+# RFC 3339 section 5.6 date-time; "T" and "Z" may be lower case
+_DATE_TIME = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
+                        r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class FatalParseError(Exception):
@@ -183,12 +190,11 @@ class Dataset:
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
-    # utf-8-sig: a byte order mark before the header is dropped, not fatal
-    if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8-sig"))
+    # utf-8-sig: a byte order mark before the header is dropped, not fatal;
+    # bytes are decoded while read, so a decoding error arises inside the parse
     if isinstance(stream, str):
         return io.StringIO(stream)
-    return io.TextIOWrapper(stream, encoding="utf-8-sig")
+    return io.TextIOWrapper(io.BytesIO(stream) if isinstance(stream, bytes) else stream, encoding="utf-8-sig")
 
 
 def _release(text: io.TextIOBase) -> None:
@@ -199,17 +205,25 @@ def _release(text: io.TextIOBase) -> None:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """RFC 3339 with explicit offset, normalized to UTC, truncated to seconds."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    """RFC 3339 date-time with explicit offset, normalized to UTC, truncated to seconds.
+
+    Only the section 5.6 grammar passes; ``fromisoformat`` then checks the
+    field ranges on a canonical form that every Python version reads alike.
+    The fraction is dropped first: offsets are whole minutes, so truncating
+    before or after the shift to UTC gives the same second.
+    """
+    match = _DATE_TIME.fullmatch(raw.strip())
+    if match is None:
+        raise ValueError(f"unparsable timestamp {raw!r}")
+    day, clock, offset = match.groups()
     try:
-        ts = datetime.fromisoformat(text)
-    except ValueError as exc:
+        ts = datetime.fromisoformat(f"{day}T{clock}{'+00:00' if offset in ('Z', 'z') else offset or ''}")
+        utc = ts.astimezone(timezone.utc) if ts.tzinfo else None
+    except (ValueError, OverflowError) as exc:  # OverflowError: the UTC instant leaves years 1-9999
         raise ValueError(f"unparsable timestamp {raw!r}") from exc
-    if ts.tzinfo is None:
+    if utc is None:
         raise ValueError(f"timestamp {raw!r} lacks a UTC offset")
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    return utc
 
 
 def _opt_count(raw, what: str) -> int | None:
@@ -220,6 +234,8 @@ def _opt_count(raw, what: str) -> int | None:
         raw = raw.strip()
         if raw == "":
             return None
+        if not raw.isascii() or "_" in raw:  # int() also reads 5_000 and non-ASCII digits
+            raise ValueError(f"{what} is not an integer: {raw!r}")
         try:
             value = int(raw)
         except ValueError:
@@ -301,6 +317,8 @@ def parse_posts(
     text = _text_lines(stream)
     try:
         return _read_posts(text, format)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field beyond csv's size limit
+        raise FatalParseError(f"unreadable posts file: {exc}") from exc
     finally:
         _release(text)
 
@@ -335,7 +353,7 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], Rej
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # also integers past int()'s digit limit, deep nesting
                 report.add(line, "invalid JSON")
                 continue
             if not isinstance(obj, dict):
@@ -370,6 +388,8 @@ def parse_pages(
     text = _text_lines(stream)
     try:
         return _read_pages(text)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FatalParseError(f"unreadable pages file: {exc}") from exc
     finally:
         _release(text)
 
@@ -402,6 +422,8 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
             duplicates.append(page_id)
             continue
         try:
+            if not _DATE.fullmatch(raw_created):  # fromisoformat reads 20190101 and 2019-W01-1 too
+                raise ValueError(raw_created)
             created = date.fromisoformat(raw_created)
         except ValueError:
             report.add(line, f"unparsable created_at {raw_created!r}")

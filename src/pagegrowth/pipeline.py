@@ -32,7 +32,7 @@ from .cohort import (
 from .growth import (
     DEFAULT_FOLLOWER_CLASSES,
     TRIM_MIN_SAMPLES,
-    GrowthSample,
+    GrowthSamples,
     SizeClass,
     class_bins,
     engagement_quartile_bins,
@@ -173,14 +173,10 @@ class ScaleAnalysis:
     """What ``analyze`` finds at one timescale."""
 
     scale: Timescale
-    samples: list[GrowthSample]  # growth samples of the analyzed metric
+    samples: GrowthSamples  # growth samples of the analyzed metric
     matrices: list[MatrixBlock]
     fit_rows: list[list]
     balance: TestResult | None  # time-reversal symmetry of the samples
-
-
-def _log_growth(samples) -> list[float]:
-    return [s.log_growth for s in samples]
 
 
 def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAnalysis]:
@@ -198,17 +194,15 @@ def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAna
 def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> ScaleAnalysis:
     metric = options.metric
 
-    def block(name: str, size_by: str, groups: dict[str, list[float]]) -> MatrixBlock:
+    def block(name: str, size_by: str, tables: dict[str, GrowthSamples]) -> MatrixBlock:
+        groups = {label: t.log_growth for label, t in tables.items()}
         # with --trim-rates each group is first cut to the percentile band
         if options.trim_rates:
-            trimmed = {}
             for label, v in groups.items():
-                v = np.asarray(v, dtype=float)
                 if 0 < v.size < TRIM_MIN_SAMPLES:
                     warn(f"warning: trim {name}/{size_by}/{label}/{scale.value}: only {v.size} values "
                          f"(< {TRIM_MIN_SAMPLES}); passing through")
-                trimmed[label] = list(v[trim_mask(v, *options.trim_bounds)])
-            groups = trimmed
+            groups = {label: v[trim_mask(v, *options.trim_bounds)] for label, v in groups.items()}
         return MatrixBlock(name, size_by, class_test_matrix(groups))
 
     # each sample set, and its follower classes, computed once
@@ -219,25 +213,23 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
         if len(by_class) < 2:
             warn(f"warning: {name}/{scale.value}: fewer than 2 follower classes populated; matrix empty")
             continue
-        matrices.append(block(name, "followers_class", {label: _log_growth(b) for label, b in by_class.items()}))
+        matrices.append(block(name, "followers_class", by_class))
 
     # variant: classes split at their median follower value
     if len(bins[metric]) >= 2:
-        split: dict[str, list[float]] = {}
+        split: dict[str, GrowthSamples] = {}
         for label, members in bins[metric].items():
             try:
-                lower, upper = split_class_by_median(members)
+                split[f"{label}/lo"], split[f"{label}/hi"] = split_class_by_median(members)
             except ValueError:  # DegenerateBinningError among them
                 continue
-            split[f"{label}/lo"] = _log_growth(lower)
-            split[f"{label}/hi"] = _log_growth(upper)
         if len(split) >= 2:
             matrices.append(block(metric, "followers_median_split", split))
 
     # variant: engagement quartile bins
     try:
         quartiles = engagement_quartile_bins(samples[metric], *options.trim_bounds)
-        matrices.append(block(metric, "engagement_quartile", {label: _log_growth(b) for label, b in quartiles.items()}))
+        matrices.append(block(metric, "engagement_quartile", quartiles))
     except ValueError as exc:
         warn(f"warning: quartile bins at {scale.value}: {exc}")
 
@@ -245,20 +237,20 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
     fit_rows = []
     for name, members in [("all", samples[metric]), *bins[metric].items()]:
         try:
-            lap = fit_laplace(_log_growth(members))
+            lap = fit_laplace(members.log_growth)
         except DegenerateSampleError:
             continue
         fit_rows += [[name, scale.value, "laplace", "mu", _g(lap.mu)], [name, scale.value, "laplace", "b", _g(lap.b)]]
     for name, members in [("all", samples["followers"]), *bins["followers"].items()]:
         try:
-            burr = fit_burr([s.gross_growth for s in members])
+            burr = fit_burr(members.gross_growth)
         except (ValueError, FitConvergenceError) as exc:
             warn(f"warning: burr fit {name}/{scale.value}: {exc}")
             continue
         fit_rows += [[name, scale.value, "burr", "c", _g(burr.c)], [name, scale.value, "burr", "k", _g(burr.k)]]
 
     try:
-        balance = detailed_balance_check(_log_growth(samples[metric]))
+        balance = detailed_balance_check(samples[metric].log_growth)
     except DegenerateSampleError as exc:
         warn(f"warning: detailed balance at {scale.value}: {exc}")
         balance = None
@@ -274,11 +266,11 @@ class _BinnedFits:
     """One distribution's side of ``model``: how its samples are binned and fitted."""
 
     parameters: tuple[str, ...]  # regressed on the mean log covariates of the bins
-    covariates: tuple[str, ...]  # GrowthSample fields, each cut into quantile bins
+    covariates: tuple[str, ...]  # GrowthSamples columns, each cut into quantile bins
     n_bins: int  # quantile bins per covariate
     min_members: int  # smaller bins are not fitted
     min_trimmed: int  # samples needed inside the percentile band
-    fit: Callable[[list[GrowthSample]], object]
+    fit: Callable[[GrowthSamples], object]
 
 
 @dataclass
@@ -307,18 +299,14 @@ def _detail_row(reg: ParamRegression, n_bins: int) -> list:
 def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) -> list[tuple[ParamRegression, int]]:
     """Trim each covariate to the percentile band, cut quantile bins, fit each
     bin, then regress every parameter on the bins' mean log covariates."""
-    samples = [s for s in samples if s.prior_followers is not None]
+    samples = samples[samples.observed]
     if len(samples) < MODEL_MIN_SAMPLES:
         return []
-    columns = [np.array([getattr(s, c) for s in samples], dtype=float) for c in side.covariates]
-    keep = np.ones(len(samples), dtype=bool)
-    for col in columns:
-        lo, hi = np.percentile(col, trim_bounds)
-        keep &= (col >= lo) & (col <= hi)
-    kept = [s for s, k in zip(samples, keep) if k]
-    if len(kept) < side.min_trimmed:
+    columns = [getattr(samples, c).astype(float) for c in side.covariates]
+    keep = np.logical_and.reduce([trim_mask(col, *trim_bounds) for col in columns])
+    samples, columns = samples[keep], [col[keep] for col in columns]
+    if len(samples) < side.min_trimmed:
         return []
-    columns = [col[keep] for col in columns]
     qs = np.linspace(0, 100, side.n_bins + 1)[1:-1]
     # bin index = number of quantile edges strictly below the value
     index = [np.searchsorted(np.percentile(col, qs), col, side="left") for col in columns]
@@ -329,7 +317,7 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
         if rows.size < side.min_members:
             continue
         try:
-            params = side.fit([kept[i] for i in rows])
+            params = side.fit(samples[rows])
         except (ValueError, FitConvergenceError):
             continue
         ln_f, ln_e = ([float(np.mean(np.log(col[rows]))) for col in columns] + [0.0])[:2]
@@ -361,7 +349,7 @@ def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel
         n_bins=4,
         min_members=20,
         min_trimmed=MODEL_MIN_SAMPLES,
-        fit=lambda members: fit_laplace([s.log_growth for s in members]),
+        fit=lambda members: fit_laplace(members.log_growth),
     )
     burr = _BinnedFits(
         parameters=("c", "k"),
@@ -369,7 +357,7 @@ def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel
         n_bins=8,
         min_members=50,
         min_trimmed=0,
-        fit=lambda members: fit_burr([s.gross_growth for s in members]),
+        fit=lambda members: fit_burr(members.gross_growth),
     )
     fitted = 0
     for scale in scales:

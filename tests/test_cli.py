@@ -119,6 +119,22 @@ class TestAggregateCmd:
         assert code == 2
         assert "size-class file line 2" in capsys.readouterr().err
 
+    def test_duplicate_class_label_exit_2(self, synth_dir, tmp_path, capsys):
+        # two bands under one label used to be merged into one bin
+        classes = tmp_path / "classes.csv"
+        classes.write_text("label,lower,upper\nA,10000,50000\nA,500000,5000000\n")
+        code = main(
+            [
+                "analyze",
+                "--input", str(synth_dir / "posts.csv"),
+                "--classes", str(classes),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "size class label 'A' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_idempotent_outputs(self, synth_dir, tmp_path):
         args = [
             "aggregate",

@@ -1,6 +1,6 @@
 """The columnar kernel against a brute-force, one-post-at-a-time oracle.
 
-``aggregate_dataset``, ``aggregate_engagement`` and ``growth_samples``
+``aggregate_dataset``, ``aggregate_engagement`` and ``pooled_growth_samples``
 work on arrays; the oracle here groups ``PostRecord`` objects into
 calendar windows with ``datetime`` arithmetic and applies every rule by
 ``min``/``max`` over explicit keys. Both must agree exactly, floats
@@ -8,6 +8,7 @@ included, on random pages around awkward dates: before 1970 and after
 2038, ISO week 53 and year ends, Feb 29.
 """
 
+import io
 import math
 import random
 from datetime import date, datetime, timedelta, timezone
@@ -15,9 +16,11 @@ from datetime import date, datetime, timedelta, timezone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pagegrowth import growth, pipeline
 from pagegrowth.aggregate import SeriesEntry, Timescale, Window, aggregate_dataset, aggregate_engagement
-from pagegrowth.growth import METRICS, GrowthSample, SkipReport, growth_samples
+from pagegrowth.growth import METRICS, GrowthSample, SkipReport, growth_samples, pooled_growth_samples
 from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
+from pagegrowth.synth import GeneratorConfig, generate
 
 ANCHORS = [
     date(1900, 3, 1),
@@ -148,6 +151,7 @@ def check_against_oracle(posts, scale, quarter_rule):
     dataset, _ = build_dataset(posts, pages)
     series_map = aggregate_dataset(dataset, scale, quarter_rule)
     assert sorted(series_map) == list(series_map) == sorted(pages)
+    per_page = {metric: [] for metric in METRICS}
     for page_id, series in series_map.items():
         page_posts = [p for p in posts if p.page_id == page_id]
         expected = oracle_entries(page_posts, scale, quarter_rule)
@@ -156,7 +160,20 @@ def check_against_oracle(posts, scale, quarter_rule):
         random.Random(len(page_posts)).shuffle(page_posts)
         assert aggregate_engagement(page_posts, scale, quarter_rule).entries == expected
         for metric in METRICS:
-            assert growth_samples(series, metric) == oracle_samples(page_id, scale, expected, metric)
+            oracle = oracle_samples(page_id, scale, expected, metric)
+            samples, skips = growth_samples(series, metric)
+            assert (list(samples), skips) == oracle
+            per_page[metric].append(oracle)
+    for metric, oracles in per_page.items():
+        check_pooled(series_map, metric, oracles)
+
+
+def check_pooled(series_map, metric, oracles):
+    """The pooled table equals the per-page oracle outputs concatenated in page order."""
+    pooled, skips = pooled_growth_samples(series_map, metric)
+    assert list(pooled) == [s for samples, _ in oracles for s in samples]
+    assert skips == SkipReport(sum(k.zero_value for _, k in oracles), sum(k.missing_followers for _, k in oracles))
+    assert pooled[:].log_growth.tolist() == [s.log_growth for s in pooled]
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +211,44 @@ def test_gaps_break_adjacency_and_skips_are_counted():
     followers, skips = growth_samples(series, "followers")
     assert [s.gross_growth for s in followers] == [40 / 30]
     assert skips == SkipReport(missing_followers=1)
+
+
+def test_pages_meeting_end_to_start_are_not_paired():
+    # page a posts in the weeks of Jan 4 and 11, page b in those of Jan 18 and 25:
+    # a's last window ends on the day b's first window starts
+    weeks = [_utc(2021, 1, 4), _utc(2021, 1, 11), _utc(2021, 1, 18), _utc(2021, 1, 25)]
+    posts = [PostRecord(page, f"{page}{i}", ts, 10 * (i + 1), followers_at_posting=1000 * (i + 1))
+             for i, (page, ts) in enumerate(zip("aabb", weeks))]
+    pages = {p: PageMeta(p, p, date(2020, 1, 1)) for p in "ab"}
+    series_map = aggregate_dataset(build_dataset(posts, pages)[0], Timescale.W)
+    assert series_map["a"].end[-1] == series_map["b"].start[0]
+    for metric in METRICS:
+        pooled, skips = pooled_growth_samples(series_map, metric)
+        assert [(s.page_id, s.window_start) for s in pooled] == [("a", date(2021, 1, 11)), ("b", date(2021, 1, 25))]
+        assert skips.total == 0
+        oracles = [oracle_samples(p, Timescale.W, series_map[p].entries, metric) for p in "ab"]
+        check_pooled(series_map, metric, oracles)
+
+
+def test_no_series_gives_an_empty_table():
+    samples, skips = pooled_growth_samples({}, "engagement")
+    assert len(samples) == 0 and list(samples) == [] and skips.total == 0
+
+
+def test_commands_build_no_sample_objects(monkeypatch):
+    """analyze, model and cohort work on the samples table alone: no row is built."""
+    corpus = generate(GeneratorConfig(n_pages=16, start=date(2018, 1, 1), end=date(2019, 1, 1)), seed=3)
+    dataset, _ = build_dataset(corpus.posts, corpus.pages)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a GrowthSample was built")
+
+    monkeypatch.setattr(growth, "GrowthSample", no_rows)
+    options, warnings = pipeline.Options(), []
+    analyses = list(pipeline.analyze(dataset, options, warnings.append))
+    for result in analyses:
+        growth.write_growth_samples_csv(result.samples, io.StringIO())
+    assert sum(len(result.samples) for result in analyses) > 1000
+    assert all(result.matrices and result.fit_rows for result in analyses)
+    assert sum(len(result.regressions) for result in pipeline.model(dataset, options, warnings.append)) > 0
+    assert len(list(pipeline.cohort(dataset, options, warnings.append).tests)) == len(Timescale)

@@ -13,8 +13,9 @@ from pagegrowth.growth import (
     DEFAULT_FOLLOWER_CLASSES,
     DegenerateBinningError,
     GrowthSample,
+    GrowthSamples,
     SizeClass,
-    assign_follower_class,
+    class_bins,
     engagement_quartile_bins,
     growth_samples,
     split_class_by_median,
@@ -57,19 +58,19 @@ class TestGrowthSamples:
     def test_zero_guard(self):
         series = _series([100, 0])
         samples, skips = growth_samples(series, "engagement")
-        assert samples == []
+        assert len(samples) == 0
         assert skips.zero_value == 1
 
     def test_gap_breaks_chain(self):
         series = _series([100, None, 150])
         samples, skips = growth_samples(series, "engagement")
-        assert samples == []
+        assert len(samples) == 0
         assert skips.total == 0  # a gap is not a degenerate pair
 
     def test_followers_metric_requires_observations(self):
         series = _series([10, 10, 10], followers=[1000, None, 1100])
         samples, skips = growth_samples(series, "followers")
-        assert samples == []
+        assert len(samples) == 0
         assert skips.missing_followers == 2
 
     def test_prior_covariates_from_earlier_window(self):
@@ -122,17 +123,42 @@ class TestTrim:
         assert member.all()
 
 
+def _table(prior_followers):
+    return GrowthSamples.from_rows([_sample(1, prior_followers=f, i=i) for i, f in enumerate(prior_followers)])
+
+
 class TestSizeClasses:
     def test_paper_boundaries(self):
-        assert assign_follower_class(49_999, DEFAULT_FOLLOWER_CLASSES).label == "10K-50K"
-        assert assign_follower_class(50_000, DEFAULT_FOLLOWER_CLASSES).label == "50K-150K"
-        assert assign_follower_class(7_000_000, DEFAULT_FOLLOWER_CLASSES) is None
-        assert assign_follower_class(9_999, DEFAULT_FOLLOWER_CLASSES) is None
+        # below the scheme, absent and above it are left out
+        bins = class_bins(_table([9_999, 49_999, 50_000, 7_000_000, None]), DEFAULT_FOLLOWER_CLASSES)
+        assert {label: b.prior_followers.tolist() for label, b in bins.items()} == {
+            "10K-50K": [49_999],
+            "50K-150K": [50_000],
+        }
 
     def test_partition(self):
-        for f in (10_000, 49_999, 50_000, 149_999, 150_000, 499_999, 500_000, 4_999_999):
-            matches = [c for c in DEFAULT_FOLLOWER_CLASSES if c.contains(f)]
-            assert len(matches) == 1
+        values = [10_000, 49_999, 50_000, 149_999, 150_000, 499_999, 500_000, 4_999_999]
+        bins = class_bins(_table(values))
+        assert list(bins) == [c.label for c in DEFAULT_FOLLOWER_CLASSES]
+        assert [b.prior_followers.tolist() for b in bins.values()] == [values[i:i + 2] for i in range(0, 8, 2)]
+
+    def test_rows_and_table_bin_alike(self):
+        table = _table([20_000, None, 60_000, 30_000, 2_000_000])
+        by_rows = class_bins(list(table))
+        by_table = class_bins(table)
+        assert list(by_rows) == list(by_table) == ["10K-50K", "50K-150K", "500K-5M"]
+        assert all(list(by_rows[label]) == list(by_table[label]) for label in by_table)
+        assert class_bins([]) == {}
+
+    def test_rows_of_one_table_only(self):
+        rows = [_sample(1, 20_000), GrowthSample("p", Timescale.M, date(2021, 2, 1), "engagement", 1.0, 0.0, 1, 20_000)]
+        with pytest.raises(ValueError, match="different timescales"):
+            class_bins(rows)
+
+    def test_duplicate_label_rejected(self):
+        scheme = [SizeClass("A", 10_000, 50_000), SizeClass("A", 500_000, 5_000_000)]
+        with pytest.raises(ValueError, match="'A' appears more than once"):
+            class_bins(_table([20_000]), scheme)
 
     def test_invalid_class(self):
         with pytest.raises(ValueError):
@@ -154,7 +180,7 @@ def _sample(prior_engagement, prior_followers=None, i=0):
 
 class TestQuartileBins:
     def test_priors_1_to_100(self):
-        samples = [_sample(v, i=v) for v in range(1, 101)]
+        samples = GrowthSamples.from_rows([_sample(v, i=v) for v in range(1, 101)])
         bins = engagement_quartile_bins(samples)
         sizes = [len(bins[q]) for q in ("Q1", "Q2", "Q3", "Q4")]
         # trimming keeps priors 6..95; type-7 quartiles of 6..95 are
@@ -164,12 +190,12 @@ class TestQuartileBins:
         assert max(sizes) - min(sizes) <= 3
 
     def test_all_equal_fatal(self):
-        samples = [_sample(5, i=i) for i in range(30)]
+        samples = GrowthSamples.from_rows([_sample(5, i=i) for i in range(30)])
         with pytest.raises(DegenerateBinningError):
             engagement_quartile_bins(samples)
 
     def test_eight_samples_no_trim(self):
-        samples = [_sample(v, i=v) for v in range(1, 9)]
+        samples = GrowthSamples.from_rows([_sample(v, i=v) for v in range(1, 9)])
         bins = engagement_quartile_bins(samples)
         assert [len(bins[q]) for q in ("Q1", "Q2", "Q3", "Q4")] == [2, 2, 2, 2]
         assert [s.prior_engagement for s in bins["Q1"]] == [1, 2]
@@ -178,27 +204,23 @@ class TestQuartileBins:
 
 class TestMedianSplit:
     def test_even(self):
-        samples = [_sample(1, prior_followers=f, i=f) for f in (1, 2, 3, 4)]
-        lower, upper = split_class_by_median(samples)
+        lower, upper = split_class_by_median(_table([1, 2, 3, 4]))
         assert [s.prior_followers for s in lower] == [1, 2]
         assert [s.prior_followers for s in upper] == [3, 4]
 
     def test_odd_median_goes_upper(self):
-        samples = [_sample(1, prior_followers=f, i=f) for f in (1, 2, 3)]
-        lower, upper = split_class_by_median(samples)
+        lower, upper = split_class_by_median(_table([1, 2, 3]))
         assert [s.prior_followers for s in lower] == [1]
         assert [s.prior_followers for s in upper] == [2, 3]
 
     def test_all_equal_fatal(self):
-        samples = [_sample(1, prior_followers=5, i=i) for i in range(3)]
         with pytest.raises(DegenerateBinningError):
-            split_class_by_median(samples)
+            split_class_by_median(_table([5, 5, 5]))
 
     def test_balanced_sizes(self):
         rng = np.random.default_rng(0)
         priors = rng.permutation(np.arange(100, 201))
-        samples = [_sample(1, prior_followers=int(f), i=i) for i, f in enumerate(priors)]
-        lower, upper = split_class_by_median(samples)
+        lower, upper = split_class_by_median(_table([int(f) for f in priors]))
         assert abs(len(lower) - len(upper)) <= 1
 
 

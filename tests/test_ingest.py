@@ -183,8 +183,70 @@ class TestParseTimestamp:
         assert ts.microsecond == 0
 
     def test_rejects_naive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^timestamp '2020-01-01T00:00:00' lacks a UTC offset$"):
             parse_timestamp("2020-01-01T00:00:00")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "20190101T000000+0000",  # ISO 8601 basic format
+            "2019-W01-2T00:00:00+00:00",  # week date
+            "2019-01-03T00:00Z",  # no seconds
+            "2019-01-01T00:00:00+00",  # offset without minutes
+            "2019-01-01 00:00:00Z",  # space separator
+            "2019-01-01T00:00:00+24:00",
+            "2019-01-01T00:00:60Z",  # leap second: datetime has no 60th second
+            "2019-02-29T00:00:00Z",
+            "\uff12019-01-01T00:00:00Z",  # a full-width digit
+            "0001-01-01T00:00:00+01:00",  # before year 1 in UTC
+            "9999-12-31T23:59:59-01:00",  # after year 9999 in UTC
+        ],
+    )
+    def test_only_rfc3339_date_times(self, raw):
+        with pytest.raises(ValueError, match=r"^unparsable timestamp "):
+            parse_timestamp(raw)
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("2019-01-01t10:00:00z", datetime(2019, 1, 1, 10, tzinfo=timezone.utc)),
+            ("2019-01-01T10:00:00.123456789+05:30", datetime(2019, 1, 1, 4, 30, tzinfo=timezone.utc)),
+            ("2019-01-01T00:00:00.9-00:00", datetime(2019, 1, 1, tzinfo=timezone.utc)),
+            ("1969-12-31T23:59:59.5-08:00", datetime(1970, 1, 1, 7, 59, 59, tzinfo=timezone.utc)),
+        ],
+    )
+    def test_accepted_forms(self, raw, expected):
+        assert parse_timestamp(raw) == expected
+
+
+class TestStrictFields:
+    @pytest.mark.parametrize("raw", ["5_000", "\u0661\u0662\u0663", "\uff15"])
+    def test_count_must_be_ascii_digits(self, raw):
+        posts, report = parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,,,,7,", f"p1,b,2020-01-01T00:00:00Z,,,,{raw},"))
+        assert [p.post_id for p in posts] == ["a"]
+        assert [r.reason for r in report.rows] == [f"total_interactions is not an integer: {raw!r}"]
+
+    @pytest.mark.parametrize("raw", ["20190101", "2019-W01-1", "2019-001"])
+    def test_created_at_must_be_a_calendar_date(self, raw):
+        pages, report = parse_pages(_pages_csv("p1,One,2019-01-01,80,en", f"p2,Two,{raw},80,en"))
+        assert list(pages) == ["p1"]
+        assert [r.reason for r in report.rows] == [f"unparsable created_at {raw!r}"]
+
+    def test_undecodable_file_is_fatal(self):
+        with pytest.raises(FatalParseError, match="unreadable posts file"):
+            parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,,,,5,") + b"\xff\n")
+        with pytest.raises(FatalParseError, match="unreadable pages file"):
+            parse_pages(b"\x80" + _pages_csv())
+
+    def test_oversized_field_is_fatal(self):
+        with pytest.raises(FatalParseError, match="field larger than field limit"):
+            parse_posts(_posts_csv("p1," + "a" * 200_000 + ",2020-01-01T00:00:00Z,,,,5,"))
+
+    def test_json_number_past_the_digit_limit_is_quarantined(self):
+        lines = b'{"page_id": "p1", "post_id": "a", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}\n'
+        lines += b'{"total_interactions": ' + b"1" * 5000 + b"}\n"
+        posts, report = parse_posts(lines, format="jsonl")
+        assert len(posts) == 1 and [(r.line, r.reason) for r in report.rows] == [(2, "invalid JSON")]
 
 
 class TestParsePages:
