@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .aggregate import AggregatedSeries
 from .growth import pooled_growth_samples
@@ -128,6 +127,8 @@ def match_cohorts(
     if not questionable:
         raise ValueError("match_cohorts: empty questionable cohort")
     q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool)
+    from scipy.optimize import linear_sum_assignment  # loaded on first match, not with the package
+
     rows, cols = linear_sum_assignment(dist)
     pairs = [(q_ids[i], r_ids[j]) for i, j in zip(rows, cols)]
     pairs.sort()

@@ -60,6 +60,9 @@ _SECOND = timedelta(seconds=1)
 _DATE_TIME = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
                         r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# ASCII decimal, optional sign and exponent: every format(x, "g") output for
+# x in [0, 100], but not float()'s "6_0", non-ASCII digits, "nan" or "inf"
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class FatalParseError(Exception):
@@ -339,7 +342,7 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], Rej
                 f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        for line, row in enumerate(reader, start=2):
+        for line, row in _records(reader):
             if not row:
                 continue
             if len(row) != len(POSTS_HEADER):
@@ -366,6 +369,18 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], Rej
             _accept_post(obj, line, posts, seen_ids, report)
 
     return posts, report
+
+
+def _records(reader):
+    """(line, row) per CSV record, line being the physical line the record starts on.
+
+    A quoted field may span lines, so records and lines can drift apart;
+    ``reader.line_num`` counts lines read so far.
+    """
+    line = reader.line_num + 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
 
 
 def _accept_post(fields, line, posts, seen_ids, report) -> None:
@@ -408,7 +423,7 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
     pages: dict[str, PageMeta] = {}
     duplicates: list[str] = []
     report = RejectionReport()
-    for line, row in enumerate(reader, start=2):
+    for line, row in _records(reader):
         if not row:
             continue
         if len(row) != len(PAGES_HEADER):
@@ -430,11 +445,10 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
             continue
         score: float | None = None
         if raw_score:
-            try:
-                score = float(raw_score)
-            except ValueError:
+            if not _DECIMAL.fullmatch(raw_score):
                 report.add(line, f"newsguard_score is not a number: {raw_score!r}")
                 continue
+            score = float(raw_score)
             if not 0.0 <= score <= 100.0:
                 report.add(line, f"newsguard_score {score} outside [0,100]")
                 continue

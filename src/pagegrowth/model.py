@@ -20,7 +20,6 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 from .aggregate import Timescale
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
@@ -171,7 +170,10 @@ def regress_parameters(binned_fits, parameter: str, timescale: Timescale) -> Par
         cov = s2 * np.linalg.inv(X.T @ X)
         se = np.sqrt(np.diag(cov))
         t_stats = beta / se
-        p_values = tuple(float(2.0 * t_dist.sf(abs(t), df)) for t in t_stats)
+        from scipy.special import stdtr  # loaded on first regression, not with the package
+
+        # two-sided p from Student's t tail, scipy.stats.t.sf(|t|, df) exactly
+        p_values = tuple(float(2.0 * stdtr(df, -abs(t))) for t in t_stats)
         std_errors = tuple(float(v) for v in se)
     else:
         # exact interpolation: zero residuals pin the coefficients
@@ -460,13 +462,15 @@ TRAJECTORY_HEADER = ["run", "step", "followers", "engagement"]
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRAJECTORY_HEADER)
-    writer.writerows(
-        [t.run_index, step, format(f, ".12g"), format(e, ".12g")]
-        for t in trajectories
-        for step, (f, e) in enumerate(zip(t.followers.tolist(), t.engagement.tolist()))
-    )
+    # no field can need quoting (integers and formatted floats), so plain
+    # f-strings give csv.writer's bytes; one write per run bounds the buffer
+    stream.write(",".join(TRAJECTORY_HEADER) + "\n")
+    for t in trajectories:
+        run = t.run_index
+        stream.write("".join(
+            f"{run},{step},{f:.12g},{e:.12g}\n"
+            for step, (f, e) in enumerate(zip(t.followers.tolist(), t.engagement.tolist()))
+        ))
 
 
 SUMMARY_HEADER = [f.name for f in fields(StepSummary)]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm, rankdata
 
 EXACT_MAX_PRODUCT = 400
 
@@ -192,6 +190,8 @@ def fit_burr(samples) -> BurrParams:
         if val < best_val:
             best_theta, best_val = theta, val
 
+    from scipy.optimize import minimize  # loaded on first fit, not with the package
+
     res = minimize(
         objective,
         best_theta,
@@ -236,6 +236,32 @@ def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(prev[n2])
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with each run of equal values given the mean of its ranks.
+
+    Equal to ``scipy.stats.rankdata(a)`` (method "average"), bit for bit:
+    every rank is a multiple of 0.5 below 2**52, so both formulas are exact.
+    Any NaN makes every rank NaN, as it does there.
+    """
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    new_run = np.concatenate(([True], sorted_a[1:] != sorted_a[:-1]))
+    dense = np.cumsum(new_run)  # 1-based run index of each sorted value
+    cnt = np.append(np.flatnonzero(new_run), a.size)  # run starts, then n
+    ranks = np.empty(a.size)
+    ranks[order] = 0.5 * (cnt[dense] + cnt[dense - 1] + 1)
+    return ranks
+
+
+def _norm_sf(z: float) -> float:
+    """Upper tail of the standard normal, ``scipy.stats.norm.sf(z)`` exactly."""
+    from scipy.special import ndtr  # loaded on first use, not with the package
+
+    return float(ndtr(-z))
+
+
 def _has_ties(x: np.ndarray, y: np.ndarray) -> bool:
     pooled = np.concatenate([x, y])
     return np.unique(pooled).size < pooled.size
@@ -260,7 +286,7 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
     if n1 == 0 or n2 == 0:
         raise DegenerateSampleError("mann_whitney: empty sample")
 
-    ranked = rankdata(np.concatenate([x, y]))
+    ranked = _midranks(np.concatenate([x, y]))
     r1 = float(np.sum(ranked[:n1]))
     u = r1 - n1 * (n1 + 1) / 2.0  # pairs with x > y, ties counted half
 
@@ -292,10 +318,10 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
     sd = math.sqrt(var_u)
     if alternative == "greater":
         z = (u - mean_u - 0.5) / sd
-        p = float(norm.sf(z))
+        p = _norm_sf(z)
     else:
         z = (abs(u - mean_u) - 0.5) / sd
-        p = float(min(1.0, 2.0 * norm.sf(z)))
+        p = min(1.0, 2.0 * _norm_sf(z))
     return TestResult(u, min(1.0, max(0.0, p)), alternative, n1, n2, "normal-approx")
 
 
@@ -368,13 +394,13 @@ def detailed_balance_check(samples) -> TestResult:
         raise DegenerateSampleError(
             f"detailed_balance_check needs at least {SYMMETRY_MIN_SAMPLES} samples"
         )
-    ranked = rankdata(np.concatenate([arr, -arr]))
+    ranked = _midranks(np.concatenate([arr, -arr]))
     r1 = float(np.sum(ranked[:n]))
     u = r1 - n * (n + 1) / 2.0
     mean_u = n * n / 2.0
     var_u = n * (n - 1) * (n - 2) / 3.0 + n * (n - 1) + n / 4.0
     z = (abs(u - mean_u) - 0.5) / math.sqrt(var_u)
-    p = float(min(1.0, 2.0 * norm.sf(z)))
+    p = min(1.0, 2.0 * _norm_sf(z))
     return TestResult(u, p, "two-sided", n, n, "normal-approx")
 
 

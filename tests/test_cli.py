@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import pagegrowth
 from pagegrowth.cli import main
 from pagegrowth.ingest import build_dataset, parse_pages, parse_posts
 from pagegrowth.synth import GeneratorConfig, generate, write_files
@@ -399,3 +403,49 @@ class TestModelCmd:
         burr_rows = [r for r in rows[1:] if r[0] in ("c", "k")]
         assert all(r[4] == "" for r in burr_rows)
         assert (out / "regression_details.csv").exists()
+
+
+# Runs in a fresh interpreter: imports pagegrowth.cli, runs commands, and
+# records which scipy modules are loaded after each group of commands.
+_STARTUP_SCRIPT = """
+import json, sys
+from pagegrowth import cli
+
+out, result = sys.argv[1], {}
+data = ["--input", out + "/data/posts.csv", "--pages", out + "/data/pages.csv", "--timescales", "W"]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+result["import"] = scipy_modules()
+result["numpy_only"] = [
+    cli.main(["synth", "--out", out + "/data", "--pages-count", "24", "--start", "2018-01-01",
+              "--end", "2019-01-01", "--posts-per-day", "1.5", "--seed", "5"]),
+    cli.main(["aggregate", *data, "--out", out + "/agg"]),
+    cli.main(["simulate", "--runs", "5", "--steps", "3", "--out", out + "/sim"]),
+]
+result["after_numpy_only"] = scipy_modules()
+result["with_scipy"] = [cli.main([command, *data, "--out", out + "/" + command])
+                        for command in ("analyze", "model", "cohort")]
+result["after_with_scipy"] = scipy_modules()
+with open(out + "/result.json", "w") as fh:
+    json.dump(result, fh)
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    src = str(Path(pagegrowth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["import"] == []
+    assert result["numpy_only"] == [0, 0, 0]
+    assert result["after_numpy_only"] == []
+    assert result["with_scipy"] == [0, 0, 0]
+    loaded = set(result["after_with_scipy"])
+    assert {"scipy.optimize", "scipy.special"} <= loaded  # the fits, tests and matching ran
+    assert "scipy.stats" not in loaded

@@ -80,6 +80,15 @@ class TestParsePosts:
         assert len(posts) == 1
         assert [r.line for r in report.rows] == [3, 4]
 
+    def test_line_is_where_a_multiline_record_starts(self):
+        posts, report = parse_posts(
+            _posts_csv('p1,"a\nb",2020-01-01T00:00:00Z,,,,5,', "p1,c,not-a-time,,,,5,")
+        )
+        assert [p.post_id for p in posts] == ["a\nb"]
+        assert [r.line for r in report.rows] == [4]
+        pages, report = parse_pages(_pages_csv('p1,"Two\nlines",2019-01-01,80,en', "p2,Two,2019-13-01,80,en"))
+        assert list(pages) == ["p1"] and [r.line for r in report.rows] == [4]
+
     def test_offset_normalized_to_utc(self):
         posts, _ = parse_posts(_posts_csv("p1,a,2020-06-01T12:00:00+02:00,,,,5,"))
         assert posts[0].timestamp == datetime(2020, 6, 1, 10, 0, 0, tzinfo=timezone.utc)
@@ -232,6 +241,17 @@ class TestStrictFields:
         assert list(pages) == ["p1"]
         assert [r.reason for r in report.rows] == [f"unparsable created_at {raw!r}"]
 
+    @pytest.mark.parametrize("raw", ["6_0", "\u0666\u0660", "nan", "inf", "-Infinity", "1e", "0x10", "."])
+    def test_score_must_be_an_ascii_decimal(self, raw):
+        pages, report = parse_pages(_pages_csv("p1,One,2019-01-01,80,en", f"p2,Two,2019-01-01,{raw},en"))
+        assert list(pages) == ["p1"]
+        assert [r.reason for r in report.rows] == [f"newsguard_score is not a number: {raw!r}"]
+
+    @pytest.mark.parametrize("raw", ["72.5", "100", "1e-05", "-0", "0.", ".5", "2.5E+01", "+7"])
+    def test_score_decimal_forms(self, raw):
+        pages, report = parse_pages(_pages_csv(f"p1,One,2019-01-01,{raw},en"))
+        assert len(report) == 0 and pages["p1"].newsguard_score == float(raw)
+
     def test_undecodable_file_is_fatal(self):
         with pytest.raises(FatalParseError, match="unreadable posts file"):
             parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,,,,5,") + b"\xff\n")
@@ -368,3 +388,16 @@ class TestRoundTrip:
         parsed, report = parse_pages(buf.getvalue().encode())
         assert len(report) == 0
         assert parsed == pages
+
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=100.0), st.just(-0.0)), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_scores_round_trip(self, scores):
+        pages = {f"p{i}": PageMeta(f"p{i}", "Name", date(2015, 1, 1), s, "en") for i, s in enumerate(scores)}
+        buf = io.StringIO()
+        write_pages_csv(pages, buf)
+        parsed, report = parse_pages(buf.getvalue())
+        assert len(report) == 0
+        # the writer keeps six significant digits ("g"); the parser must read back what it wrote
+        assert {i: p.newsguard_score for i, p in parsed.items()} == {
+            i: float(format(p.newsguard_score, "g")) for i, p in pages.items()
+        }

@@ -6,8 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.stats import rankdata
 
 from pagegrowth.cohort import reliability_comparison
 from pagegrowth.stats import (
@@ -24,6 +27,7 @@ from pagegrowth.stats import (
     fit_laplace,
     laplace_pdf,
     mann_whitney,
+    _midranks,
 )
 
 
@@ -306,6 +310,23 @@ class TestClassTestMatrix:
         bins = {"a": [1.0, 2.0], "b": []}
         cells = class_test_matrix(bins)
         assert all(c.result is None and c.error for c in cells)
+
+
+class TestMidranks:
+    # a few shared values, signed zeros among them, make long tie runs
+    tied_floats = st.one_of(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, math.inf]), st.floats(allow_nan=False)
+    )
+
+    @given(st.lists(tied_floats, min_size=1, max_size=500))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_rankdata(self, values):
+        a = np.array(values, dtype=float)
+        assert _midranks(a).tobytes() == rankdata(a).tobytes()
+
+    def test_nan_makes_every_rank_nan(self):
+        a = np.array([1.0, np.nan, 0.0])
+        assert np.isnan(_midranks(a)).all() and np.isnan(rankdata(a)).all()
 
 
 class TestDetailedBalance:
