@@ -14,14 +14,13 @@ import argparse
 import csv
 import math
 import sys
-from datetime import date
 from pathlib import Path
 
 from . import pipeline, synth
 from .aggregate import Timescale, write_series_csv
 from .cohort import MatchInfeasibleError, write_cohort_summary_csv, write_match_csv
 from .growth import DegenerateBinningError, write_growth_samples_csv
-from .ingest import Dataset, FatalParseError, NoUsableDataError
+from .ingest import Dataset, FatalParseError, NoUsableDataError, _format_score, _iso_date
 from .model import (
     DEFAULT_STARTING_FOLLOWERS,
     SIM_TIMESCALES,
@@ -230,7 +229,7 @@ def cmd_cohort(args) -> int:
     match = result.match
     print(f"matched {len(match.pairs)} pairs ({match.method}), total distance {match.total_distance:.4f}")
 
-    labels = ([l.page_id, format(l.score, "g"), l.label] for l in result.labels)
+    labels = ([l.page_id, _format_score(l.score), l.label] for l in result.labels)
     _write_csv(out_dir / "labels.csv", ["page_id", "score", "label"], labels)
     with open(out_dir / "matches.csv", "w", newline="") as fh:
         write_match_csv(match, result.questionable, result.reliable, fh)
@@ -258,8 +257,8 @@ def cmd_synth(args) -> int:
     coeffs = synth.gibrat_null_coefficients() if args.model == "gibrat-null" else _read_coefficients(args.model)
     config = synth.GeneratorConfig(
         n_pages=args.pages_count,
-        start=date.fromisoformat(args.start),
-        end=date.fromisoformat(args.end),
+        start=_iso_date(args.start, "--start"),
+        end=_iso_date(args.end, "--end"),
         posts_per_day=args.posts_per_day,
         coefficients=coeffs,
         questionable_fraction=args.questionable_frac,

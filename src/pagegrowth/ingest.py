@@ -207,6 +207,16 @@ def _release(text: io.TextIOBase) -> None:
         text.detach()
 
 
+def _iso_date(raw: str, what: str) -> date:
+    """A YYYY-MM-DD date; fromisoformat alone also reads 20190101 and 2019-W01-1 from Python 3.11 on."""
+    try:
+        if _DATE.fullmatch(raw):
+            return date.fromisoformat(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"unparsable {what} {raw!r}")
+
+
 def parse_timestamp(raw: str) -> datetime:
     """RFC 3339 date-time with explicit offset, normalized to UTC, truncated to seconds.
 
@@ -437,11 +447,9 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
             duplicates.append(page_id)
             continue
         try:
-            if not _DATE.fullmatch(raw_created):  # fromisoformat reads 20190101 and 2019-W01-1 too
-                raise ValueError(raw_created)
-            created = date.fromisoformat(raw_created)
-        except ValueError:
-            report.add(line, f"unparsable created_at {raw_created!r}")
+            created = _iso_date(raw_created, "created_at")
+        except ValueError as exc:
+            report.add(line, str(exc))
             continue
         score: float | None = None
         if raw_score:
@@ -507,6 +515,10 @@ def write_posts_csv(posts: Iterable[PostRecord], stream) -> None:
         )
 
 
+def _format_score(score: float) -> str:
+    return repr(score).removesuffix(".0")  # the shortest text that reads back as the same float
+
+
 def write_pages_csv(pages: dict[str, PageMeta], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PAGES_HEADER)
@@ -517,7 +529,7 @@ def write_pages_csv(pages: dict[str, PageMeta], stream) -> None:
                 m.page_id,
                 m.name,
                 m.created_at.isoformat(),
-                "" if m.newsguard_score is None else format(m.newsguard_score, "g"),
+                "" if m.newsguard_score is None else _format_score(m.newsguard_score),
                 m.language or "",
             ]
         )

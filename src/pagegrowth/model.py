@@ -62,6 +62,10 @@ class ParamRegression:
         two_cov = self.parameter in ("mu", "b")
         if two_cov != (self.beta2 is not None):
             raise ValueError(f"beta2 must be present iff parameter is mu or b")
+        for name in ("beta0", "beta1", "beta2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.parameter}/{self.timescale.value} {name} is not finite: {value!r}")
 
     def evaluate(self, ln_followers: float, ln_engagement: float | None = None) -> float:
         value = self.beta0 + self.beta1 * ln_followers
@@ -220,38 +224,6 @@ def _c_k(coeffs: ModelCoefficients, timescale: Timescale, ln_f):
     return np.maximum(c, CK_FLOOR), np.maximum(k, CK_FLOOR), c < CK_FLOOR, k < CK_FLOOR
 
 
-def eval_mu_b(
-    coeffs: ModelCoefficients,
-    timescale: Timescale,
-    followers: float,
-    engagement: float,
-    clamps: ClampCounter | None = None,
-) -> LaplaceParams:
-    """Laplace parameters at a state; the scale is floored at B_FLOOR."""
-    if followers <= 0 or engagement <= 0:
-        raise ValueError("eval_mu_b domain error: followers and engagement must be positive")
-    mu, b, b_low = _mu_b(coeffs, timescale, math.log(followers), math.log(engagement))
-    if clamps is not None:
-        clamps.b_floored += int(b_low)
-    return LaplaceParams(mu=mu, b=float(b))
-
-
-def eval_c_k(
-    coeffs: ModelCoefficients,
-    timescale: Timescale,
-    followers: float,
-    clamps: ClampCounter | None = None,
-) -> BurrParams:
-    """Burr parameters at a follower count; shapes are floored at CK_FLOOR."""
-    if followers <= 0:
-        raise ValueError("eval_c_k domain error: followers must be positive")
-    c, k, c_low, k_low = _c_k(coeffs, timescale, math.log(followers))
-    if clamps is not None:
-        clamps.c_floored += int(c_low)
-        clamps.k_floored += int(k_low)
-    return BurrParams(c=float(c), k=float(k))
-
-
 def _uniform_open(rng: np.random.Generator) -> float:
     # uniform on (0,1): keep inverse-CDF transforms finite
     u = rng.random()
@@ -272,6 +244,18 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 def _map(fn, a: np.ndarray) -> np.ndarray:
     # fn per element: numpy's SIMD exp can differ from math.exp in the last bit
     return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _step(coeffs: ModelCoefficients, timescale: Timescale, f, e, u_laplace, u_burr):
+    """The growth law's step for a vector of states (F, E), as ``simulate``
+    describes it, at one Laplace and one Burr uniform per state: the next F
+    and E, and the b, c and k floored masks. ``synth.generate`` shares it."""
+    ln_f = _map(math.log, f)
+    mu, b, b_low = _mu_b(coeffs, timescale, ln_f, _map(math.log, e))
+    c, k, c_low, k_low = _c_k(coeffs, timescale, ln_f)
+    e = e * _map(math.exp, _laplace_ppf(u_laplace, mu, b))
+    f = f * _burr_ppf(u_burr, c, k)
+    return f, e, (b_low, c_low, k_low)
 
 
 def sample_laplace(p: LaplaceParams, rng: np.random.Generator) -> float:
@@ -331,8 +315,8 @@ def simulate(
 
     Per step, from the current state (F, E): the engagement log-rate g is
     drawn from Laplace(mu(F,E), b(F,E)) and E <- E*exp(g); the follower
-    gross rate r is drawn from Burr(c(F), k(F)) and F <- F*r. Both
-    parameter evaluations use the pre-update state. Run i consumes the
+    gross rate r is drawn from Burr(c(F), k(F)) and F <- F*r (``_step``).
+    Both parameter evaluations use the pre-update state. Run i consumes the
     substream seeded by (seed, i), the Laplace then the Burr uniform of
     each step in turn, so results are reproducible and runs are
     order-independent.
@@ -354,12 +338,8 @@ def simulate(
     followers[:, 0], engagement[:, 0] = f, e
     floored = np.zeros((3, runs), dtype=np.int64)  # b, c, k floor events per run
     for step in range(1, steps + 1):
-        ln_f = _map(math.log, f)
-        mu, b, b_low = _mu_b(coeffs, timescale, ln_f, _map(math.log, e))
-        c, k, c_low, k_low = _c_k(coeffs, timescale, ln_f)
-        floored += (b_low, c_low, k_low)
-        e = e * _map(math.exp, _laplace_ppf(u[2 * step - 2], mu, b))
-        f = f * _burr_ppf(u[2 * step - 1], c, k)
+        f, e, low = _step(coeffs, timescale, f, e, u[2 * step - 2], u[2 * step - 1])
+        floored += low
         if not ((f > 0).all() and (e > 0).all()):
             raise ValueError("simulation state must stay positive")
         followers[:, step], engagement[:, step] = f, e
@@ -442,6 +422,10 @@ def read_coefficients_csv(stream) -> ModelCoefficients:
     for row in reader:
         if not row:
             continue
+        if len(row) != len(COEFFS_HEADER):
+            raise ValueError(
+                f"coefficients line {reader.line_num}: expected {len(COEFFS_HEADER)} fields, got {len(row)}"
+            )
         parameter, scale_text, b0, b1, b2 = (v.strip() for v in row)
         scale = Timescale.parse(scale_text)
         two_cov = parameter in ("mu", "b")

@@ -1,35 +1,37 @@
 """Synthetic post/page generator in the exact ingest formats.
 
-Pages evolve week by week under the same stochastic growth law the
-simulator uses: engagement multiplies by exp(g) with g Laplace, followers
-multiply by a Burr draw, with parameters given by a coefficient table.
+Pages evolve week by week under the growth law of ``simulate``, all pages
+at once through the same step (``model._step``): engagement multiplies by
+exp(g) with g Laplace, followers multiply by a Burr draw, with parameters
+given by a coefficient table; both are floored at 1 after each step.
 Passing a table with zeroed size terms (``gibrat_null_coefficients``)
 produces size-independent growth, the null regime for end-to-end tests.
-Weekly engagement is scattered over a Poisson number of posts inside
-each ISO week, so aggregation at the weekly scale recovers the generated
-series up to integer rounding. Ground-truth parameters are written
-alongside the data for recovery tests.
+Weekly engagement is scattered over a Poisson number of posts inside each
+ISO week, so aggregation at the weekly scale recovers the generated series
+up to integer rounding. Ground-truth parameters are written alongside the
+data for recovery tests.
+
+Page i draws from ``SeedSequence((seed, i))``: first its metadata (score,
+creation date, starting followers and engagement); then, from the first
+spawned child, the law's ``2 * weeks`` open uniforms (Laplace, then Burr,
+each week); then, from the second child, its posts (weekly Poisson counts,
+a Gamma(2) weight per post, the multinomial split of each week's
+engagement, a Dirichlet(2, 2, 2) split of each post, the post times). The
+law path therefore does not depend on the number of posts drawn.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import Timescale, window_of
-from .ingest import PageMeta, PostRecord, write_pages_csv, write_posts_csv
-from .model import (
-    ModelCoefficients,
-    ParamRegression,
-    eval_c_k,
-    eval_mu_b,
-    sample_burr,
-    sample_laplace,
-)
+from .ingest import MAX_COUNT, PageMeta, PostRecord, write_pages_csv, write_posts_csv
+from .model import ModelCoefficients, ParamRegression, _open_uniforms, _step
 
 LANGUAGES = ("en", "fr", "de", "it")
 
@@ -45,17 +47,8 @@ def gibrat_null_coefficients(
     coeffs = ModelCoefficients()
     for scale in (Timescale.W, Timescale.M, Timescale.Q):
         for parameter, value in (("mu", mu0), ("b", b0), ("c", c0), ("k", k0)):
-            two_cov = parameter in ("mu", "b")
-            coeffs.add(
-                ParamRegression(
-                    parameter=parameter,
-                    timescale=scale,
-                    beta0=value,
-                    beta1=0.0,
-                    beta2=0.0 if two_cov else None,
-                    p_values=tuple(),
-                )
-            )
+            beta2 = 0.0 if parameter in ("mu", "b") else None
+            coeffs.add(ParamRegression(parameter, scale, value, 0.0, beta2, ()))
     return coeffs
 
 
@@ -87,22 +80,50 @@ class SynthResult:
     truth: dict = field(default_factory=dict)
 
 
-def _split_counts(total: int, parts: int, rng: np.random.Generator) -> np.ndarray:
-    if parts == 1:
-        return np.array([total])
-    probs = rng.dirichlet(np.ones(parts) * 2.0)
-    return rng.multinomial(total, probs)
+def _page_posts(rng, page_id, followers, engagement, week_seconds, posts_per_day) -> list[PostRecord]:
+    """One page's posts from its post stream, given its rounded weekly levels."""
+    counts = rng.poisson(posts_per_day * 7.0, size=week_seconds.size)
+    week = np.repeat(np.arange(counts.size), counts)  # each post's week
+    if week.size == 0:
+        return []
+    # a row per week with posts; weights right-aligned, because numpy's
+    # multinomial gives the remainder to the last column
+    posted = np.flatnonzero(counts)
+    slots = np.arange(counts.max()) >= counts.max() - counts[posted][:, None]
+    weights = np.zeros(slots.shape)
+    weights[slots] = rng.gamma(2.0, size=week.size)
+    weights /= weights.sum(axis=1, keepdims=True)
+    totals = rng.multinomial(engagement[posted], weights)[slots]
+    parts = rng.multinomial(totals, rng.dirichlet((2.0, 2.0, 2.0), size=week.size))
+    # weeks do not overlap, so one sort orders the seconds within each week
+    seconds = np.sort(week_seconds[week] + rng.integers(0, 7 * 24 * 3600, size=week.size))
+    weekly = followers.tolist()  # one int per week, shared by its posts
+    return [
+        PostRecord(page_id, f"{page_id}-{j:06d}", datetime.fromtimestamp(t, timezone.utc),
+                   total, likes, comments, shares, weekly[w])
+        for j, (t, total, (likes, comments, shares), w) in enumerate(
+            zip(seconds.tolist(), totals.tolist(), parts.tolist(), week.tolist())
+        )
+    ]
 
 
 def generate(config: GeneratorConfig, seed: int) -> SynthResult:
-    """Generate posts and page metadata under the configured growth law."""
-    coeffs = config.coefficients if config.coefficients is not None else gibrat_null_coefficients()
-    posts: list[PostRecord] = []
-    pages: dict[str, PageMeta] = {}
+    """Generate posts and page metadata under the configured growth law.
 
-    first_week = window_of(config.start, Timescale.W).start
+    Raises ValueError when a page's weekly followers or engagement exceed
+    MAX_COUNT or stop being a number.
+    """
+    coeffs = config.coefficients if config.coefficients is not None else gibrat_null_coefficients()
+    pages: dict[str, PageMeta] = {}
+    mondays = np.arange(window_of(config.start, Timescale.W).start, config.end, 7, dtype="datetime64[D]")
+    weeks = mondays.size
+    lo, hi = np.log([config.followers_range, config.engagement_range]).T
+    state = np.empty((2, config.n_pages))  # followers, engagement
+    u = np.empty((2 * weeks, config.n_pages))  # column i: page i's law stream
+    post_rngs = []
     for index in range(config.n_pages):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+        sequence = np.random.SeedSequence((seed, index))
+        rng = np.random.default_rng(sequence)
         page_id = f"page{index:04d}"
         score = None
         if rng.random() >= config.unscored_fraction:
@@ -118,43 +139,25 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
             newsguard_score=score,
             language=LANGUAGES[index % len(LANGUAGES)],
         )
+        state[:, index] = np.exp(rng.uniform(lo, hi))  # log-uniform followers, then engagement
+        law, post = sequence.spawn(2)
+        u[:, index] = _open_uniforms(np.random.default_rng(law), 2 * weeks)
+        post_rngs.append(np.random.default_rng(post))
 
-        lo_f, hi_f = config.followers_range
-        lo_e, hi_e = config.engagement_range
-        followers = float(np.exp(rng.uniform(np.log(lo_f), np.log(hi_f))))
-        engagement = float(np.exp(rng.uniform(np.log(lo_e), np.log(hi_e))))
-
-        week_start = first_week
-        counter = 0
-        while week_start < config.end:
-            n_posts = int(rng.poisson(config.posts_per_day * 7.0))
-            if n_posts > 0:
-                week_total = max(1, int(round(engagement)))
-                fol = max(1, int(round(followers)))
-                totals = _split_counts(week_total, n_posts, rng)
-                seconds = np.sort(rng.integers(0, 7 * 24 * 3600, size=n_posts))
-                base = datetime.combine(week_start, time(0, 0), tzinfo=timezone.utc)
-                for j in range(n_posts):
-                    total = int(totals[j])
-                    likes, comments, shares = (int(v) for v in _split_counts(total, 3, rng))
-                    posts.append(
-                        PostRecord(
-                            page_id=page_id,
-                            post_id=f"{page_id}-{counter:06d}",
-                            timestamp=base + timedelta(seconds=int(seconds[j])),
-                            total_interactions=total,
-                            likes=likes,
-                            comments=comments,
-                            shares=shares,
-                            followers_at_posting=fol,
-                        )
-                    )
-                    counter += 1
-            lap = eval_mu_b(coeffs, Timescale.W, followers, engagement)
-            burr = eval_c_k(coeffs, Timescale.W, followers)
-            engagement = max(1.0, engagement * float(np.exp(sample_laplace(lap, rng))))
-            followers = max(1.0, followers * sample_burr(burr, rng))
-            week_start = week_start + timedelta(days=7)
+    f, e = state
+    path = np.empty((2, weeks, config.n_pages))  # the state at the start of each week
+    for week in range(weeks):
+        if not ((f <= MAX_COUNT).all() and (e <= MAX_COUNT).all()):  # NaN fails too
+            raise ValueError(f"synthetic followers and engagement must stay finite and at most {MAX_COUNT}")
+        path[:, week] = f, e
+        f, e, _ = _step(coeffs, Timescale.W, f, e, u[2 * week], u[2 * week + 1])
+        f, e = np.maximum(f, 1.0), np.maximum(e, 1.0)
+    followers, engagement = np.maximum(np.rint(path), 1.0).astype(np.int64)
+    week_seconds = mondays.astype("datetime64[s]").astype(np.int64)
+    posts: list[PostRecord] = []
+    for index, page_id in enumerate(pages):
+        posts += _page_posts(post_rngs[index], page_id, followers[:, index], engagement[:, index],
+                             week_seconds, config.posts_per_day)
 
     truth = {
         "seed": seed,
@@ -165,11 +168,7 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
         "law_timescale": Timescale.W.value,
         "questionable_fraction": config.questionable_fraction,
         "coefficients": {
-            f"{p}/{s}": {
-                "beta0": reg.beta0,
-                "beta1": reg.beta1,
-                "beta2": reg.beta2,
-            }
+            f"{p}/{s}": {name: getattr(reg, name) for name in ("beta0", "beta1", "beta2")}
             for (p, s), reg in sorted(coeffs.entries.items())
         },
     }

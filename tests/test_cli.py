@@ -70,6 +70,46 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path), "--pages-count", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    @pytest.mark.parametrize("value", ["20180101", "2018-W10-1"])
+    def test_date_flags_take_only_yyyy_mm_dd(self, tmp_path, capsys, flag, value):
+        # date.fromisoformat reads both forms from Python 3.11 on, and neither before
+        dates = {"--start": "2018-01-01", "--end": "2019-01-01", flag: value}
+        out = tmp_path / "out"
+        code = main(["synth", "--out", str(out), "--pages-count", "2",
+                     "--start", dates["--start"], "--end", dates["--end"]])
+        assert code == 2
+        assert f"unparsable {flag} {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_non_finite_coefficients_exit_2_before_writing(tmp_path, capsys, command, bad):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text(
+        "parameter,timescale,beta0,beta1,beta2\n"
+        f"mu,W,{bad},0,0\n"
+        "b,W,0.2,0,0\n"
+        "c,W,500,0,\n"
+        "k,W,0.5,0,\n"
+    )
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--model", str(coeffs), "--pages-count", "2", "--end", "2018-03-01"]
+    else:
+        argv = ["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--runs", "2", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"mu/W beta0 is not finite: {float(bad)!r}" in capsys.readouterr().err
+    assert not any(out.glob("posts.csv")) and not any(out.glob("trajectories_*.csv"))
+
+
+def test_short_coefficients_row_reported_by_line(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("parameter,timescale,beta0,beta1,beta2\nmu,W,0.01,0,0\n\nb,W,0.2\n")
+    assert main(["synth", "--model", str(coeffs), "--out", str(tmp_path / "out")]) == 2
+    assert "coefficients line 4: expected 5 fields, got 3" in capsys.readouterr().err
+
 
 class TestAggregateCmd:
     def test_series_emitted(self, synth_dir, tmp_path):

@@ -11,8 +11,8 @@ from pagegrowth.model import (
     CollinearCovariatesError,
     ModelCoefficients,
     ParamRegression,
-    eval_c_k,
-    eval_mu_b,
+    _c_k,
+    _mu_b,
     published_coefficients,
     read_coefficients_csv,
     regress_parameters,
@@ -105,20 +105,20 @@ class TestPublishedCoefficients:
     def test_mu_w_evaluation(self):
         # independent arithmetic for the weekly location at F=1e5, E=1e4
         expected = -0.109 + 0.054 * math.log(1e5) - 0.062 * math.log(1e4)
-        got = eval_mu_b(published_coefficients(), Timescale.W, 1e5, 1e4)
-        assert got.mu == pytest.approx(expected, rel=1e-12)
+        mu, _, _ = _mu_b(published_coefficients(), Timescale.W, math.log(1e5), math.log(1e4))
+        assert mu == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-0.0583431, abs=1e-6)
 
     def test_k_w_evaluation(self):
         expected = -0.778 + 0.083 * math.log(1e5)
-        got = eval_c_k(published_coefficients(), Timescale.W, 1e5)
-        assert got.k == pytest.approx(expected, rel=1e-12)
+        _, k, _, _ = _c_k(published_coefficients(), Timescale.W, math.log(1e5))
+        assert k == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.1775728, abs=1e-6)
 
     def test_c_w_evaluation(self):
         expected = 8420.469 - 372.77 * math.log(1e6)
-        got = eval_c_k(published_coefficients(), Timescale.W, 1e6)
-        assert got.c == pytest.approx(expected, rel=1e-12)
+        c, _, _, _ = _c_k(published_coefficients(), Timescale.W, math.log(1e6))
+        assert c == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3270.4611, abs=1e-3)
 
     def test_no_daily_rows(self):
@@ -145,35 +145,25 @@ class TestEvaluation:
     def test_constant_when_size_terms_zero(self):
         coeffs = gibrat_null_coefficients(mu0=0.12, b0=0.4, c0=300.0, k0=0.2)
         for f, e in ((1.0, 1.0), (1e4, 1e7), (3e6, 12.0)):
-            lap = eval_mu_b(coeffs, Timescale.W, f, e)
-            assert lap.mu == pytest.approx(0.12)
-            assert lap.b == pytest.approx(0.4)
-        burr = eval_c_k(coeffs, Timescale.W, 5e5)
-        assert (burr.c, burr.k) == (300.0, 0.2)
+            mu, b, _ = _mu_b(coeffs, Timescale.W, math.log(f), math.log(e))
+            assert mu == pytest.approx(0.12)
+            assert b == pytest.approx(0.4)
+        c, k, _, _ = _c_k(coeffs, Timescale.W, math.log(5e5))
+        assert (c, k) == (300.0, 0.2)
 
     def test_unit_inputs_reduce_to_intercepts(self):
         coeffs = published_coefficients()
-        lap = eval_mu_b(coeffs, Timescale.W, 1.0, 1.0)
-        assert lap.mu == pytest.approx(-0.109)
-        assert lap.b == pytest.approx(0.613)
-
-    def test_domain_errors(self):
-        coeffs = published_coefficients()
-        with pytest.raises(ValueError):
-            eval_mu_b(coeffs, Timescale.W, 0.0, 10.0)
-        with pytest.raises(ValueError):
-            eval_c_k(coeffs, Timescale.W, -5.0)
+        mu, b, _ = _mu_b(coeffs, Timescale.W, 0.0, 0.0)
+        assert mu == pytest.approx(-0.109)
+        assert b == pytest.approx(0.613)
 
     def test_clamping_counted(self):
-        from pagegrowth.model import ClampCounter
-
         coeffs = gibrat_null_coefficients(mu0=0.1, b0=-2.0, c0=-1.0, k0=0.5)
-        clamps = ClampCounter()
-        lap = eval_mu_b(coeffs, Timescale.W, 1e5, 1e4, clamps)
-        burr = eval_c_k(coeffs, Timescale.W, 1e5, clamps)
-        assert lap.b == pytest.approx(1e-6)
-        assert burr.c == pytest.approx(1e-3)
-        assert clamps.b_floored == 1 and clamps.c_floored == 1 and clamps.k_floored == 0
+        ln_f, ln_e = np.log([1e5, 2e5]), np.log([1e4, 3e4])
+        _, b, b_low = _mu_b(coeffs, Timescale.W, ln_f, ln_e)
+        c, k, c_low, k_low = _c_k(coeffs, Timescale.W, ln_f)
+        assert b.tolist() == [1e-6, 1e-6] and c.tolist() == [1e-3, 1e-3] and k.tolist() == [0.5, 0.5]
+        assert b_low.tolist() == c_low.tolist() == [True, True] and k_low.tolist() == [False, False]
 
 
 class _HalfRng:
@@ -310,3 +300,8 @@ class TestParamRegressionType:
             ParamRegression("c", Timescale.W, 1.0, 1.0, 0.5, (0.1, 0.1))
         with pytest.raises(ValueError):
             ParamRegression("mu", Timescale.W, 1.0, 1.0, None, (0.1, 0.1))
+
+    @pytest.mark.parametrize("betas", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+    def test_non_finite_beta_refused(self, betas):
+        with pytest.raises(ValueError, match="is not finite"):
+            ParamRegression("b", Timescale.W, *betas, ())

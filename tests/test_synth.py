@@ -1,0 +1,86 @@
+"""The synthetic generator steps the shared growth law, apart from its posts.
+
+Page i's law path comes from the first child of ``SeedSequence((seed, i))``
+and its posts from the second, so the weekly levels must not depend on
+the post stream, and they must equal, after rounding, the path the shared
+step gives on that page's documented stream.
+"""
+
+import io
+from datetime import date
+
+import numpy as np
+import pytest
+
+from pagegrowth.aggregate import Timescale, window_of
+from pagegrowth.ingest import write_pages_csv
+from pagegrowth.model import _open_uniforms, _step, published_coefficients
+from pagegrowth.synth import GeneratorConfig, gibrat_null_coefficients, generate
+
+
+def _weekly(result):
+    """(page, ISO week) -> (set of followers_at_posting, engagement total)."""
+    out = {}
+    for post in result.posts:
+        key = (post.page_id, window_of(post.timestamp.date(), Timescale.W).start)
+        followers, total = out.get(key, (set(), 0))
+        out[key] = (followers | {post.followers_at_posting}, total + post.total_interactions)
+    return out
+
+
+def _law_levels(config, seed, index, weeks):
+    """Page index's rounded weekly (followers, engagement), stepped outside the generator."""
+    sequence = np.random.SeedSequence((seed, index))
+    rng = np.random.default_rng(sequence)
+    rng.random(), rng.random(), rng.uniform(60.0, 100.0)  # unscored test, questionable test, score
+    rng.integers(30, 1500)  # creation-date offset
+    (lo_f, hi_f), (lo_e, hi_e) = config.followers_range, config.engagement_range
+    f = np.array([np.exp(rng.uniform(np.log(lo_f), np.log(hi_f)))])
+    e = np.array([np.exp(rng.uniform(np.log(lo_e), np.log(hi_e)))])
+    u = _open_uniforms(np.random.default_rng(sequence.spawn(2)[0]), 2 * weeks)
+    levels = []
+    for week in range(weeks):
+        levels.append((f[0], e[0]))
+        laplace, burr = u[2 * week : 2 * week + 1], u[2 * week + 1 : 2 * week + 2]
+        f, e, _ = _step(config.coefficients, Timescale.W, f, e, laplace, burr)
+        f, e = np.maximum(f, 1.0), np.maximum(e, 1.0)
+    return np.maximum(1, np.rint(levels)).astype(np.int64)
+
+
+def test_law_path_does_not_depend_on_post_stream():
+    runs = []
+    for posts_per_day in (1.0, 3.0):
+        config = GeneratorConfig(n_pages=5, start=date(2018, 1, 1), end=date(2018, 10, 1),
+                                 posts_per_day=posts_per_day, coefficients=published_coefficients())
+        runs.append(generate(config, seed=13))
+    sparse, dense = (_weekly(r) for r in runs)
+    shared = sparse.keys() & dense.keys()
+    assert len(shared) > 100
+    assert all(sparse[key] == dense[key] for key in shared)
+    pages = []
+    for result in runs:
+        buf = io.StringIO()
+        write_pages_csv(result.pages, buf)
+        pages.append(buf.getvalue())
+    assert pages[0] == pages[1]
+
+
+def test_weekly_levels_follow_the_shared_step():
+    config = GeneratorConfig(n_pages=3, start=date(2018, 1, 3), end=date(2018, 12, 1),
+                             posts_per_day=2.0, coefficients=published_coefficients())
+    result = generate(config, seed=7)
+    first = window_of(config.start, Timescale.W).start
+    weeks = -(-(config.end - first).days // 7)
+    levels = _law_levels(config, 7, 1, weeks)
+    observed = {week: v for (page, week), v in _weekly(result).items() if page == "page0001"}
+    assert len(observed) > weeks - 3
+    for monday, (followers, total) in observed.items():
+        f, e = levels[(monday - first).days // 7]
+        assert followers == {f} and total == e, monday
+
+
+def test_state_beyond_a_count_is_refused():
+    config = GeneratorConfig(n_pages=2, start=date(2018, 1, 1), end=date(2018, 3, 1),
+                             coefficients=gibrat_null_coefficients(mu0=50.0))
+    with pytest.raises(ValueError, match="finite and at most"):
+        generate(config, seed=0)
