@@ -11,13 +11,10 @@ ISO week, so aggregation at the weekly scale recovers the generated series
 up to integer rounding. Ground-truth parameters are written alongside the
 data for recovery tests.
 
-Page i draws from ``SeedSequence((seed, i))``: first its metadata (score,
-creation date, starting followers and engagement); then, from the first
-spawned child, the law's ``2 * weeks`` open uniforms (Laplace, then Burr,
-each week); then, from the second child, its posts (weekly Poisson counts,
-a Gamma(2) weight per post, the multinomial split of each week's
-engagement, a Dirichlet(2, 2, 2) split of each post, the post times). The
-law path therefore does not depend on the number of posts drawn.
+Page i draws from ``SeedSequence((seed, i))``: its metadata and starting
+state first, then the law's uniforms (Laplace, then Burr, per week) from
+its first spawned child and its posts from the second, so the law path
+does not depend on how many posts are drawn.
 """
 
 from __future__ import annotations
@@ -47,8 +44,17 @@ def gibrat_null_coefficients(
     coeffs = ModelCoefficients()
     for scale in (Timescale.W, Timescale.M, Timescale.Q):
         for parameter, value in (("mu", mu0), ("b", b0), ("c", c0), ("k", k0)):
-            beta2 = 0.0 if parameter in ("mu", "b") else None
-            coeffs.add(ParamRegression(parameter, scale, value, 0.0, beta2, ()))
+            two_cov = parameter in ("mu", "b")
+            coeffs.add(
+                ParamRegression(
+                    parameter=parameter,
+                    timescale=scale,
+                    beta0=value,
+                    beta1=0.0,
+                    beta2=0.0 if two_cov else None,
+                    p_values=tuple(),
+                )
+            )
     return coeffs
 
 
@@ -118,7 +124,7 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
     mondays = np.arange(window_of(config.start, Timescale.W).start, config.end, 7, dtype="datetime64[D]")
     weeks = mondays.size
     lo, hi = np.log([config.followers_range, config.engagement_range]).T
-    state = np.empty((2, config.n_pages))  # followers, engagement
+    path = np.empty((2, weeks + 1, config.n_pages))  # followers, engagement at each week's start and after the last
     u = np.empty((2 * weeks, config.n_pages))  # column i: page i's law stream
     post_rngs = []
     for index in range(config.n_pages):
@@ -139,20 +145,17 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
             newsguard_score=score,
             language=LANGUAGES[index % len(LANGUAGES)],
         )
-        state[:, index] = np.exp(rng.uniform(lo, hi))  # log-uniform followers, then engagement
+        path[:, 0, index] = np.exp(rng.uniform(lo, hi))  # log-uniform followers, then engagement
         law, post = sequence.spawn(2)
         u[:, index] = _open_uniforms(np.random.default_rng(law), 2 * weeks)
         post_rngs.append(np.random.default_rng(post))
 
-    f, e = state
-    path = np.empty((2, weeks, config.n_pages))  # the state at the start of each week
     for week in range(weeks):
-        if not ((f <= MAX_COUNT).all() and (e <= MAX_COUNT).all()):  # NaN fails too
+        f, e, _ = _step(coeffs, Timescale.W, *path[:, week], u[2 * week], u[2 * week + 1])
+        path[:, week + 1] = np.maximum(f, 1.0), np.maximum(e, 1.0)
+        if not (path[:, week + 1] <= MAX_COUNT).all():  # NaN fails too
             raise ValueError(f"synthetic followers and engagement must stay finite and at most {MAX_COUNT}")
-        path[:, week] = f, e
-        f, e, _ = _step(coeffs, Timescale.W, f, e, u[2 * week], u[2 * week + 1])
-        f, e = np.maximum(f, 1.0), np.maximum(e, 1.0)
-    followers, engagement = np.maximum(np.rint(path), 1.0).astype(np.int64)
+    followers, engagement = np.maximum(np.rint(path[:, :weeks]), 1.0).astype(np.int64)
     week_seconds = mondays.astype("datetime64[s]").astype(np.int64)
     posts: list[PostRecord] = []
     for index, page_id in enumerate(pages):
@@ -168,7 +171,11 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
         "law_timescale": Timescale.W.value,
         "questionable_fraction": config.questionable_fraction,
         "coefficients": {
-            f"{p}/{s}": {name: getattr(reg, name) for name in ("beta0", "beta1", "beta2")}
+            f"{p}/{s}": {
+                "beta0": reg.beta0,
+                "beta1": reg.beta1,
+                "beta2": reg.beta2,
+            }
             for (p, s), reg in sorted(coeffs.entries.items())
         },
     }
