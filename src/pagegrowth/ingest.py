@@ -212,7 +212,7 @@ def _iso_date(raw: str, what: str) -> date:
     try:
         if _DATE.fullmatch(raw):
             return date.fromisoformat(raw)
-    except ValueError:
+    except ValueError:  # the form is right but the day does not exist, such as 2019-02-30
         pass
     raise ValueError(f"unparsable {what} {raw!r}")
 

@@ -423,9 +423,7 @@ def read_coefficients_csv(stream) -> ModelCoefficients:
         if not row:
             continue
         if len(row) != len(COEFFS_HEADER):
-            raise ValueError(
-                f"coefficients line {reader.line_num}: expected {len(COEFFS_HEADER)} fields, got {len(row)}"
-            )
+            raise ValueError(f"coefficients line {reader.line_num}: expected 5 fields, got {len(row)}")
         parameter, scale_text, b0, b1, b2 = (v.strip() for v in row)
         scale = Timescale.parse(scale_text)
         two_cov = parameter in ("mu", "b")
