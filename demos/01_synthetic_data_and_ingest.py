@@ -25,9 +25,9 @@ print(f"generated {len(result.posts)} posts across {len(result.pages)} pages")
 # serialize and re-parse: the canonical CSV round-trips exactly
 buf = io.StringIO()
 write_posts_csv(result.posts, buf)
-posts, report = parse_posts(buf.getvalue().encode())
+posts, report = parse_posts(buf.getvalue().encode())  # one table, a column per field
 print(f"parsed back {len(posts)} posts, {len(report)} rejections")
-assert posts == result.posts
+assert list(posts) == result.posts  # posts[i] builds row i as a record
 
 # now feed the parser a file with two broken rows
 dirty = """page_id,post_id,timestamp,likes,comments,shares,total_interactions,followers_at_posting
@@ -47,5 +47,5 @@ p1,Example Outlet,2012-06-01,72.5,en
 """
 pages, _ = parse_pages(pages_csv.encode())
 dataset, join_report = build_dataset(posts, pages)
-print(f"\ndataset: {len(dataset.posts)} posts for {len(dataset.pages)} page(s), "
+print(f"\ndataset: {len(dataset.columns)} posts for {len(dataset.pages)} page(s), "
       f"ends {dataset.end_date}")

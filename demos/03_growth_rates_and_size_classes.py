@@ -20,7 +20,7 @@ from pagegrowth.growth import (
     pooled_growth_samples,
     trim,
 )
-from pagegrowth.ingest import Dataset
+from pagegrowth.ingest import build_dataset
 from pagegrowth.synth import GeneratorConfig, generate
 
 result = generate(
@@ -28,10 +28,7 @@ result = generate(
                     posts_per_day=1.0),
     seed=7,
 )
-dataset = Dataset(
-    posts=sorted(result.posts, key=lambda p: (p.page_id, p.timestamp, p.post_id)),
-    pages=result.pages,
-)
+dataset, _ = build_dataset(result.posts, result.pages)
 weekly = aggregate_dataset(dataset, Timescale.W)
 samples, skips = pooled_growth_samples(weekly, "engagement")
 print(f"{len(samples)} weekly engagement growth samples "

@@ -191,7 +191,7 @@ def select_followers(posts_in_window: Sequence[PostRecord], window: Window, quar
     Only posts carrying followers_at_posting participate; the value is
     always one actually observed in the window (no interpolation).
     """
-    cols = PostColumns.from_records(posts_in_window)[0]
+    cols = PostColumns.from_records(posts_in_window).sorted()
     n = cols.seconds.size
     start = np.full(n, window.start.toordinal() - EPOCH_ORDINAL)
     followers, has = _representative(cols, np.zeros(n, dtype=np.int64), 1, start, window.timescale, quarter_rule)
@@ -202,7 +202,7 @@ def aggregate_engagement(
     posts: Sequence[PostRecord], scale: Timescale, quarter_rule: str = "latest"
 ) -> AggregatedSeries:
     """Roll one page's posts (in any order) into a windowed series."""
-    cols = PostColumns.from_records(posts)[0]
+    cols = PostColumns.from_records(posts).sorted()
     if len(cols.page_ids) > 1:
         raise ValueError("aggregate_engagement expects posts from a single page")
     if not cols.page_ids:

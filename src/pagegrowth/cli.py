@@ -191,12 +191,12 @@ def _read_coefficients(spec: str) -> ModelCoefficients:
 
 def cmd_simulate(args) -> int:
     f0_by_tag = _parse_f0(args.f0)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     coeffs = _read_coefficients(args.coefficients)
     scales = [s for s in _parse_timescales(args.timescales) if s in SIM_TIMESCALES]
     if not scales:
         raise FatalParseError("simulate supports W, M, Q timescales")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     clamp_total = 0
     for scale in scales:
         for f0_tag, f0 in f0_by_tag.items():

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL
+from .ingest import EPOCH_ORDINAL, _csv_field
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -261,14 +261,23 @@ GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth
 
 
 def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(GROWTH_HEADER)
+    """The samples as the bytes csv.writer gives: each column is formatted whole
+    (dates through ``datetime64[D]``), then rows are joined 65,536 at a time."""
+
+    def fixed(text):  # a field that is the same in every row, inside the row's format string
+        return _csv_field(text).replace("{", "{{").replace("}", "}}")
+
     scale = samples.timescale.value if samples.timescale else ""
-    writer.writerows(
-        [p, scale, date.fromordinal(EPOCH_ORDINAL + d).isoformat(), samples.metric, format(g, ".12g"),
-         format(l, ".12g"), f if o else "", e]
-        for p, d, g, l, f, o, e in zip(
-            *(c.tolist() for c in (samples.page_id, samples.start, samples.gross_growth, samples.log_growth,
-                                   samples.prior_followers, samples.observed, samples.prior_engagement))
-        )
+    row = f"{{}},{fixed(scale)},{{}},{fixed(samples.metric)},{{:.12g}},{{:.12g}},{{}},{{}}\n".format
+    quoted = {p: _csv_field(p) for p in dict.fromkeys(samples.page_id.tolist())}
+    columns = (
+        list(map(quoted.__getitem__, samples.page_id.tolist())),
+        np.datetime_as_string(samples.start.astype("datetime64[D]"), unit="D").tolist(),
+        samples.gross_growth.tolist(),
+        samples.log_growth.tolist(),
+        np.where(samples.observed, samples.prior_followers.astype(str), "").tolist(),
+        samples.prior_engagement.tolist(),
     )
+    stream.write(",".join(GROWTH_HEADER) + "\n")
+    for lo in range(0, len(samples), 1 << 16):
+        stream.write("".join(map(row, *(c[lo : lo + (1 << 16)] for c in columns))))

@@ -21,9 +21,14 @@ the parse; only structural problems (bad header, duplicate page ids,
 text that is not UTF-8, a field beyond the csv module's size limit,
 nothing left after filtering) are fatal.
 
-A ``Dataset`` keeps its posts twice: as records, and once as columns
-(``PostColumns``: page code, epoch seconds, total, followers with a
-validity mask) that the calendar aggregation works on.
+Posts are parsed straight into one table, ``PostColumns``: an array per
+field, no object per post. The file is read in chunks of rows; each field
+of a chunk is checked as a whole column against its common form (plain
+ids, ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or ``±hh:mm``),
+and only the values outside it go through the scalar validators
+(``_opt_text``, ``_opt_count``, ``parse_timestamp``). A ``Dataset`` holds
+that table, joined and sorted, with the page metadata; ``PostRecord`` is
+the row view, built only on request.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Sequence
 
@@ -52,6 +57,7 @@ POSTS_HEADER = [
 PAGES_HEADER = ["page_id", "name", "created_at", "newsguard_score", "language"]
 
 MAX_COUNT = 2**53 - 1  # larger counts would not survive the int64 and float64 columns exactly
+ABSENT = -1  # an optional count the row does not give
 DAY_S = 86_400
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 EPOCH_ORDINAL = EPOCH.date().toordinal()
@@ -63,6 +69,13 @@ _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # ASCII decimal, optional sign and exponent: every format(x, "g") output for
 # x in [0, 100], but not float()'s "6_0", non-ASCII digits, "nan" or "inf"
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+_CHUNK_ROWS = 1 << 12  # rows converted to columns at a time
+_COUNT_DIGITS = 15  # the longest count the column check reads; longer ones go through _opt_count
+_COUNT_FIELDS = POSTS_HEADER[3:]
+# UTC instants datetime can hold: years 1 through 9999
+_FIRST_SECOND = (datetime(1, 1, 1, tzinfo=timezone.utc) - EPOCH) // _SECOND
+_END_SECOND = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - EPOCH) // _SECOND + 1
 
 
 class FatalParseError(Exception):
@@ -122,74 +135,123 @@ def _epoch_seconds(ts: datetime) -> int:
     return (ts - EPOCH) // _SECOND
 
 
-def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct values, and each value's index among them (Python string order)."""
-    distinct = sorted(set(values))
-    index = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.array([index[v] for v in values], dtype=np.int64)
+def _utc_date(seconds: int) -> date:
+    return date.fromordinal(EPOCH_ORDINAL + seconds // DAY_S)
+
+
+def _page_codes(names: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The names that ``codes`` use, sorted (Python string order), and each code's index among them."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    used.sort(key=names.__getitem__)
+    remap = np.zeros(len(names), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return [names[i] for i in used], remap[codes]
+
+
+def _sum_exceeds(values: np.ndarray, limit: int) -> bool:
+    """Whether non-negative int64 values sum past ``limit``, exactly (halves summed apart cannot overflow)."""
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum()) > limit
 
 
 @dataclass(frozen=True, eq=False)
 class PostColumns:
-    """Posts as parallel arrays, one row per post, sorted by (page, seconds, post_id).
+    """Posts as parallel arrays, one element per post.
 
-    ``page`` indexes ``page_ids`` (sorted); ``seconds`` counts from
-    1970-01-01T00:00:00Z; ``followers`` is 0 where ``has_followers`` is false.
+    ``page`` indexes ``page_ids``, the sorted ids of the pages that have
+    posts here; ``seconds`` counts from 1970-01-01T00:00:00Z; an optional
+    count is ``ABSENT`` where the row does not give it. An int index builds
+    that row as a ``PostRecord``; a mask or index array selects a sub-table.
+    ``parse_posts`` gives the rows in file order, a ``Dataset`` sorted.
     """
 
     page_ids: list[str]
     page: np.ndarray
+    post_id: np.ndarray  # str objects
     seconds: np.ndarray
     total: np.ndarray
+    likes: np.ndarray
+    comments: np.ndarray
+    shares: np.ndarray
     followers: np.ndarray
-    has_followers: np.ndarray
+
+    def __len__(self) -> int:
+        return self.seconds.size
+
+    @property
+    def has_followers(self) -> np.ndarray:
+        return self.followers != ABSENT
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            optional = (self.likes, self.comments, self.shares, self.followers)
+            likes, comments, shares, followers = (None if c[key] == ABSENT else int(c[key]) for c in optional)
+            return PostRecord(self.page_ids[self.page[key]], self.post_id[key],
+                              EPOCH + timedelta(seconds=int(self.seconds[key])), int(self.total[key]),
+                              likes, comments, shares, followers)
+        columns = {f.name: getattr(self, f.name)[key] for f in fields(self)[1:]}
+        page_ids, columns["page"] = _page_codes(self.page_ids, columns["page"])
+        return replace(self, page_ids=page_ids, **columns)
 
     @classmethod
-    def from_records(cls, posts: Sequence[PostRecord]) -> tuple["PostColumns", np.ndarray]:
-        """The posts as columns, and their (page_id, timestamp, post_id) order as indices into ``posts``."""
-        page_ids, page = _codes([p.page_id for p in posts])
-        seconds = np.array([_epoch_seconds(p.timestamp) for p in posts], dtype=np.int64)
+    def from_records(cls, posts: Sequence[PostRecord]) -> "PostColumns":
+        """The posts as a table, in their given order."""
+        index = {page_id: i for i, page_id in enumerate(dict.fromkeys(p.page_id for p in posts))}
+        page_ids, page = _page_codes(list(index), np.array([index[p.page_id] for p in posts], dtype=np.int64))
+
+        def counts(values):
+            return np.array([ABSENT if v is None else v for v in values], dtype=np.int64)
+
+        return cls(
+            page_ids=page_ids,
+            page=page,
+            post_id=np.array([p.post_id for p in posts], dtype=object),
+            seconds=np.array([_epoch_seconds(p.timestamp) for p in posts], dtype=np.int64),
+            total=counts(p.total_interactions for p in posts),
+            likes=counts(p.likes for p in posts),
+            comments=counts(p.comments for p in posts),
+            shares=counts(p.shares for p in posts),
+            followers=counts(p.followers_at_posting for p in posts),
+        )
+
+    def sorted(self, rows: np.ndarray | None = None) -> "PostColumns":
+        """The table, or only its ``rows``, sorted by (page_id, seconds, post_id), the order
+        calendar aggregation needs.
+
+        Raises FatalParseError when the totals sum past MAX_COUNT, so that
+        every window sum stays exact in int64 and float64.
+        """
+        rows = np.arange(len(self)) if rows is None else rows
+        if _sum_exceeds(self.total[rows], MAX_COUNT):
+            raise FatalParseError(f"total_interactions sum to more than {MAX_COUNT}")
+        page, seconds = self.page[rows], self.seconds[rows]
         order = np.lexsort((seconds, page))
         same = (np.diff(seconds[order]) == 0) & (np.diff(page[order]) == 0)
         if same.any():  # posts of a page in the same second: their post_ids decide
             tied = order[np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))]
-            post_rank = np.zeros(len(posts), dtype=np.int64)
-            post_rank[tied] = _codes([posts[i].post_id for i in tied.tolist()])[1]
+            post_rank = np.zeros(rows.size, dtype=np.int64)
+            post_rank[tied] = np.unique(self.post_id[rows[tied]], return_inverse=True)[1]
             order = np.lexsort((post_rank, seconds, page))
-        totals = [p.total_interactions for p in posts]
-        if sum(totals) > MAX_COUNT:  # so every window sum stays exact in int64 and float64
-            raise FatalParseError(f"total_interactions sum to more than {MAX_COUNT}")
-        followers = [p.followers_at_posting for p in posts]
-        columns = cls(
-            page_ids=page_ids,
-            page=page[order],
-            seconds=seconds[order],
-            total=np.array(totals, dtype=np.int64)[order],
-            followers=np.array([f or 0 for f in followers], dtype=np.int64)[order],
-            has_followers=np.array([f is not None for f in followers], dtype=bool)[order],
-        )
-        return columns, order
+        return self[rows[order]]
 
 
 @dataclass
 class Dataset:
-    """Validated posts sorted by (page_id, timestamp, post_id), the same posts
-    as columns, and page metadata."""
+    """Validated posts as one table sorted by (page_id, timestamp, post_id), and page metadata."""
 
-    posts: list[PostRecord]
+    columns: PostColumns
     pages: dict[str, PageMeta]
-    columns: PostColumns = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.columns is None:  # built directly rather than by build_dataset
-            self.columns = PostColumns.from_records(self.posts)[0]
+    @property
+    def posts(self) -> list[PostRecord]:
+        """The posts as records, built on each request."""
+        return list(self.columns)
 
     @property
     def end_date(self) -> date:
         """Last posting date in the dataset (used as the lifespan anchor)."""
         if not self.columns.seconds.size:
             raise NoUsableDataError("no usable data")
-        return date.fromordinal(EPOCH_ORDINAL + int(self.columns.seconds.max()) // DAY_S)
+        return _utc_date(int(self.columns.seconds.max()))
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
@@ -277,49 +339,224 @@ def _opt_text(raw, what: str) -> str:
     return raw.strip()
 
 
-def _build_post(fields: dict, line: int) -> PostRecord:
-    page_id = _opt_text(fields.get("page_id"), "page_id")
-    post_id = _opt_text(fields.get("post_id"), "post_id")
-    if not page_id:
-        raise ValueError("missing page_id")
-    if not post_id:
-        raise ValueError("missing post_id")
-    raw_ts = fields.get("timestamp")
-    if raw_ts is None or (isinstance(raw_ts, str) and not raw_ts.strip()):
+def _timestamp_seconds(raw) -> int:
+    """Epoch seconds of one timestamp field, or ValueError with the row's rejection reason."""
+    if raw is None or (isinstance(raw, str) and not raw.strip()):
         raise ValueError("missing timestamp")
-    ts = parse_timestamp(str(raw_ts))
+    return _epoch_seconds(parse_timestamp(str(raw)))
 
-    likes = _opt_count(fields.get("likes"), "likes")
-    comments = _opt_count(fields.get("comments"), "comments")
-    shares = _opt_count(fields.get("shares"), "shares")
-    total = _opt_count(fields.get("total_interactions"), "total_interactions")
-    followers = _opt_count(fields.get("followers_at_posting"), "followers_at_posting")
 
-    components = (likes, comments, shares)
-    if total is None:
-        if any(c is None for c in components):
-            raise ValueError("missing interaction counts")
-        total = likes + comments + shares  # type: ignore[operator]
-    elif all(c is not None for c in components):
-        if likes + comments + shares != total:  # type: ignore[operator]
-            raise ValueError("component sum mismatch")
+# ---------------------------------------------------------------------------
+# column checks: each takes one field of a chunk as a list of str and
+# returns its values and a mask of those the check could not read
+# ---------------------------------------------------------------------------
 
-    return PostRecord(
-        page_id=page_id,
-        post_id=post_id,
-        timestamp=ts,
-        total_interactions=total,
-        likes=likes,
-        comments=comments,
-        shares=shares,
-        followers_at_posting=followers,
-    )
+def _column_bytes(values: Sequence[str], pad: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One field of a chunk as ASCII bytes, each value followed by a 0 byte and the
+    last by ``pad`` more; each value's first byte and length; and which values were
+    blanked because they are not ASCII or hold a NUL."""
+    n = len(values)
+    joined = "\0".join(values)
+    blanked = np.zeros(n, dtype=bool)
+    if not joined.isascii() or joined.count("\0") != n - 1:  # rare: blank those values, read the rest
+        blanked = np.fromiter((not v.isascii() or "\0" in v for v in values), dtype=bool, count=n)
+        joined = "\0".join("" if b else v for v, b in zip(values, blanked.tolist()))
+    data = np.frombuffer((joined + "\0" * (1 + pad)).encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == 0)[:n]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return data, starts, ends - starts, blanked
+
+
+_POWERS = 10 ** np.arange(_COUNT_DIGITS, dtype=np.int64)
+
+
+def _count_column(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of 1 to 15 ASCII digits, ABSENT for an empty field."""
+    data, starts, lengths, unread = _column_bytes(values)
+    digit = data - np.uint8(48)  # a separator wraps round to 208
+    stray = np.flatnonzero((digit > 9) & (data != 0))
+    unread[np.searchsorted(starts, stray, side="right") - 1] = True
+    unread |= lengths > _COUNT_DIGITS
+    place = np.repeat(starts + lengths, lengths + 1) - 1 - np.arange(data.size)  # of each digit, from the right
+    terms = np.where(digit <= 9, digit, 0) * _POWERS[np.clip(place, 0, _COUNT_DIGITS - 1)]
+    counts = np.add.reduceat(terms, starts)
+    counts[lengths == 0] = ABSENT
+    return counts, unread
+
+
+_TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_TS_OFFSET_DIGITS = [20, 21, 23, 24]
+_TS_PUNCTUATION = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+
+
+def _timestamp_column(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z`` or ``±hh:mm``."""
+    data, starts, lengths, unreadable = _column_bytes(values, pad=25)
+    codes = data[starts[:, None] + np.arange(25)]
+    digit = codes.astype(np.int64) - 48
+
+    def number(*positions):
+        value = np.zeros(len(values), dtype=np.int64)
+        for p in positions:
+            value = value * 10 + digit[:, p]
+        return value
+
+    is_digit = (codes >= 48) & (codes <= 57)
+    sign = codes[:, 19]
+    offset_hour, offset_minute = number(20, 21), number(23, 24)
+    zulu = (lengths == 20) & (sign == ord("Z"))
+    offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (codes[:, 22] == ord(":"))
+              & is_digit[:, _TS_OFFSET_DIGITS].all(axis=1) & (offset_hour <= 23) & (offset_minute <= 59))
+    read = ~unreadable & (zulu | offset) & is_digit[:, _TS_DIGITS].all(axis=1)
+    for p, char in _TS_PUNCTUATION.items():
+        read &= codes[:, p] == ord(char)
+    year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
+    hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
+    read &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    # day numbers through datetime64: the month's first day, and the next month's
+    months = np.where(read, (year - 1970) * 12 + month - 1, 0)
+    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    read &= day <= (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
+    shift = np.where(offset, (offset_hour * 60 + offset_minute) * np.where(sign == ord("-"), -60, 60), 0)
+    seconds = (first + day - 1) * DAY_S + hour * 3600 + minute * 60 + second - shift
+    read &= (seconds >= _FIRST_SECOND) & (seconds < _END_SECOND)  # the UTC instant stays in years 1-9999
+    return seconds, ~read
+
+
+class _ParsedPosts:
+    """Accumulates validated chunks of posts in file order, and the rejected rows."""
+
+    def __init__(self):
+        self.page_index: dict[str, int] = {}  # page id -> code, in first-seen order
+        # each int column grows in place (realloc) as chunks arrive, so that no
+        # per-chunk pieces are left to copy into a whole beside them
+        self.columns = {name: np.zeros(0, dtype=np.int64)
+                        for name in ("lines", "page", "seconds", "total", "likes", "comments", "shares", "followers")}
+        self.post_ids: list[str] = []
+        self.rejected: list[tuple[int, str]] = []
+
+    def add(self, lines: Sequence[int], columns: Sequence[Sequence], any_type: bool) -> None:
+        """Check one chunk, a list of values per POSTS_HEADER field, and keep its good rows.
+
+        CSV values are all str; JSON values (``any_type``) go through the
+        scalar validators unless they are str. A bad row is rejected with
+        the reason of its first failing field, in the order the fields are
+        checked here: id types, missing ids, timestamp, each count, then
+        the component sum.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        n = lines.size
+        errors: dict[int, str] = {}  # row -> reason
+
+        def scalar(raw, values, rows, check):
+            """Send the values at ``rows`` through a scalar validator."""
+            for i in rows:
+                try:
+                    values[i] = check(raw[i])
+                except ValueError as exc:
+                    errors.setdefault(i, str(exc))
+
+        def strings(raw):
+            """The str values, others blanked, and the rows of the others."""
+            other = [] if not any_type else [i for i, v in enumerate(raw) if type(v) is not str]
+            if other:
+                raw = list(raw)
+                for i in other:
+                    raw[i] = ""
+            return raw, other
+
+        ids = []
+        for what, raw in zip(("page_id", "post_id"), columns[:2]):
+            text, other = strings(raw)
+            values = list(map(str.strip, text))
+            scalar(raw, values, other, lambda v, what=what: _opt_text(v, what))
+            ids.append(values)
+        for what, values in zip(("page_id", "post_id"), ids):
+            if not all(values):
+                for i in np.flatnonzero(~np.fromiter(map(bool, values), dtype=bool, count=n)).tolist():
+                    errors.setdefault(i, f"missing {what}")
+
+        text, other = strings(columns[2])
+        seconds, unread = _timestamp_column(text)
+        unread[other] = True
+        scalar(columns[2], seconds, np.flatnonzero(unread).tolist(), _timestamp_seconds)
+
+        counts = []
+        for what, raw in zip(_COUNT_FIELDS, columns[3:]):
+            text, other = strings(raw)
+            values, unread = _count_column(text)
+            unread[other] = True
+
+            def count(v, what=what):
+                value = _opt_count(v, what)
+                return ABSENT if value is None else value
+
+            scalar(raw, values, np.flatnonzero(unread).tolist(), count)
+            counts.append(values)
+
+        likes, comments, shares, total, followers = counts
+        parts = likes + comments + shares
+        all_parts = (likes != ABSENT) & (comments != ABSENT) & (shares != ABSENT)
+        no_total = total == ABSENT
+        for reason, rows in (("missing interaction counts", no_total & ~all_parts),
+                             ("component sum mismatch", ~no_total & all_parts & (parts != total))):
+            for i in np.flatnonzero(rows).tolist():
+                errors.setdefault(i, reason)
+        total = np.where(no_total, parts, total)
+
+        kept = np.ones(n, dtype=bool)
+        kept[list(errors)] = False
+        self.rejected += [(int(lines[i]), errors[i]) for i in sorted(errors)]
+        for page_id in dict.fromkeys(ids[0]):
+            self.page_index.setdefault(page_id, len(self.page_index))
+        page = np.fromiter(map(self.page_index.__getitem__, ids[0]), dtype=np.int64, count=n)
+        start = len(self.post_ids)
+        self.post_ids += [v for v, k in zip(ids[1], kept.tolist()) if k] if errors else ids[1]
+        end = len(self.post_ids)
+        for column, values in zip(self.columns.values(), (lines, page, seconds, total, likes, comments, shares,
+                                                          followers)):
+            if end > column.size:
+                column.resize(max(2 * column.size, end), refcheck=False)
+            column[start:end] = values[kept]
+
+    def finish(self) -> tuple[PostColumns, RejectionReport]:
+        """The accepted posts in file order; a repeated post_id keeps only its first accepted row."""
+        for column in self.columns.values():
+            column.resize(len(self.post_ids), refcheck=False)
+        lines = self.columns.pop("lines")
+        post_id = np.array(self.post_ids, dtype=object)
+        self.post_ids = []
+        # rows whose post_id hashes like another's are compared as strings, in file order
+        hashes = np.fromiter(map(hash, post_id), dtype=np.int64, count=post_id.size)
+        order = np.argsort(hashes, kind="stable")
+        collide = np.zeros(order.size, dtype=bool)
+        same = hashes[order][1:] == hashes[order][:-1]
+        collide[1:] |= same
+        collide[:-1] |= same
+        seen, repeats = set(), []
+        for i in np.sort(order[collide]).tolist():
+            if post_id[i] in seen:
+                repeats.append(i)
+            seen.add(post_id[i])
+        if repeats:
+            self.rejected += [(int(lines[i]), f"duplicate post_id {post_id[i]!r}") for i in repeats]
+            keep = np.ones(post_id.size, dtype=bool)
+            keep[repeats] = False
+            post_id = post_id[keep]
+            for column in self.columns.values():  # in place, one column at a time
+                column[: post_id.size] = column[keep]
+                column.resize(post_id.size, refcheck=False)
+        columns = self.columns
+        page_ids, columns["page"] = _page_codes(list(self.page_index), columns["page"])
+        self.rejected.sort(key=lambda row: row[0])  # each row starts on its own line
+        report = RejectionReport([RejectedRow(line, reason) for line, reason in self.rejected])
+        return PostColumns(page_ids, post_id=post_id, **columns), report
 
 
 def parse_posts(
     stream: BinaryIO | bytes | str, format: str = "csv"
-) -> tuple[list[PostRecord], RejectionReport]:
-    """Parse a posts file. Returns (accepted records, rejection report).
+) -> tuple[PostColumns, RejectionReport]:
+    """Parse a posts file. Returns (accepted posts in file order, rejection report).
 
     Rows failing validation are quarantined with their line number; a
     malformed header is fatal. Exact post_id collisions are rejected
@@ -336,11 +573,8 @@ def parse_posts(
         _release(text)
 
 
-def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], RejectionReport]:
-    report = RejectionReport()
-    posts: list[PostRecord] = []
-    seen_ids: set[str] = set()
-
+def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, RejectionReport]:
+    table = _ParsedPosts()
     if format == "csv":
         reader = csv.reader(text)
         try:
@@ -352,58 +586,121 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[list[PostRecord], Rej
                 f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        for line, row in _records(reader):
-            if not row:
-                continue
-            if len(row) != len(POSTS_HEADER):
-                report.add(line, f"expected {len(POSTS_HEADER)} fields, got {len(row)}")
-                continue
-            fields = dict(zip(POSTS_HEADER, row))
-            _accept_post(fields, line, posts, seen_ids, report)
+        for lines, columns in _csv_blocks(text, reader.line_num + 1, table.rejected):
+            table.add(lines, columns, any_type=False)
     else:
-        for line, raw in enumerate(text, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except (ValueError, RecursionError):  # also integers past int()'s digit limit, deep nesting
-                report.add(line, "invalid JSON")
-                continue
-            if not isinstance(obj, dict):
-                report.add(line, "not a JSON object")
-                continue
-            unknown = set(obj) - set(POSTS_HEADER)
-            if unknown:
-                report.add(line, f"unknown fields: {sorted(unknown)}")
-                continue
-            _accept_post(obj, line, posts, seen_ids, report)
-
-    return posts, report
+        for lines, objects in _chunks(_json_objects(text, table.rejected)):
+            table.add(lines, [[obj.get(name) for obj in objects] for name in POSTS_HEADER], any_type=True)
+    return table.finish()
 
 
 def _records(reader):
-    """(line, row) per CSV record, line being the physical line the record starts on.
+    """(line, row) per non-blank CSV record, line being the physical line the record starts on.
 
     A quoted field may span lines, so records and lines can drift apart;
     ``reader.line_num`` counts lines read so far.
     """
     line = reader.line_num + 1
     for row in reader:
-        yield line, row
+        if row:
+            yield line, row
         line = reader.line_num + 1
 
 
-def _accept_post(fields, line, posts, seen_ids, report) -> None:
-    try:
-        post = _build_post(fields, line)
-    except ValueError as exc:
-        report.add(line, str(exc))
-        return
-    if post.post_id in seen_ids:
-        report.add(line, f"duplicate post_id {post.post_id!r}")
-        return
-    seen_ids.add(post.post_id)
-    posts.append(post)
+def _then(lines, text):
+    yield from lines
+    for line in text:  # not "yield from": closing this generator would close the caller's file
+        yield line
+
+
+def _csv_blocks(text: io.TextIOBase, line: int, rejected: list[tuple[int, str]]):
+    """(lines, columns) per block of about _CHUNK_ROWS posts records, ``line`` being where the first starts.
+
+    Each record of 8 fields gives its physical line and a value in each
+    of the 8 columns; blank records are skipped and other widths rejected.
+    A block without quotes, carriage returns, NULs or overlong lines holds
+    one record per line, split on commas alone; any other block goes
+    through the csv module, which may read on past the block to finish a
+    quoted field.
+    """
+    width = len(POSTS_HEADER)
+    limit = csv.field_size_limit()
+    while True:
+        block = text.readlines(_CHUNK_ROWS * 64)  # whole lines, about this many characters
+        if not block:
+            return
+        joined = "".join(block)
+        data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+        ends = np.flatnonzero(data == 10)
+        if ends.size < len(block):  # the file's last line has no line break
+            ends = np.append(ends, data.size)
+        sizes = np.diff(ends, prepend=-1)  # per line in bytes, at least its characters, with its line break
+        if '"' in joined or "\r" in joined or "\0" in joined or sizes.max() > limit:
+            rows, starts = [], []
+            reader = csv.reader(_then(block, text))
+            for start, row in _records(reader):
+                starts.append(line + start - 1)
+                rows.append(row)
+                if reader.line_num >= len(block):
+                    break
+            line += reader.line_num
+            lines = np.array(starts, dtype=np.int64)
+            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        else:
+            lines = line + np.arange(len(block))
+            line += len(block)
+            counts = np.diff(np.searchsorted(np.flatnonzero(data == 44), ends), prepend=0) + 1  # commas + 1
+            counts[sizes == 1] = 0  # a blank line is no record
+            rows = None
+        regular = counts == width
+        if not regular.all():
+            rejected += [(n, f"expected {width} fields, got {c}")
+                         for n, c in zip(lines.tolist(), counts.tolist()) if c and c != width]
+            lines = lines[regular]
+            if rows is None:
+                joined = "".join(b for b, r in zip(block, regular.tolist()) if r)
+            else:
+                rows = [row for row, r in zip(rows, regular.tolist()) if r]
+        if not lines.size:
+            continue
+        if rows is None:
+            fields = joined.replace("\n", ",").split(",")
+            yield lines, [fields[k : lines.size * width : width] for k in range(width)]
+        else:
+            yield lines, list(zip(*rows))
+
+
+def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):
+    """(line, object) per JSON object line with only known fields; other non-blank lines are rejected."""
+    for line, raw in enumerate(text, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except (ValueError, RecursionError):  # also integers past int()'s digit limit, deep nesting
+            rejected.append((line, "invalid JSON"))
+            continue
+        if not isinstance(obj, dict):
+            rejected.append((line, "not a JSON object"))
+            continue
+        unknown = set(obj) - set(POSTS_HEADER)
+        if unknown:
+            rejected.append((line, f"unknown fields: {sorted(unknown)}"))
+            continue
+        yield line, obj
+
+
+def _chunks(items):
+    """(lines, values) lists of up to _CHUNK_ROWS (line, value) pairs at a time."""
+    lines, values = [], []
+    for line, value in items:
+        lines.append(line)
+        values.append(value)
+        if len(values) == _CHUNK_ROWS:
+            yield lines, values
+            lines, values = [], []
+    if values:
+        yield lines, values
 
 
 def parse_pages(
@@ -434,8 +731,6 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
     duplicates: list[str] = []
     report = RejectionReport()
     for line, row in _records(reader):
-        if not row:
-            continue
         if len(row) != len(PAGES_HEADER):
             report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
             continue
@@ -473,23 +768,22 @@ def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionRepo
 
 
 def build_dataset(
-    posts: Iterable[PostRecord], pages: dict[str, PageMeta]
+    posts: PostColumns | Iterable[PostRecord], pages: dict[str, PageMeta]
 ) -> tuple[Dataset, RejectionReport]:
-    """Join posts against page metadata, rejecting orphans; sort and build the columns.
+    """Join posts against page metadata, rejecting orphans, and sort them.
 
-    Raises NoUsableDataError when nothing survives filtering.
+    Orphans are numbered by their position among the posts. Records are
+    first turned into a table. Raises NoUsableDataError when nothing
+    survives filtering.
     """
-    report = RejectionReport()
-    kept: list[PostRecord] = []
-    for i, post in enumerate(posts, start=1):
-        if post.page_id not in pages:
-            report.add(i, f"unknown page_id {post.page_id!r}")
-            continue
-        kept.append(post)
-    if not kept:
+    table = posts if isinstance(posts, PostColumns) else PostColumns.from_records(list(posts))
+    known = np.array([page_id in pages for page_id in table.page_ids], dtype=bool)[table.page]
+    orphans = np.flatnonzero(~known)
+    report = RejectionReport([RejectedRow(i + 1, f"unknown page_id {table.page_ids[p]!r}")
+                              for i, p in zip(orphans.tolist(), table.page[orphans].tolist())])
+    if orphans.size == len(table):
         raise NoUsableDataError("no usable data")
-    columns, order = PostColumns.from_records(kept)
-    return Dataset(posts=[kept[i] for i in order.tolist()], pages=dict(pages), columns=columns), report
+    return Dataset(columns=table.sorted(np.flatnonzero(known)), pages=dict(pages)), report
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -513,6 +807,13 @@ def write_posts_csv(posts: Iterable[PostRecord], stream) -> None:
                 "" if p.followers_at_posting is None else p.followers_at_posting,
             ]
         )
+
+
+def _csv_field(value: str) -> str:
+    """A field as csv.writer writes it inside a row, quoted where it must be."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([value, ""])
+    return out.getvalue()[:-2]
 
 
 def _format_score(score: float) -> str:

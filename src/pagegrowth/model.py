@@ -419,6 +419,7 @@ def read_coefficients_csv(stream) -> ModelCoefficients:
             f"malformed coefficients header: expected {','.join(COEFFS_HEADER)}"
         )
     coeffs = ModelCoefficients()
+    lines: dict[tuple[str, Timescale], int] = {}  # (parameter, timescale) -> line first giving it
     for row in reader:
         if not row:
             continue
@@ -426,6 +427,10 @@ def read_coefficients_csv(stream) -> ModelCoefficients:
             raise ValueError(f"coefficients line {reader.line_num}: expected 5 fields, got {len(row)}")
         parameter, scale_text, b0, b1, b2 = (v.strip() for v in row)
         scale = Timescale.parse(scale_text)
+        first = lines.setdefault((parameter, scale), reader.line_num)
+        if first != reader.line_num:
+            raise ValueError(f"coefficients line {reader.line_num}: {parameter}/{scale.value} "
+                             f"already given on line {first}")
         two_cov = parameter in ("mu", "b")
         coeffs.add(
             ParamRegression(

@@ -41,7 +41,17 @@ from .growth import (
     trim_mask,
     validate_scheme,
 )
-from .ingest import Dataset, FatalParseError, PageMeta, RejectionReport, build_dataset, parse_pages, parse_posts
+from .ingest import (
+    Dataset,
+    FatalParseError,
+    PageMeta,
+    PostColumns,
+    RejectionReport,
+    _utc_date,
+    build_dataset,
+    parse_pages,
+    parse_posts,
+)
 from .model import SIM_TIMESCALES, ParamRegression, regress_parameters
 from .stats import (
     DegenerateSampleError,
@@ -102,13 +112,15 @@ def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
     return tuple(scheme)
 
 
-def _stub_pages(posts) -> dict[str, PageMeta]:
-    # no metadata supplied: a page per distinct id, so the posts can still
-    # be aggregated (scores stay absent)
+def _stub_pages(posts: PostColumns) -> dict[str, PageMeta]:
+    # no metadata supplied: a page per distinct id, created on the day of
+    # its first post in the file, so the posts can still be aggregated
+    # (scores stay absent)
+    first = np.sort(np.unique(posts.page, return_index=True)[1])  # each page's first post, in file order
     pages: dict[str, PageMeta] = {}
-    for p in posts:
-        if p.page_id not in pages:
-            pages[p.page_id] = PageMeta(page_id=p.page_id, name=p.page_id, created_at=p.timestamp.date())
+    for code, seconds in zip(posts.page[first].tolist(), posts.seconds[first].tolist()):
+        page_id = posts.page_ids[code]
+        pages[page_id] = PageMeta(page_id=page_id, name=page_id, created_at=_utc_date(seconds))
     return pages
 
 

@@ -13,7 +13,7 @@ from pagegrowth.aggregate import (
     select_followers,
     window_of,
 )
-from pagegrowth.ingest import Dataset, PageMeta, PostRecord
+from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
 
 
 def _post(page, ts, total, followers=None, post_id=None):
@@ -178,8 +178,7 @@ class TestSelectFollowers:
 class TestAggregateDataset:
     def _dataset(self, posts):
         pages = {pid: PageMeta(pid, pid, date(2010, 1, 1)) for pid in {p.page_id for p in posts}}
-        posts = sorted(posts, key=lambda p: (p.page_id, p.timestamp, p.post_id))
-        return Dataset(posts=posts, pages=pages)
+        return build_dataset(posts, pages)[0]
 
     def test_two_pages(self):
         ds = self._dataset([_post("a", _utc(2020, 1, 1), 1), _post("b", _utc(2020, 1, 1), 2)])

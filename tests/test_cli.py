@@ -101,7 +101,28 @@ def test_non_finite_coefficients_exit_2_before_writing(tmp_path, capsys, command
         argv = ["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--runs", "2", "--steps", "2"]
     assert main([*argv, "--out", str(out)]) == 2
     assert f"mu/W beta0 is not finite: {float(bad)!r}" in capsys.readouterr().err
-    assert not any(out.glob("posts.csv")) and not any(out.glob("trajectories_*.csv"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_duplicate_coefficient_row_names_both_lines(tmp_path, capsys, command):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text(
+        "parameter,timescale,beta0,beta1,beta2\n"
+        "mu,W,0.01,0,0\n"
+        "b,W,0.2,0,0\n"
+        "c,W,500,0,\n"
+        "k,W,0.5,0,\n"
+        "mu,w,5,0,0\n"
+    )
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--model", str(coeffs), "--pages-count", "2", "--end", "2018-03-01"]
+    else:
+        argv = ["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--runs", "2", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "coefficients line 6: mu/W already given on line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_short_coefficients_row_reported_by_line(tmp_path, capsys):

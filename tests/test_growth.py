@@ -1,5 +1,7 @@
 """Growth samples, trimming, and size-class binning."""
 
+import csv
+import io
 import math
 from datetime import date, datetime, timezone
 
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from pagegrowth.aggregate import Timescale, aggregate_engagement
 from pagegrowth.growth import (
     DEFAULT_FOLLOWER_CLASSES,
+    GROWTH_HEADER,
+    METRICS,
     DegenerateBinningError,
     GrowthSample,
     GrowthSamples,
@@ -20,6 +24,7 @@ from pagegrowth.growth import (
     growth_samples,
     split_class_by_median,
     trim,
+    write_growth_samples_csv,
 )
 from pagegrowth.ingest import PostRecord
 
@@ -236,3 +241,32 @@ def test_telescoping_property(values):
     if samples:
         chain = math.exp(sum(s.log_growth for s in samples))
         assert chain == pytest.approx(values[-1] / values[0], rel=1e-9)
+
+
+SAMPLE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["p1", "a,b", 'say "x"', "two\nlines", "cr\rhere", "{brace}", " pad ", "é"]),
+        st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal()),
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.one_of(st.none(), st.integers(0, 2**53 - 1)),
+        st.integers(0, 2**53 - 1),
+    ),
+    max_size=30,
+)
+
+
+@given(SAMPLE_ROWS, st.sampled_from(list(Timescale)), st.sampled_from(METRICS))
+@settings(max_examples=100, deadline=None)
+def test_samples_csv_is_what_a_row_writer_gives(rows, scale, metric):
+    samples = GrowthSamples.from_rows([
+        GrowthSample(p, scale, date.fromordinal(day), metric, g, math.log(g), e, f) for p, day, g, f, e in rows
+    ])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(GROWTH_HEADER)
+    for p, day, g, f, e in rows:
+        writer.writerow([p, scale.value, date.fromordinal(day).isoformat(), metric, format(g, ".12g"),
+                         format(math.log(g), ".12g"), "" if f is None else f, e])
+    out = io.StringIO()
+    write_growth_samples_csv(samples, out)
+    assert out.getvalue() == expected.getvalue()
