@@ -263,12 +263,8 @@ GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth
 def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
     """The samples as the bytes csv.writer gives: each column is formatted whole
     (dates through ``datetime64[D]``), then rows are joined 65,536 at a time."""
-
-    def fixed(text):  # a field that is the same in every row, inside the row's format string
-        return _csv_field(text).replace("{", "{{").replace("}", "}}")
-
-    scale = samples.timescale.value if samples.timescale else ""
-    row = f"{{}},{fixed(scale)},{{}},{fixed(samples.metric)},{{:.12g}},{{:.12g}},{{}},{{}}\n".format
+    scale = samples.timescale.value if samples.timescale else ""  # a Timescale and a METRICS name need no quotes
+    row = f"{{}},{scale},{{}},{samples.metric},{{:.12g}},{{:.12g}},{{}},{{}}\n".format
     quoted = {p: _csv_field(p) for p in dict.fromkeys(samples.page_id.tolist())}
     columns = (
         list(map(quoted.__getitem__, samples.page_id.tolist())),

@@ -177,6 +177,14 @@ class PostColumns:
     def __len__(self) -> int:
         return self.seconds.size
 
+    def __eq__(self, other) -> bool:
+        """Tables are equal when they hold the same rows in the same order."""
+        if not isinstance(other, PostColumns):
+            return NotImplemented
+        return self.page_ids == other.page_ids and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[1:]
+        )
+
     @property
     def has_followers(self) -> np.ndarray:
         return self.followers != ABSENT
@@ -586,7 +594,7 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, Rejectio
                 f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        for lines, columns in _csv_blocks(text, reader.line_num + 1, table.rejected):
+        for lines, columns in _csv_blocks(reader, table.rejected):
             table.add(lines, columns, any_type=False)
     else:
         for lines, objects in _chunks(_json_objects(text, table.rejected)):
@@ -607,67 +615,27 @@ def _records(reader):
         line = reader.line_num + 1
 
 
-def _then(lines, text):
-    yield from lines
-    for line in text:  # not "yield from": closing this generator would close the caller's file
-        yield line
+def _csv_blocks(reader, rejected: list[tuple[int, str]]):
+    """(lines, columns) per block of up to _CHUNK_ROWS posts records, each line being where its record starts.
 
-
-def _csv_blocks(text: io.TextIOBase, line: int, rejected: list[tuple[int, str]]):
-    """(lines, columns) per block of about _CHUNK_ROWS posts records, ``line`` being where the first starts.
-
-    Each record of 8 fields gives its physical line and a value in each
-    of the 8 columns; blank records are skipped and other widths rejected.
-    A block without quotes, carriage returns, NULs or overlong lines holds
-    one record per line, split on commas alone; any other block goes
-    through the csv module, which may read on past the block to finish a
-    quoted field.
+    Blank records are skipped and records of other than 8 fields rejected;
+    ``reader.line_num`` counts the physical lines read so far.
     """
     width = len(POSTS_HEADER)
-    limit = csv.field_size_limit()
-    while True:
-        block = text.readlines(_CHUNK_ROWS * 64)  # whole lines, about this many characters
-        if not block:
-            return
-        joined = "".join(block)
-        data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
-        ends = np.flatnonzero(data == 10)
-        if ends.size < len(block):  # the file's last line has no line break
-            ends = np.append(ends, data.size)
-        sizes = np.diff(ends, prepend=-1)  # per line in bytes, at least its characters, with its line break
-        if '"' in joined or "\r" in joined or "\0" in joined or sizes.max() > limit:
-            rows, starts = [], []
-            reader = csv.reader(_then(block, text))
-            for start, row in _records(reader):
-                starts.append(line + start - 1)
-                rows.append(row)
-                if reader.line_num >= len(block):
-                    break
-            line += reader.line_num
-            lines = np.array(starts, dtype=np.int64)
-            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        else:
-            lines = line + np.arange(len(block))
-            line += len(block)
-            counts = np.diff(np.searchsorted(np.flatnonzero(data == 44), ends), prepend=0) + 1  # commas + 1
-            counts[sizes == 1] = 0  # a blank line is no record
-            rows = None
-        regular = counts == width
-        if not regular.all():
-            rejected += [(n, f"expected {width} fields, got {c}")
-                         for n, c in zip(lines.tolist(), counts.tolist()) if c and c != width]
-            lines = lines[regular]
-            if rows is None:
-                joined = "".join(b for b, r in zip(block, regular.tolist()) if r)
-            else:
-                rows = [row for row, r in zip(rows, regular.tolist()) if r]
-        if not lines.size:
-            continue
-        if rows is None:
-            fields = joined.replace("\n", ",").split(",")
-            yield lines, [fields[k : lines.size * width : width] for k in range(width)]
-        else:
-            yield lines, list(zip(*rows))
+    lines, rows = [], []
+    line = reader.line_num + 1
+    for row in reader:
+        if len(row) == width:
+            lines.append(line)
+            rows.append(row)
+            if len(rows) == _CHUNK_ROWS:
+                yield lines, list(zip(*rows))
+                lines, rows = [], []
+        elif row:
+            rejected.append((line, f"expected {width} fields, got {len(row)}"))
+        line = reader.line_num + 1
+    if rows:
+        yield lines, list(zip(*rows))
 
 
 def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):

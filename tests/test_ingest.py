@@ -14,6 +14,7 @@ from pagegrowth.ingest import (
     FatalParseError,
     NoUsableDataError,
     PageMeta,
+    PostColumns,
     PostRecord,
     build_dataset,
     parse_pages,
@@ -347,6 +348,22 @@ class TestBuildDataset:
         assert ds.end_date == date(2020, 1, 3)
         assert ds.posts == [cols[i] for i in range(len(cols))]
         assert ds.posts[0] == posts[-1]
+
+    def test_datasets_compare_by_their_rows_and_pages(self):
+        posts = self._posts("p2", "p1", "p1")
+        ds, _ = build_dataset(posts, self._pages("p1", "p2"))
+        assert ds == build_dataset(list(reversed(posts)), self._pages("p1", "p2"))[0]
+        assert ds != build_dataset(posts, self._pages("p1", "p2", "p3"))[0]
+        posts[0] = PostRecord(posts[0].page_id, posts[0].post_id, posts[0].timestamp, 6)
+        assert ds != build_dataset(posts, self._pages("p1", "p2"))[0]
+        assert ds != build_dataset(posts[:2], self._pages("p1", "p2"))[0]
+
+    def test_tables_with_the_same_pages_differ_by_row_page(self):
+        first, second, third = self._posts("p1", "p1", "p2")
+        moved = PostRecord("p2", second.post_id, second.timestamp, second.total_interactions)
+        table = PostColumns.from_records([first, second, third])
+        assert table == PostColumns.from_records([first, second, third])
+        assert table != PostColumns.from_records([first, moved, third])
 
 
 timestamps = st.datetimes(

@@ -214,13 +214,13 @@ EVERY_FORM_JSONL = "\n".join(json.dumps(dict(zip(POSTS_HEADER, row))) for row in
 @example(("csv", EVERY_FORM_CSV), ingest._CHUNK_ROWS)
 @example(("csv", EVERY_FORM_CSV), 7)
 @example(("jsonl", EVERY_FORM_JSONL), 7)
-# a quoted field whose first line alone fills a one-row block, so the csv module reads on past it
+# a quoted multi-line field in a one-row block: the next record's line number counts both lines
 @example(("csv", _csv([["p1", "x" * 70 + "\ny", "2019-01-01T00:00:00Z", "", "", "", "5", ""], *every_form()])), 1)
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_columns_match_the_row_oracle(case, chunk_rows):
     fmt, data = case
     expected_posts, expected_rejected = oracle_parse(data, fmt)
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):  # small chunks: quoted records cross blocks
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):  # small chunks: blocks end between any two records
         posts, report = parse_posts(data, format=fmt)
     assert [(r.line, r.reason) for r in report.rows] == expected_rejected
     assert list(posts) == expected_posts
