@@ -24,10 +24,10 @@ print(f"generated {len(result.posts)} posts across {len(result.pages)} pages")
 
 # serialize and re-parse: the canonical CSV round-trips exactly
 buf = io.StringIO()
-write_posts_csv(result.posts, buf)
-posts, report = parse_posts(buf.getvalue().encode())  # one table, a column per field
+write_posts_csv(result.posts, buf)  # the generator's table, a column per field
+posts, report = parse_posts(buf.getvalue().encode())  # read back as the same kind of table
 print(f"parsed back {len(posts)} posts, {len(report)} rejections")
-assert list(posts) == result.posts  # posts[i] builds row i as a record
+assert posts == result.posts  # same rows in the same order; posts[i] builds row i as a record
 
 # now feed the parser a file with two broken rows
 dirty = """page_id,post_id,timestamp,likes,comments,shares,total_interactions,followers_at_posting

@@ -24,7 +24,6 @@ them, and each follower rule is a sort key whose first observed row wins.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
@@ -32,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import DAY_S, EPOCH_ORDINAL, Dataset, PostColumns, PostRecord
+from .ingest import DAY_S, EPOCH_ORDINAL, Dataset, PostColumns, PostRecord, _counts, _quoted, _write_rows
 
 
 class Timescale(Enum):
@@ -220,13 +219,18 @@ SERIES_HEADER = ["page_id", "timescale", "window_start", "engagement", "mean_eng
 
 
 def write_series_csv(series_map: dict[str, AggregatedSeries], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    for page_id in sorted(series_map):
-        s = series_map[page_id]
-        writer.writerows(
-            [page_id, s.timescale.value, _day_date(d).isoformat(), g, format(m, ".10g"), n, f if o else ""]
-            for d, g, m, n, f, o in zip(
-                *(c.tolist() for c in (s.start, s.engagement, s.mean_engagement, s.post_count, s.followers, s.observed))
-            )
-        )
+    items = sorted(series_map.items())
+    heads = np.repeat(np.array([f"{_quoted(p)},{s.timescale.value}" for p, s in items], dtype=object),
+                      [len(s) for _, s in items])  # each page's first two fields, formatted once
+    start, engagement, count, followers, observed = (
+        np.concatenate([getattr(s, name) for _, s in items] or [np.zeros(0, dtype=np.int64)])
+        for name in ("start", "engagement", "post_count", "followers", "observed")
+    )
+    _write_rows(stream, SERIES_HEADER, heads.size, "{},{},{},{:.10g},{},{}\n".format, lambda part: (
+        heads[part],
+        np.datetime_as_string(start[part].astype("datetime64[D]"), unit="D").tolist(),
+        engagement[part].tolist(),
+        (engagement[part] / count[part]).tolist(),
+        count[part].tolist(),
+        _counts(followers[part], observed[part]),
+    ))

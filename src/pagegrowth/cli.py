@@ -11,7 +11,6 @@ floor at "<0.0001"; machine-readable CSVs keep full precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from . import pipeline, synth
 from .aggregate import Timescale, write_series_csv
 from .cohort import MatchInfeasibleError, write_cohort_summary_csv, write_match_csv
 from .growth import DegenerateBinningError, write_growth_samples_csv
-from .ingest import Dataset, FatalParseError, NoUsableDataError, _format_score, _iso_date
+from .ingest import Dataset, FatalParseError, NoUsableDataError, _format_score, _iso_date, _write_table
 from .model import (
     DEFAULT_STARTING_FOLLOWERS,
     SIM_TIMESCALES,
@@ -58,9 +57,9 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _options(args) -> tuple[pipeline.Options, Path]:
-    """Validate the flags the data commands share and create the output directory."""
-    options = pipeline.Options(
+def _options(args) -> pipeline.Options:
+    """Validate the flags the data commands share."""
+    return pipeline.Options(
         timescales=_parse_timescales(args.timescales),
         classes=pipeline.load_classes(args.classes),
         trim_bounds=_parse_trim(args.trim),
@@ -68,35 +67,33 @@ def _options(args) -> tuple[pipeline.Options, Path]:
         metric=args.metric,
         quarter_rule=args.quarter_rule,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return options, out_dir
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_table(fh, header, list(rows))
 
 
 def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_dataset(args, out_dir: Path) -> Dataset:
+def _load_dataset(args) -> tuple[Dataset, Path]:
+    """The dataset, once read and accepted, and the output directory, created only then."""
     if not args.input:
         raise FatalParseError("missing --input posts file")
     dataset, rejections = pipeline.load_dataset(Path(args.input), Path(args.pages) if args.pages else None)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if rejections:
         _warn(f"rejected rows: {len(rejections)}")
         _write_csv(out_dir / "rejections.csv", ["source", "line", "reason"], rejections)
-    return dataset
+    return dataset, out_dir
 
 
 def cmd_aggregate(args) -> int:
-    options, out_dir = _options(args)
-    dataset = _load_dataset(args, out_dir)
+    options = _options(args)
+    dataset, out_dir = _load_dataset(args)
     for scale, series in pipeline.aggregate(dataset, options):
         path = out_dir / f"series_{scale.value}.csv"
         with open(path, "w", newline="") as fh:
@@ -127,8 +124,8 @@ def _print_matrix(block: pipeline.MatrixBlock, scale: Timescale) -> None:
 
 
 def cmd_analyze(args) -> int:
-    options, out_dir = _options(args)
-    dataset = _load_dataset(args, out_dir)
+    options = _options(args)
+    dataset, out_dir = _load_dataset(args)
     matrix_rows, fit_rows, balance_rows = [], [], []
     for result in pipeline.analyze(dataset, options, _warn):
         scale = result.scale.value
@@ -151,8 +148,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_model(args) -> int:
-    options, out_dir = _options(args)
-    dataset = _load_dataset(args, out_dir)
+    options = _options(args)
+    dataset, out_dir = _load_dataset(args)
     coeffs = ModelCoefficients()
     detail_rows = []
     for result in pipeline.model(dataset, options, _warn):
@@ -196,13 +193,13 @@ def cmd_simulate(args) -> int:
     if not scales:
         raise FatalParseError("simulate supports W, M, Q timescales")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     clamp_total = 0
     for scale in scales:
         for f0_tag, f0 in f0_by_tag.items():
             trajectories = simulate(
                 coeffs, scale, f0, float(args.e0), args.steps, args.runs, args.seed
             )
+            out_dir.mkdir(parents=True, exist_ok=True)  # simulate has checked the flags by now
             clamp_total += sum(t.clamps.total for t in trajectories)
             tag = f"{scale.value}_{f0_tag}"
             with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
@@ -221,10 +218,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    options, out_dir = _options(args)
+    options = _options(args)
     if not args.pages:
         raise FatalParseError("cohort requires --pages with newsguard scores")
-    dataset = _load_dataset(args, out_dir)
+    dataset, out_dir = _load_dataset(args)
     result = pipeline.cohort(dataset, options, _warn, args.matching)
     match = result.match
     print(f"matched {len(match.pairs)} pairs ({match.method}), total distance {match.total_distance:.4f}")

@@ -12,7 +12,6 @@ ones.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .aggregate import AggregatedSeries
 from .growth import pooled_growth_samples
-from .ingest import PageMeta
+from .ingest import PageMeta, _write_table
 from .stats import DegenerateSampleError, TestResult, mann_whitney
 
 RELIABLE_THRESHOLD = 60.0
@@ -193,11 +192,9 @@ def write_match_csv(
     pool: dict[str, np.ndarray],
     stream,
 ) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(MATCH_HEADER)
-    for q_id, r_id in result.pairs:
-        d = float(np.linalg.norm(questionable[q_id] - pool[r_id]))
-        writer.writerow([q_id, r_id, format(d, ".12g")])
+    rows = [[q_id, r_id, format(float(np.linalg.norm(questionable[q_id] - pool[r_id])), ".12g")]
+            for q_id, r_id in result.pairs]
+    _write_table(stream, MATCH_HEADER, rows)
 
 
 COHORT_SUMMARY_HEADER = [
@@ -214,18 +211,9 @@ def write_cohort_summary_csv(
     stream,
 ) -> None:
     """Counts and raw feature means per cohort (the matching scatter data)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COHORT_SUMMARY_HEADER)
+    rows = []
     for name, feats in (("questionable", questionable_raw), ("reliable_matched", matched_raw)):
-        if feats:
-            mat = np.array(list(feats.values()), dtype=float)
-            writer.writerow(
-                [
-                    name,
-                    len(feats),
-                    format(float(mat[:, 0].mean()), ".12g"),
-                    format(float(mat[:, 1].mean()), ".12g"),
-                ]
-            )
-        else:
-            writer.writerow([name, 0, "", ""])
+        mat = np.array(list(feats.values()), dtype=float)
+        means = [format(float(mat[:, j].mean()), ".12g") for j in (0, 1)] if feats else ["", ""]
+        rows.append([name, len(feats), *means])
+    _write_table(stream, COHORT_SUMMARY_HEADER, rows)

@@ -9,7 +9,6 @@ form one table, ``GrowthSamples``, with an array per field; bins are sub-tables.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL, _csv_field
+from .ingest import EPOCH_ORDINAL, _counts, _texts, _write_rows
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -261,19 +260,13 @@ GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth
 
 
 def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
-    """The samples as the bytes csv.writer gives: each column is formatted whole
-    (dates through ``datetime64[D]``), then rows are joined 65,536 at a time."""
     scale = samples.timescale.value if samples.timescale else ""  # a Timescale and a METRICS name need no quotes
     row = f"{{}},{scale},{{}},{samples.metric},{{:.12g}},{{:.12g}},{{}},{{}}\n".format
-    quoted = {p: _csv_field(p) for p in dict.fromkeys(samples.page_id.tolist())}
-    columns = (
-        list(map(quoted.__getitem__, samples.page_id.tolist())),
-        np.datetime_as_string(samples.start.astype("datetime64[D]"), unit="D").tolist(),
-        samples.gross_growth.tolist(),
-        samples.log_growth.tolist(),
-        np.where(samples.observed, samples.prior_followers.astype(str), "").tolist(),
-        samples.prior_engagement.tolist(),
-    )
-    stream.write(",".join(GROWTH_HEADER) + "\n")
-    for lo in range(0, len(samples), 1 << 16):
-        stream.write("".join(map(row, *(c[lo : lo + (1 << 16)] for c in columns))))
+    _write_rows(stream, GROWTH_HEADER, len(samples), row, lambda part: (
+        _texts(samples.page_id[part]),
+        np.datetime_as_string(samples.start[part].astype("datetime64[D]"), unit="D").tolist(),
+        samples.gross_growth[part].tolist(),
+        samples.log_growth[part].tolist(),
+        _counts(samples.prior_followers[part], samples.observed[part]),
+        samples.prior_engagement[part].tolist(),
+    ))

@@ -29,6 +29,14 @@ and only the values outside it go through the scalar validators
 (``_opt_text``, ``_opt_count``, ``parse_timestamp``). A ``Dataset`` holds
 that table, joined and sorted, with the page metadata; ``PostRecord`` is
 the row view, built only on request.
+
+Output format
+-------------
+Every CSV table the package writes goes through ``_write_rows``, a block
+of rows at a time: LF line ends, an empty field for an absent count,
+quotes round text that holds a comma, a quote, CR or LF (``_quoted``), and
+timestamps through ``datetime64`` with zero-padded years, so every value
+the parsers accept reads back unchanged.
 """
 
 from __future__ import annotations
@@ -265,9 +273,11 @@ class Dataset:
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
     # utf-8-sig: a byte order mark before the header is dropped, not fatal;
     # bytes are decoded while read, so a decoding error arises inside the parse
+    # newline="": line ends reach the csv module untranslated, so a quoted CR stays in its field
     if isinstance(stream, str):
-        return io.StringIO(stream)
-    return io.TextIOWrapper(io.BytesIO(stream) if isinstance(stream, bytes) else stream, encoding="utf-8-sig")
+        return io.StringIO(stream, newline="")
+    return io.TextIOWrapper(io.BytesIO(stream) if isinstance(stream, bytes) else stream,
+                            encoding="utf-8-sig", newline="")
 
 
 def _release(text: io.TextIOBase) -> None:
@@ -754,34 +764,58 @@ def build_dataset(
     return Dataset(columns=table.sorted(np.flatnonzero(known)), pages=dict(pages)), report
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+# ---------------------------------------------------------------------------
+# output: every CSV table the package writes goes through _write_rows
+# ---------------------------------------------------------------------------
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def write_posts_csv(posts: Iterable[PostRecord], stream) -> None:
-    """Serialize posts in the canonical CSV format (round-trips through parse_posts)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(POSTS_HEADER)
-    for p in posts:
-        writer.writerow(
-            [
-                p.page_id,
-                p.post_id,
-                format_timestamp(p.timestamp),
-                "" if p.likes is None else p.likes,
-                "" if p.comments is None else p.comments,
-                "" if p.shares is None else p.shares,
-                p.total_interactions,
-                "" if p.followers_at_posting is None else p.followers_at_posting,
-            ]
-        )
+def _quoted(text: str) -> str:
+    """A text field as it stands in a row: quoted, its quotes doubled, when it holds a comma, a quote, CR or LF."""
+    return text if _NEEDS_QUOTES.search(text) is None else '"' + text.replace('"', '""') + '"'
 
 
-def _csv_field(value: str) -> str:
-    """A field as csv.writer writes it inside a row, quoted where it must be."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([value, ""])
-    return out.getvalue()[:-2]
+def _texts(values: Sequence[str]) -> list[str]:
+    """A column of text fields through ``_quoted``; one search when none needs quotes."""
+    return list(values) if _NEEDS_QUOTES.search("".join(values)) is None else list(map(_quoted, values))
+
+
+def _counts(values: np.ndarray, present: np.ndarray) -> list[str]:
+    """A column of counts as text, empty where not ``present``."""
+    return np.where(present, values.astype(str), "").tolist()
+
+
+def _write_rows(stream, header: Sequence[str], n: int, row, columns) -> None:
+    """Write a CSV table: the header, then ``row(*values)`` for each of its ``n`` rows.
+
+    ``columns(part)`` formats the rows in the slice ``part``, one sequence per
+    field, so no more than _CHUNK_ROWS rows are held as text at a time;
+    ``row`` joins one row's fields and ends the line, as a format string's ``format`` does.
+    """
+    stream.write(",".join(map(_quoted, header)) + "\n")
+    for lo in range(0, n, _CHUNK_ROWS):
+        stream.write("".join(map(row, *columns(slice(lo, lo + _CHUNK_ROWS)))))
+
+
+def _write_table(stream, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """A small table given as rows of text and numbers; a number is written as ``str`` gives it."""
+    _write_rows(stream, header, len(rows),
+                lambda values: ",".join(_quoted(v) if isinstance(v, str) else str(v) for v in values) + "\n",
+                lambda part: [rows[part]])
+
+
+def write_posts_csv(posts: PostColumns, stream) -> None:
+    """Serialize a table of posts in the canonical CSV format; ``parse_posts`` reads back an equal table."""
+    page_ids = np.array([_quoted(p) for p in posts.page_ids], dtype=object)
+    _write_rows(stream, POSTS_HEADER, len(posts), "{},{},{},{},{},{},{},{}\n".format, lambda part: (
+        page_ids[posts.page[part]],
+        _texts(posts.post_id[part]),
+        np.datetime_as_string(posts.seconds[part].astype("datetime64[s]"), unit="s", timezone="UTC").tolist(),
+        *(_counts(c[part], c[part] != ABSENT) for c in (posts.likes, posts.comments, posts.shares)),
+        posts.total[part].tolist(),
+        _counts(posts.followers[part], posts.followers[part] != ABSENT),
+    ))
 
 
 def _format_score(score: float) -> str:
@@ -789,16 +823,9 @@ def _format_score(score: float) -> str:
 
 
 def write_pages_csv(pages: dict[str, PageMeta], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PAGES_HEADER)
-    for page_id in sorted(pages):
-        m = pages[page_id]
-        writer.writerow(
-            [
-                m.page_id,
-                m.name,
-                m.created_at.isoformat(),
-                "" if m.newsguard_score is None else _format_score(m.newsguard_score),
-                m.language or "",
-            ]
-        )
+    rows = [
+        [m.page_id, m.name, m.created_at.isoformat(),
+         "" if m.newsguard_score is None else _format_score(m.newsguard_score), m.language or ""]
+        for _, m in sorted(pages.items())
+    ]
+    _write_table(stream, PAGES_HEADER, rows)

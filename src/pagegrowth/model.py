@@ -22,6 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .aggregate import Timescale
+from .ingest import _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -392,23 +393,14 @@ COEFFS_HEADER = ["parameter", "timescale", "beta0", "beta1", "beta2"]
 
 def write_coefficients_csv(coeffs: ModelCoefficients, stream) -> None:
     """Coefficients file: beta2 stays empty for the Burr shapes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COEFFS_HEADER)
+    rows = []
     for scale in SIM_TIMESCALES:
         for parameter in PARAMETERS:
-            key = (parameter, scale.value)
-            if key not in coeffs.entries:
-                continue
-            reg = coeffs.entries[key]
-            writer.writerow(
-                [
-                    parameter,
-                    scale.value,
-                    format(reg.beta0, ".12g"),
-                    format(reg.beta1, ".12g"),
-                    "" if reg.beta2 is None else format(reg.beta2, ".12g"),
-                ]
-            )
+            reg = coeffs.entries.get((parameter, scale.value))
+            if reg is not None:
+                rows.append([parameter, scale.value, format(reg.beta0, ".12g"), format(reg.beta1, ".12g"),
+                             "" if reg.beta2 is None else format(reg.beta2, ".12g")])
+    _write_table(stream, COEFFS_HEADER, rows)
 
 
 def read_coefficients_csv(stream) -> ModelCoefficients:
@@ -449,21 +441,18 @@ TRAJECTORY_HEADER = ["run", "step", "followers", "engagement"]
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], stream) -> None:
-    # no field can need quoting (integers and formatted floats), so plain
-    # f-strings give csv.writer's bytes; one write per run bounds the buffer
-    stream.write(",".join(TRAJECTORY_HEADER) + "\n")
-    for t in trajectories:
-        run = t.run_index
-        stream.write("".join(
-            f"{run},{step},{f:.12g},{e:.12g}\n"
-            for step, (f, e) in enumerate(zip(t.followers.tolist(), t.engagement.tolist()))
-        ))
+    sizes = [t.followers.size for t in trajectories]
+    run = np.repeat([t.run_index for t in trajectories], sizes)
+    step = np.concatenate([np.arange(n) for n in sizes] or [np.zeros(0, dtype=np.int64)])
+    followers, engagement = (np.concatenate([getattr(t, name) for t in trajectories] or [np.zeros(0)])
+                             for name in ("followers", "engagement"))
+    _write_rows(stream, TRAJECTORY_HEADER, step.size, "{},{},{:.12g},{:.12g}\n".format, lambda part: (
+        run[part].tolist(), step[part].tolist(), followers[part].tolist(), engagement[part].tolist()))
 
 
 SUMMARY_HEADER = [f.name for f in fields(StepSummary)]
 
 
 def write_summary_csv(summaries: list[StepSummary], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    writer.writerows([s.step, *(format(v, ".12g") for v in astuple(s)[1:])] for s in summaries)
+    rows = [[s.step, *(format(v, ".12g") for v in astuple(s)[1:])] for s in summaries]
+    _write_table(stream, SUMMARY_HEADER, rows)

@@ -15,19 +15,23 @@ Page i draws from ``SeedSequence((seed, i))``: its metadata and starting
 state first, then the law's uniforms (Laplace, then Burr, per week) from
 its first spawned child and its posts from the second, so the law path
 does not depend on how many posts are drawn.
+
+The posts come out as one ``PostColumns`` table, built from the arrays
+drawn page by page; no object is made per post, and ``write_posts_csv``
+formats the table a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import Timescale, window_of
-from .ingest import MAX_COUNT, PageMeta, PostRecord, write_pages_csv, write_posts_csv
+from .ingest import MAX_COUNT, PageMeta, PostColumns, _page_codes, write_pages_csv, write_posts_csv
 from .model import ModelCoefficients, ParamRegression, _open_uniforms, _step
 
 LANGUAGES = ("en", "fr", "de", "it")
@@ -81,17 +85,18 @@ class GeneratorConfig:
 
 @dataclass
 class SynthResult:
-    posts: list[PostRecord]
+    posts: PostColumns  # page by page in page order, each page's in time order
     pages: dict[str, PageMeta]
     truth: dict = field(default_factory=dict)
 
 
-def _page_posts(rng, page_id, followers, engagement, week_seconds, posts_per_day) -> list[PostRecord]:
-    """One page's posts from its post stream, given its rounded weekly levels."""
+def _page_posts(rng, followers, engagement, week_seconds, posts_per_day) -> tuple[np.ndarray, ...]:
+    """One page's posts from its post stream, given its rounded weekly levels:
+    seconds, total, likes, comments, shares and followers, one element per post in time order."""
     counts = rng.poisson(posts_per_day * 7.0, size=week_seconds.size)
     week = np.repeat(np.arange(counts.size), counts)  # each post's week
     if week.size == 0:
-        return []
+        return (np.zeros(0, dtype=np.int64),) * 6
     # a row per week with posts; weights right-aligned, because numpy's
     # multinomial gives the remainder to the last column
     posted = np.flatnonzero(counts)
@@ -103,14 +108,7 @@ def _page_posts(rng, page_id, followers, engagement, week_seconds, posts_per_day
     parts = rng.multinomial(totals, rng.dirichlet((2.0, 2.0, 2.0), size=week.size))
     # weeks do not overlap, so one sort orders the seconds within each week
     seconds = np.sort(week_seconds[week] + rng.integers(0, 7 * 24 * 3600, size=week.size))
-    weekly = followers.tolist()  # one int per week, shared by its posts
-    return [
-        PostRecord(page_id, f"{page_id}-{j:06d}", datetime.fromtimestamp(t, timezone.utc),
-                   total, likes, comments, shares, weekly[w])
-        for j, (t, total, (likes, comments, shares), w) in enumerate(
-            zip(seconds.tolist(), totals.tolist(), parts.tolist(), week.tolist())
-        )
-    ]
+    return seconds, totals, *parts.T, followers[week]  # followers: one per week, shared by its posts
 
 
 def generate(config: GeneratorConfig, seed: int) -> SynthResult:
@@ -157,10 +155,13 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
             raise ValueError(f"synthetic followers and engagement must stay finite and at most {MAX_COUNT}")
     followers, engagement = np.maximum(np.rint(path[:, :weeks]), 1.0).astype(np.int64)
     week_seconds = mondays.astype("datetime64[s]").astype(np.int64)
-    posts: list[PostRecord] = []
-    for index, page_id in enumerate(pages):
-        posts += _page_posts(post_rngs[index], page_id, followers[:, index], engagement[:, index],
-                             week_seconds, config.posts_per_day)
+    drawn = [_page_posts(post_rngs[index], followers[:, index], engagement[:, index], week_seconds,
+                         config.posts_per_day) for index in range(config.n_pages)]
+    sizes = [columns[0].size for columns in drawn]
+    names = list(pages)
+    page_ids, page = _page_codes(names, np.repeat(np.arange(config.n_pages), sizes))
+    post_id = np.array([f"{name}-{j:06d}" for name, n in zip(names, sizes) for j in range(n)], dtype=object)
+    posts = PostColumns(page_ids, page, post_id, *(np.concatenate(column) for column in zip(*drawn)))
 
     truth = {
         "seed": seed,

@@ -13,7 +13,7 @@ import pytest
 
 import pagegrowth
 from pagegrowth.cli import main
-from pagegrowth.ingest import build_dataset, parse_pages, parse_posts
+from pagegrowth.ingest import POSTS_HEADER, build_dataset, parse_pages, parse_posts
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
 
@@ -130,6 +130,24 @@ def test_short_coefficients_row_reported_by_line(tmp_path, capsys):
     coeffs.write_text("parameter,timescale,beta0,beta1,beta2\nmu,W,0.01,0,0\n\nb,W,0.2\n")
     assert main(["synth", "--model", str(coeffs), "--out", str(tmp_path / "out")]) == 2
     assert "coefficients line 4: expected 5 fields, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["aggregate", "--input", "{tmp}/missing.csv"], "input file not found", id="missing-posts"),
+    pytest.param(["analyze"], "missing --input", id="no-input"),
+    pytest.param(["model", "--input", "{tmp}/header.csv"], "malformed posts header", id="bad-header"),
+    pytest.param(["aggregate", "--input", "{tmp}/rejected.csv"], "no usable data", id="all-rejected"),
+    pytest.param(["cohort", "--input", "{tmp}/rejected.csv"], "cohort requires --pages", id="cohort-no-pages"),
+    pytest.param(["cohort", "--input", "{synth}/posts.csv", "--pages", "{tmp}/missing.csv"], "pages file not found",
+                 id="missing-pages"),
+])
+def test_refused_data_command_leaves_no_out(tmp_path, capsys, synth_dir, argv, message):
+    (tmp_path / "header.csv").write_text("page_id,post_id\n")
+    (tmp_path / "rejected.csv").write_text(",".join(POSTS_HEADER) + "\np1,a,yesterday,,,,5,\n")
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path, synth=synth_dir) for a in argv] + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestAggregateCmd:
@@ -351,13 +369,20 @@ class TestSimulateCmd:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("f0", ["25000,25000.5", ",", "inf", "nan", "25000,0", "25000,-3"])
-    def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, f0):
+    @pytest.mark.parametrize("flags, message", [
+        *(pytest.param(["--f0", f0], "--f0", id=f0) for f0 in ["25000,25000.5", ",", "inf", "nan", "25000,0",
+                                                                "25000,-3"]),
+        pytest.param(["--e0", "-5"], "finite and positive", id="e0=-5"),
+        pytest.param(["--e0", "nan"], "finite and positive", id="e0=nan"),
+        pytest.param(["--steps", "0"], "at least 1", id="steps=0"),
+        pytest.param(["--runs", "0"], "at least 1", id="runs=0"),
+    ])
+    def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
-        code = main(["simulate", "--f0", f0, "--runs", "2", "--steps", "1", "--out", str(out)])
+        code = main(["simulate", "--runs", "2", "--steps", "1", *flags, "--out", str(out)])
         assert code == 2
         assert not out.exists()
-        assert "--f0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_f0_printed_as_its_file_tag(self, tmp_path, capsys):
         code = main(

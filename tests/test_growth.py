@@ -3,14 +3,16 @@
 import csv
 import io
 import math
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagegrowth.aggregate import Timescale, aggregate_engagement
+from pagegrowth import ingest
+from pagegrowth.aggregate import SERIES_HEADER, AggregatedSeries, Timescale, aggregate_engagement, write_series_csv
 from pagegrowth.growth import (
     DEFAULT_FOLLOWER_CLASSES,
     GROWTH_HEADER,
@@ -26,7 +28,8 @@ from pagegrowth.growth import (
     trim,
     write_growth_samples_csv,
 )
-from pagegrowth.ingest import PostRecord
+from pagegrowth.ingest import EPOCH_ORDINAL, POSTS_HEADER, PostColumns, PostRecord, write_posts_csv
+from pagegrowth.model import TRAJECTORY_HEADER, Trajectory, write_trajectories_csv
 
 
 def _series(weekly_engagement, followers=None, start=date(2021, 1, 4)):
@@ -243,30 +246,96 @@ def test_telescoping_property(values):
         assert chain == pytest.approx(values[-1] / values[0], rel=1e-9)
 
 
-SAMPLE_ROWS = st.lists(
-    st.tuples(
-        st.sampled_from(["p1", "a,b", 'say "x"', "two\nlines", "cr\rhere", "{brace}", " pad ", "é"]),
-        st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal()),
-        st.floats(min_value=1e-300, max_value=1e300),
-        st.one_of(st.none(), st.integers(0, 2**53 - 1)),
-        st.integers(0, 2**53 - 1),
-    ),
-    max_size=30,
-)
+# the column writers against csv.writer, one row at a time; each row ends in
+# CRLF and then LF replaces it, so that CR is quoted as _quoted quotes it
+TEXT = st.text(st.sampled_from(list('ab,"\r\n {}é')), max_size=6)
+COUNT = st.integers(0, 2**53 - 1)
+OPTIONAL_COUNT = st.one_of(st.none(), COUNT)
+ORDINAL = st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal())
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+EPOCH = datetime(1970, 1, 1)
 
 
-@given(SAMPLE_ROWS, st.sampled_from(list(Timescale)), st.sampled_from(METRICS))
-@settings(max_examples=100, deadline=None)
-def test_samples_csv_is_what_a_row_writer_gives(rows, scale, metric):
+def _row_line(values) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(values)
+    return buf.getvalue().removesuffix("\r\n") + "\n"
+
+
+def _blank(value):
+    return "" if value is None else value
+
+
+def _absent(values):
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+@st.composite
+def _posts_case(draw):
+    seconds = st.integers((datetime(1, 1, 1) - EPOCH) // timedelta(seconds=1),
+                          (datetime(9999, 12, 31, 23, 59, 59) - EPOCH) // timedelta(seconds=1))
+    rows = draw(st.lists(st.tuples(TEXT, TEXT, seconds, OPTIONAL_COUNT, OPTIONAL_COUNT, OPTIONAL_COUNT, COUNT,
+                                   OPTIONAL_COUNT), max_size=30))
+    page_ids = sorted({r[0] for r in rows})
+    page, post_id, seconds, likes, comments, shares, total, followers = list(zip(*rows)) or [()] * 8
+    table = PostColumns(page_ids, np.array([page_ids.index(p) for p in page], dtype=np.int64),
+                        np.array(post_id, dtype=object), _absent(seconds), _absent(total),
+                        *map(_absent, (likes, comments, shares, followers)))
+    expected = [[p, post, (EPOCH + timedelta(seconds=t)).isoformat() + "Z", *map(_blank, parts), total, _blank(f)]
+                for p, post, t, *parts, total, f in rows]
+    return write_posts_csv, table, POSTS_HEADER, expected
+
+
+@st.composite
+def _series_case(draw):
+    scale = draw(st.sampled_from(list(Timescale)))
+    entries = st.lists(st.tuples(ORDINAL, COUNT, st.integers(1, 10**6), OPTIONAL_COUNT), max_size=8)
+    pages = draw(st.dictionaries(TEXT, entries, max_size=5))
+    series = {}
+    for page_id, rows in pages.items():
+        day, engagement, count, followers = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+        start = np.array(day, dtype=np.int64) - EPOCH_ORDINAL
+        series[page_id] = AggregatedSeries(page_id, scale, start, start + 1, np.array(engagement, dtype=np.int64),
+                                           np.array(count, dtype=np.int64), _absent(followers),
+                                           np.array([f is not None for f in followers], dtype=bool))
+    expected = [[p, scale.value, date.fromordinal(d).isoformat(), g, format(g / n, ".10g"), n, _blank(f)]
+                for p in sorted(pages) for d, g, n, f in pages[p]]
+    return write_series_csv, series, SERIES_HEADER, expected
+
+
+@st.composite
+def _growth_case(draw):
+    scale, metric = draw(st.sampled_from(list(Timescale))), draw(st.sampled_from(METRICS))
+    rows = draw(st.lists(st.tuples(TEXT, ORDINAL, POSITIVE, OPTIONAL_COUNT, COUNT), max_size=30))
     samples = GrowthSamples.from_rows([
         GrowthSample(p, scale, date.fromordinal(day), metric, g, math.log(g), e, f) for p, day, g, f, e in rows
     ])
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(GROWTH_HEADER)
-    for p, day, g, f, e in rows:
-        writer.writerow([p, scale.value, date.fromordinal(day).isoformat(), metric, format(g, ".12g"),
-                         format(math.log(g), ".12g"), "" if f is None else f, e])
+    expected = [[p, scale.value, date.fromordinal(day).isoformat(), metric, format(g, ".12g"),
+                 format(math.log(g), ".12g"), _blank(f), e] for p, day, g, f, e in rows]
+    return write_growth_samples_csv, samples, GROWTH_HEADER, expected
+
+
+@st.composite
+def _trajectories_case(draw):
+    runs = draw(st.lists(st.tuples(st.integers(0, 10**6), st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1,
+                                                                      max_size=6)), max_size=5))
+    trajectories = [Trajectory(np.array([f for f, _ in states]), np.array([e for _, e in states]), Timescale.W, 0, run)
+                    for run, states in runs]
+    expected = [[run, step, format(f, ".12g"), format(e, ".12g")]
+                for run, states in runs for step, (f, e) in enumerate(states)]
+    return write_trajectories_csv, trajectories, TRAJECTORY_HEADER, expected
+
+
+WRITER_CASES = {"posts": _posts_case(), "series": _series_case(), "growth": _growth_case(),
+                "trajectories": _trajectories_case()}
+
+
+@pytest.mark.parametrize("writer", list(WRITER_CASES))
+@given(data=st.data(), chunk=st.sampled_from([1, 3, 4096]))
+@settings(max_examples=100, deadline=None)
+def test_samples_csv_is_what_a_row_writer_gives(writer, data, chunk):
+    write, table, header, rows = data.draw(WRITER_CASES[writer])
     out = io.StringIO()
-    write_growth_samples_csv(samples, out)
-    assert out.getvalue() == expected.getvalue()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        write(table, out)
+    assert out.getvalue() == "".join(map(_row_line, [header, *rows]))

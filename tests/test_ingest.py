@@ -367,32 +367,44 @@ class TestBuildDataset:
 
 
 timestamps = st.datetimes(
-    min_value=datetime(2008, 1, 1),
-    max_value=datetime(2022, 12, 31),
+    min_value=datetime(1, 1, 1),
+    max_value=datetime(9999, 12, 31, 23, 59, 59),
 ).map(lambda d: d.replace(microsecond=0, tzinfo=timezone.utc))
 
-post_records = st.builds(
-    PostRecord,
-    page_id=st.sampled_from(["p1", "p2", "p3"]),
-    post_id=st.uuids().map(str),
-    timestamp=timestamps,
-    total_interactions=st.integers(min_value=0, max_value=10**9),
-    likes=st.none(),
-    comments=st.none(),
-    shares=st.none(),
-    followers_at_posting=st.one_of(st.none(), st.integers(min_value=0, max_value=10**7)),
-)
+# any id the parser keeps: non-empty and its own strip(), here with the
+# characters that need quotes
+ends = st.sampled_from(list('ab,"'))
+ids = st.one_of(ends, st.tuples(ends, st.text(st.sampled_from(list('ab ,"\r\n')), max_size=6), ends).map("".join))
+counts = st.integers(min_value=0, max_value=10**9)
+
+
+@st.composite
+def post_records(draw):
+    parts = draw(st.one_of(st.just((None, None, None)), st.tuples(counts, counts, counts)))
+    total = draw(counts) if parts[0] is None else sum(parts)
+    return PostRecord(draw(ids), draw(ids), draw(timestamps), total, *parts,
+                      followers_at_posting=draw(st.one_of(st.none(), counts)))
 
 
 class TestRoundTrip:
-    @given(st.lists(post_records, max_size=30, unique_by=lambda p: p.post_id))
-    @settings(max_examples=50, deadline=None)
+    @given(st.lists(post_records(), max_size=30, unique_by=lambda p: p.post_id))
+    @settings(max_examples=200, deadline=None)
     def test_posts_round_trip_identity(self, posts):
         buf = io.StringIO()
-        write_posts_csv(posts, buf)
+        write_posts_csv(PostColumns.from_records(posts), buf)
         parsed, report = parse_posts(buf.getvalue().encode())
         assert len(report) == 0
         assert list(parsed) == posts
+
+    @given(st.dictionaries(ids, st.one_of(st.just(""), ids), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_page_texts_round_trip(self, names):
+        pages = {i: PageMeta(i, name, date(2015, 1, 1), None, None) for i, name in names.items()}
+        buf = io.StringIO()
+        write_pages_csv(pages, buf)
+        parsed, report = parse_pages(buf.getvalue().encode())
+        assert len(report) == 0
+        assert parsed == pages
 
     def test_pages_round_trip(self):
         pages = {

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import tracemalloc
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pagegrowth import ingest, pipeline
+from pagegrowth import cli, ingest, pipeline, synth
 from pagegrowth.aggregate import Timescale
 from pagegrowth.ingest import (
     POSTS_HEADER,
@@ -240,12 +241,21 @@ def test_duplicate_of_a_rejected_row_is_kept():
 # what the data commands must not build
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("with_pages", [True, False])
-def test_data_commands_build_no_post_records(monkeypatch, with_pages):
+@pytest.mark.parametrize("with_pages", [True, False, None], ids=["True", "False", "synth"])
+def test_data_commands_build_no_post_records(monkeypatch, tmp_path, with_pages):
+    """Loading and aggregating the corpus (with or without its pages), or running
+    synth (None), builds no ``PostRecord``."""
     def no_rows(*args, **kwargs):
         raise AssertionError("a PostRecord was built")
 
     monkeypatch.setattr(ingest, "PostRecord", no_rows)
+    if with_pages is None:
+        assert "PostRecord" not in vars(synth)
+        argv = ["synth", "--pages-count", "6", "--end", "2018-04-01", "--seed", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        posts = synth.generate(synth.GeneratorConfig(n_pages=6, end=date(2018, 4, 1)), seed=4).posts
+        assert len(posts) > 1000 and posts == parse_posts((tmp_path / "posts.csv").read_bytes())[0]
+        return
     pages = CORPUS / "pages.csv" if with_pages else None
     dataset, rejected = pipeline.load_dataset(CORPUS / "posts.csv", pages)
     series = dict(pipeline.aggregate(dataset, pipeline.Options()))
