@@ -126,13 +126,72 @@ def match_cohorts(
     if not questionable:
         raise ValueError("match_cohorts: empty questionable cohort")
     q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool)
-    from scipy.optimize import linear_sum_assignment  # loaded on first match, not with the package
-
-    rows, cols = linear_sum_assignment(dist)
+    rows, cols = _assign(dist)
     pairs = [(q_ids[i], r_ids[j]) for i, j in zip(rows, cols)]
     pairs.sort()
     total = float(dist[rows, cols].sum())
     return MatchResult(pairs=pairs, total_distance=total, method="assignment")
+
+
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of every row to a distinct column, rows <= columns.
+
+    Shortest augmenting paths with dual variables (Crouse 2016), one row at
+    a time. The same (rows, cols) as ``scipy.optimize.linear_sum_assignment``,
+    ties included: columns are scanned in reverse, the lowest reduced cost
+    goes to the last free column that has it (else the first column that
+    has it), and a scanned column is swapped out of the scan list.
+    """
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = cost.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    path = np.full(nc, -1)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+    for cur_row in range(nr):
+        spc = np.full(nc, np.inf)  # shortest path cost to each column
+        in_sr = np.zeros(nr, dtype=bool)
+        in_sc = np.zeros(nc, dtype=bool)
+        remaining = np.arange(nc - 1, -1, -1)
+        num_remaining = nc
+        min_val = 0.0
+        i = cur_row
+        while True:
+            in_sr[i] = True
+            rem = remaining[:num_remaining]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            shorter = r < spc[rem]
+            path[rem[shorter]] = i
+            spc[rem[shorter]] = r[shorter]
+            reduced = spc[rem]
+            min_val = reduced.min()
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            lowest = np.flatnonzero(reduced == min_val)
+            free = lowest[row4col[rem[lowest]] == -1]
+            index = free[-1] if free.size else lowest[0]
+            j = remaining[index]
+            in_sc[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # dual update, then flip the path from the sink back to cur_row
+        u[cur_row] += min_val
+        others = np.flatnonzero(in_sr)
+        others = others[others != cur_row]
+        u[others] += min_val - spc[col4row[others]]
+        v[in_sc] -= min_val - spc[in_sc]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return np.arange(nr), col4row
 
 
 def greedy_match(

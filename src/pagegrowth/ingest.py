@@ -42,6 +42,7 @@ the parsers accept reads back unchanged.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
@@ -593,22 +594,30 @@ def parse_posts(
 
 def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, RejectionReport]:
     table = _ParsedPosts()
-    if format == "csv":
-        reader = csv.reader(text)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FatalParseError("empty posts file: missing header")
-        if header != POSTS_HEADER:
-            raise FatalParseError(
-                f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for lines, columns in _csv_blocks(reader, table.rejected):
-            table.add(lines, columns, any_type=False)
-    else:
-        for lines, objects in _chunks(_json_objects(text, table.rejected)):
-            table.add(lines, [[obj.get(name) for obj in objects] for name in POSTS_HEADER], any_type=True)
+    # csv.reader and json make a tracked list or dict per record and none of them is part
+    # of a cycle, so the cyclic collector would only rescan them: it stays off for the read
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if format == "csv":
+            reader = csv.reader(text)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise FatalParseError("empty posts file: missing header")
+            if header != POSTS_HEADER:
+                raise FatalParseError(
+                    f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
+                    f"got {','.join(header)}"
+                )
+            for lines, columns in _csv_blocks(reader, table.rejected):
+                table.add(lines, columns, any_type=False)
+        else:
+            for lines, objects in _chunks(_json_objects(text, table.rejected)):
+                table.add(lines, [[obj.get(name) for obj in objects] for name in POSTS_HEADER], any_type=True)
+    finally:
+        if was_enabled:
+            gc.enable()
     return table.finish()
 
 

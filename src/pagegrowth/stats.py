@@ -190,22 +190,77 @@ def fit_burr(samples) -> BurrParams:
         if val < best_val:
             best_theta, best_val = theta, val
 
-    from scipy.optimize import minimize  # loaded on first fit, not with the package
-
-    res = minimize(
-        objective,
-        best_theta,
-        method="Nelder-Mead",
-        options={"maxiter": BURR_FIT_MAX_ITER, "fatol": BURR_FIT_FATOL, "xatol": 1e-8},
+    x, fun, success, message = _nelder_mead(
+        objective, best_theta, maxiter=BURR_FIT_MAX_ITER, xatol=1e-8, fatol=BURR_FIT_FATOL
     )
-    c, k = math.exp(res.x[0]), math.exp(res.x[1])
-    if not res.success:
+    c, k = math.exp(x[0]), math.exp(x[1])
+    if not success:
         raise FitConvergenceError(
-            f"fit_burr did not converge: {res.message} (objective {res.fun:.3e})",
+            f"fit_burr did not converge: {message} (objective {fun:.3e})",
             last_params=(c, k),
-            objective=res.fun,
+            objective=fun,
         )
     return BurrParams(c=c, k=k)
+
+
+def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``func`` by Nelder-Mead simplex steps; (x, fun, success, message).
+
+    The same iterates, in the same floating-point operations, as
+    ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})``
+    with no bounds, adaptive off and no evaluation limit: a start simplex
+    of x0 and x0 with one coordinate stepped by 5% (0.00025 from zero),
+    reflection 1, expansion 2, contraction and shrink 1/2, and a stop when
+    every vertex is within xatol of the best and every value within fatol.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for j in range(n):
+        y = x0.copy()
+        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
+        sim[j + 1] = y
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    order = np.argsort(fsim)
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    if iterations >= maxiter:
+        return sim[0], float(np.min(fsim)), False, "Maximum number of iterations has been exceeded."
+    return sim[0], float(np.min(fsim)), True, "Optimization terminated successfully."
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +291,17 @@ def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(prev[n2])
 
 
-def _midranks(a: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with each run of equal values given the mean of its ranks.
+def _midranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with each run of equal values given the mean of its ranks,
+    and the length of each run, in increasing order of value.
 
-    Equal to ``scipy.stats.rankdata(a)`` (method "average"), bit for bit:
-    every rank is a multiple of 0.5 below 2**52, so both formulas are exact.
-    Any NaN makes every rank NaN, as it does there.
+    The ranks equal ``scipy.stats.rankdata(a)`` (method "average"), bit for
+    bit: every rank is a multiple of 0.5 below 2**52, so both formulas are
+    exact. Any NaN makes every rank NaN, as it does there, and the runs are
+    then ``np.unique``'s counts, all NaNs in one.
     """
     if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
+        return np.full(a.shape, np.nan), np.unique(a, return_counts=True)[1]
     order = np.argsort(a, kind="stable")
     sorted_a = a[order]
     new_run = np.concatenate(([True], sorted_a[1:] != sorted_a[:-1]))
@@ -252,19 +309,71 @@ def _midranks(a: np.ndarray) -> np.ndarray:
     cnt = np.append(np.flatnonzero(new_run), a.size)  # run starts, then n
     ranks = np.empty(a.size)
     ranks[order] = 0.5 * (cnt[dense] + cnt[dense - 1] + 1)
-    return ranks
+    return ranks, np.diff(cnt)
+
+
+# cephes ndtr.c: erf on |x| < 1 (T/U), erfc on 1 <= |x| < 8 (P/Q) and beyond (R/S)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.7071067811865476  # the double nearest 1/sqrt(2)
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:  # _polevl with a leading coefficient of 1
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:  # |x| < 1; odd in x exactly, as cephes' -erf(-x) for x < 0 is
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:  # x >= 0
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    if x < 8.0:
+        return (math.exp(z) * _polevl(x, _ERFC_P)) / _p1evl(x, _ERFC_Q)
+    return (math.exp(z) * _polevl(x, _ERFC_R)) / _p1evl(x, _ERFC_S)
 
 
 def _norm_sf(z: float) -> float:
-    """Upper tail of the standard normal, ``scipy.stats.norm.sf(z)`` exactly."""
-    from scipy.special import ndtr  # loaded on first use, not with the package
+    """Upper tail of the standard normal: cephes ``ndtr(-z)``.
 
-    return float(ndtr(-z))
-
-
-def _has_ties(x: np.ndarray, y: np.ndarray) -> bool:
-    pooled = np.concatenate([x, y])
-    return np.unique(pooled).size < pooled.size
+    Bit for bit ``scipy.special.ndtr(-z)`` (so ``scipy.stats.norm.sf(z)``):
+    the same rational approximations, evaluated in the same order.
+    """
+    if math.isnan(z):
+        return math.nan
+    x = -z * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0 else y
 
 
 def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> TestResult:
@@ -286,11 +395,11 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
     if n1 == 0 or n2 == 0:
         raise DegenerateSampleError("mann_whitney: empty sample")
 
-    ranked = _midranks(np.concatenate([x, y]))
+    ranked, runs = _midranks(np.concatenate([x, y]))
     r1 = float(np.sum(ranked[:n1]))
     u = r1 - n1 * (n1 + 1) / 2.0  # pairs with x > y, ties counted half
 
-    ties = _has_ties(x, y)
+    ties = bool(runs.max() > 1)
     use_exact = method == "exact" or (method == "auto" and not ties and n1 * n2 <= EXACT_MAX_PRODUCT)
     if use_exact and ties:
         raise ValueError("exact method is undefined for tied samples")
@@ -310,8 +419,7 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
     n = n1 + n2
     mean_u = n1 * n2 / 2.0
     # tie correction for the variance
-    _, t_counts = np.unique(np.concatenate([x, y]), return_counts=True)
-    tie_term = float(np.sum(t_counts.astype(float) ** 3 - t_counts))
+    tie_term = float(np.sum(runs.astype(float) ** 3 - runs))
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0:
         return TestResult(u, 1.0, alternative, n1, n2, "normal-approx")
@@ -394,7 +502,7 @@ def detailed_balance_check(samples) -> TestResult:
         raise DegenerateSampleError(
             f"detailed_balance_check needs at least {SYMMETRY_MIN_SAMPLES} samples"
         )
-    ranked = _midranks(np.concatenate([arr, -arr]))
+    ranked, _ = _midranks(np.concatenate([arr, -arr]))
     r1 = float(np.sum(ranked[:n]))
     u = r1 - n * (n + 1) / 2.0
     mean_u = n * n / 2.0

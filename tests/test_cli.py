@@ -491,8 +491,8 @@ class TestModelCmd:
         assert (out / "regression_details.csv").exists()
 
 
-# Runs in a fresh interpreter: imports pagegrowth.cli, runs commands, and
-# records which scipy modules are loaded after each group of commands.
+# Runs in a fresh interpreter: imports pagegrowth.cli, runs all six commands,
+# and records which scipy modules are loaded before and after.
 _STARTUP_SCRIPT = """
 import json, sys
 from pagegrowth import cli
@@ -504,16 +504,14 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 result["import"] = scipy_modules()
-result["numpy_only"] = [
+result["codes"] = [
     cli.main(["synth", "--out", out + "/data", "--pages-count", "24", "--start", "2018-01-01",
               "--end", "2019-01-01", "--posts-per-day", "1.5", "--seed", "5"]),
-    cli.main(["aggregate", *data, "--out", out + "/agg"]),
-    cli.main(["simulate", "--runs", "5", "--steps", "3", "--out", out + "/sim"]),
+    cli.main(["aggregate", *data, "--out", out + "/aggregate"]),
+    cli.main(["simulate", "--runs", "5", "--steps", "3", "--out", out + "/simulate"]),
+    *[cli.main([command, *data, "--out", out + "/" + command]) for command in ("analyze", "model", "cohort")],
 ]
-result["after_numpy_only"] = scipy_modules()
-result["with_scipy"] = [cli.main([command, *data, "--out", out + "/" + command])
-                        for command in ("analyze", "model", "cohort")]
-result["after_with_scipy"] = scipy_modules()
+result["after"] = scipy_modules()
 with open(out + "/result.json", "w") as fh:
     json.dump(result, fh)
 """
@@ -529,9 +527,14 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["import"] == []
-    assert result["numpy_only"] == [0, 0, 0]
-    assert result["after_numpy_only"] == []
-    assert result["with_scipy"] == [0, 0, 0]
-    loaded = set(result["after_with_scipy"])
-    assert {"scipy.optimize", "scipy.special"} <= loaded  # the fits, tests and matching ran
-    assert "scipy.stats" not in loaded
+    assert result["codes"] == [0] * 6
+    assert result["after"] == []
+
+    def rows(path):
+        with open(tmp_path / path) as fh:
+            return list(csv.DictReader(fh))
+
+    # the Burr fits, the regressions and the matching ran
+    assert any(r["distribution"] == "burr" for r in rows("analyze/fits.csv"))
+    assert {"c", "k"} <= {r["parameter"] for r in rows("model/coefficients.csv")}
+    assert rows("cohort/matches.csv")

@@ -6,6 +6,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from pagegrowth.aggregate import Timescale, aggregate_engagement
 from pagegrowth.cohort import (
@@ -16,6 +17,7 @@ from pagegrowth.cohort import (
     match_cohorts,
     page_features,
     standardize_features,
+    _assign,
 )
 from pagegrowth.ingest import PageMeta, PostRecord
 
@@ -174,3 +176,34 @@ class TestMatching:
         res2 = match_cohorts({i: z2[i] for i in q_ids}, {i: z2[i] for i in r_ids})
         assert res1.pairs == res2.pairs
         assert res1.total_distance == pytest.approx(res2.total_distance, rel=1e-9)
+
+
+class TestAssignOracle:
+    @pytest.mark.parametrize("kind", ["real", "tied", "constant"])
+    def test_same_pairs_as_linear_sum_assignment(self, kind):
+        rng = np.random.default_rng({"real": 1, "tied": 2, "constant": 3}[kind])
+        for _ in range(300):
+            nr = int(rng.integers(1, 10))
+            shape = (nr, int(rng.integers(nr, 16)))
+            if kind == "real":
+                cost = rng.random(shape)
+            elif kind == "tied":
+                cost = rng.integers(0, 4, shape).astype(float)
+            else:
+                cost = np.full(shape, float(rng.integers(0, 3)))
+            rows, cols = _assign(cost)
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            assert rows.tolist() == ref_rows.tolist() and cols.tolist() == ref_cols.tolist()
+
+    def test_large_rectangle(self):
+        cost = np.random.default_rng(4).random((60, 400))
+        assert _assign(cost)[1].tolist() == linear_sum_assignment(cost)[1].tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_invalid_entries_refused(self, bad):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _assign(np.array([[1.0, bad], [0.0, 2.0]]))
+
+    def test_infeasible_refused(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            _assign(np.array([[1.0, np.inf], [2.0, np.inf]]))

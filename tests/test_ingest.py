@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pagegrowth import ingest
 from pagegrowth.ingest import (
     MAX_COUNT,
     FatalParseError,
@@ -184,6 +185,29 @@ class TestParsePosts:
         second = parse_posts(data)
         assert list(first[0]) == list(second[0])
         assert first[1].rows == second[1].rows
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_off_for_the_read_and_restored(self, enabled, monkeypatch):
+        seen = []
+
+        def blocks(*args):
+            seen.append(gc.isenabled())
+            yield from csv_blocks(*args)
+
+        csv_blocks = ingest._csv_blocks
+        monkeypatch.setattr(ingest, "_csv_blocks", blocks)
+        fatal = [b"page,time\np1,2020\n", _posts_csv("p1," + "a" * 200_000 + ",2020-01-01T00:00:00Z,,,,5,")]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            posts, _ = parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,1,2,3,6,"))
+            assert len(posts) == 1 and gc.isenabled() == enabled
+            for data in fatal:
+                with pytest.raises(FatalParseError):
+                    parse_posts(data)
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False]  # the good file and the oversized field reached the loop
 
 
 class TestParseTimestamp:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from pagegrowth.aggregate import Timescale
 from pagegrowth.model import (
@@ -21,6 +22,7 @@ from pagegrowth.model import (
     simulate,
     summarize_trajectories,
     write_coefficients_csv,
+    _t_two_sided_p,
 )
 from pagegrowth.stats import BurrParams, LaplaceParams, fit_laplace, laplace_ppf
 from pagegrowth.synth import gibrat_null_coefficients
@@ -94,6 +96,25 @@ class TestRegression:
         assert all(0.0 <= p <= 1.0 for p in reg.p_values)
         # strong true effects on a tight design should look significant
         assert reg.p_values[1] < 0.01 and reg.p_values[2] < 0.01
+
+
+class TestTTailOracle:
+    def test_within_1e_10_of_stdtr(self):
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for df in [*range(1, 41), *np.unique(np.geomspace(41, 1000, 40).astype(int))]:
+            t = np.concatenate([np.geomspace(1e-6, 1e3, 60), 10 ** rng.uniform(-6, 3, 40)])
+            ref = 2.0 * stdtr(df, -t)
+            for tv, r in zip(t, ref):
+                if r > 1e-300:
+                    for signed in (tv, -tv):
+                        worst = max(worst, abs(_t_two_sided_p(float(signed), int(df)) - r) / r)
+        assert worst < 1e-10
+
+    def test_zero_and_non_finite(self):
+        assert _t_two_sided_p(0.0, 3) == 1.0
+        assert _t_two_sided_p(math.inf, 3) == 0.0 == 2.0 * stdtr(3, -math.inf)
+        assert math.isnan(_t_two_sided_p(math.nan, 3))
 
 
 class TestPublishedCoefficients:

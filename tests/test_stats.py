@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
+from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from pagegrowth.cohort import reliability_comparison
@@ -27,7 +28,10 @@ from pagegrowth.stats import (
     fit_laplace,
     laplace_pdf,
     mann_whitney,
+    _burr_cdf_from_logx,
     _midranks,
+    _nelder_mead,
+    _norm_sf,
 )
 
 
@@ -183,6 +187,59 @@ class TestBurrFit:
             fit_burr(np.linspace(0.5, 2.0, 30))
 
 
+class TestNormSfOracle:
+    def _check(self, z):
+        got = np.array([_norm_sf(float(v)) for v in z])
+        assert got.tobytes() == ndtr(-z).tobytes()
+
+    def test_bit_identical_to_ndtr(self):
+        rng = np.random.default_rng(2024)
+        self._check(np.concatenate([rng.uniform(-40, 40, 100_000), rng.normal(0, 3, 100_000)]))
+
+    def test_branch_edges_and_non_finite(self):
+        r2 = math.sqrt(2)
+        edges = [0.0, -0.0, 1.0, -1.0, r2, -r2, 8 * r2, -8 * r2, math.inf, -math.inf, math.nan]
+        edges += [np.nextafter(v, d) for v in (r2, -r2, 8 * r2, -8 * r2) for d in (0.0, math.inf)]
+        self._check(np.array(edges))
+
+
+class TestNelderMeadOracle:
+    options = {"xatol": 1e-8, "fatol": 1e-10}
+
+    def _check(self, func, x0, maxiter):
+        x, fun, success, message = _nelder_mead(func, x0, maxiter=maxiter, **self.options)
+        ref = minimize(func, x0, method="Nelder-Mead", options={"maxiter": maxiter, **self.options})
+        assert x.tobytes() == ref.x.tobytes()
+        assert (fun, success, message) == (ref.fun, ref.success, ref.message)
+        return success
+
+    def test_fit_burr_objectives(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(40):
+            c, k = math.exp(rng.uniform(-2, 8)), math.exp(rng.uniform(-2, 1.5))
+            n = int(rng.integers(50, 400))
+            lnx = np.log(np.sort(burr_ppf(rng.uniform(1e-9, 1 - 1e-9, n), BurrParams(c, k))))
+            ecdf = np.arange(1, n + 1) / (n + 1.0)
+
+            def objective(theta):  # fit_burr's
+                resid = _burr_cdf_from_logx(lnx, math.exp(theta[0]), math.exp(theta[1])) - ecdf
+                return float(resid @ resid)
+
+            x0 = (math.log(c) + rng.normal(0, 1), math.log(k) + rng.normal(0, 1))
+            for maxiter in (int(rng.integers(3, 40)), 500):
+                outcomes.add(self._check(objective, x0, maxiter))
+        assert outcomes == {True, False}
+
+    def test_rosenbrock_runs_out_of_iterations(self):
+        def rosen(v):
+            return float(100 * (v[1] - v[0] ** 2) ** 2 + (1 - v[0]) ** 2)
+
+        assert not self._check(rosen, (-1.2, 1.0), 5)
+        assert self._check(rosen, (-1.2, 1.0), 2000)
+        assert self._check(rosen, (0.0, 0.0), 2000)  # zero start: steps of 0.00025
+
+
 class TestMannWhitney:
     def test_spec_example_greater(self):
         r = mann_whitney([4, 5, 6], [1, 2, 3], alternative="greater")
@@ -322,11 +379,40 @@ class TestMidranks:
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_rankdata(self, values):
         a = np.array(values, dtype=float)
-        assert _midranks(a).tobytes() == rankdata(a).tobytes()
+        ranks, runs = _midranks(a)
+        assert ranks.tobytes() == rankdata(a).tobytes()
+        assert runs.tolist() == np.unique(a, return_counts=True)[1].tolist()
 
     def test_nan_makes_every_rank_nan(self):
-        a = np.array([1.0, np.nan, 0.0])
-        assert np.isnan(_midranks(a)).all() and np.isnan(rankdata(a)).all()
+        a = np.array([1.0, np.nan, 0.0, np.nan])
+        ranks, runs = _midranks(a)
+        assert np.isnan(ranks).all() and np.isnan(rankdata(a)).all()
+        assert runs.tolist() == [1, 1, 2]  # the NaNs are one run, as np.unique counts them
+
+
+class TestMannWhitneyNan:
+    # NaN input gives a NaN U; NaNs count as one tie group, as np.unique counts them
+
+    @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+    def test_one_nan_on_the_exact_route_raises(self, alternative):
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            mann_whitney([1.0, np.nan, 3.0], [2.0, 4.0], alternative=alternative)
+
+    @pytest.mark.parametrize(
+        "x, y, alternative, p",
+        [
+            ([1.0, np.nan, 3.0], [np.nan, 4.0], "greater", 0.0),
+            ([1.0, np.nan, 3.0], [np.nan, 4.0], "two-sided", 1.0),
+            ([*range(30), np.nan], [v + 0.5 for v in range(30)], "greater", 0.0),
+            ([*range(30), np.nan], [v + 0.5 for v in range(30)], "two-sided", 1.0),
+            ([np.nan] * 3, [np.nan] * 4, "greater", 1.0),
+            ([np.nan] * 3, [np.nan] * 4, "two-sided", 1.0),
+        ],
+    )
+    def test_normal_route_result(self, x, y, alternative, p):
+        r = mann_whitney(x, y, alternative=alternative)
+        assert math.isnan(r.u_statistic)
+        assert (r.p_value, r.method, r.n1, r.n2) == (p, "normal-approx", len(x), len(y))
 
 
 class TestDetailedBalance:
