@@ -3,10 +3,16 @@
 Laplace parameters come analytically from the sample mean and standard
 deviation; Burr shape parameters come from least-squares fitting of the
 empirical CDF (plotting position i/(n+1)) with a derivative-free simplex
-search in (ln c, ln k) space. The Mann-Whitney implementation computes
-the exact null distribution by enumeration for small tie-free samples
+search in (ln c, ln k) space, each objective evaluated in place in one
+buffer per fit. The Mann-Whitney implementation computes the exact null
+distribution by enumeration for small tie-free samples
 (n1*n2 <= EXACT_MAX_PRODUCT) and otherwise uses the tie-corrected normal
-approximation with a 0.5 continuity correction.
+approximation with a 0.5 continuity correction. One kernel on sorted
+samples gives U (``searchsorted`` counts) and the tie term (a merge of
+the two samples) to the two-sample test, the class matrices (each class
+sorted once, each pair computed once) and the symmetry test (the mirror
+of a sorted sample is its negated reverse). NaN is refused, as an empty
+sample is.
 """
 
 from __future__ import annotations
@@ -161,6 +167,12 @@ def fit_burr(samples) -> BurrParams:
     simplex iterations from a moment-informed start: for each candidate c
     on a log grid, k is set through the identity ln(1+x^c) ~ Exp(k), and
     the best grid point seeds the simplex.
+
+    Every evaluation overwrites one buffer of the sample's size with the
+    steps of ``_burr_cdf_from_logx``, in the same order, so no call
+    allocates and each value is bit for bit that of a fresh evaluation.
+    A grid point's ln(1+x^c) serves both its k and its objective when c
+    survives the round trip through ln c that ``objective`` makes.
     """
     arr = np.asarray(samples, dtype=float)
     if np.any(arr <= 0):
@@ -175,18 +187,30 @@ def fit_burr(samples) -> BurrParams:
     n = arr.size
     ecdf = np.arange(1, n + 1) / (n + 1.0)
     lnx = np.log(arr)
+    buf = np.empty_like(lnx)
+
+    def log1p_xc(c: float) -> np.ndarray:  # ln(1 + x^c) into buf
+        np.multiply(lnx, c, out=buf)
+        return np.logaddexp(0.0, buf, out=buf)
+
+    def sq_resid(k: float) -> float:  # from buf = ln(1 + x^c)
+        np.multiply(buf, -k, out=buf)
+        np.expm1(buf, out=buf)
+        # buf + ecdf is the residual negated exactly, so its square is the same
+        np.add(buf, ecdf, out=buf)
+        return float(buf @ buf)
 
     def objective(theta):
-        c = math.exp(theta[0])
-        k = math.exp(theta[1])
-        resid = _burr_cdf_from_logx(lnx, c, k) - ecdf
-        return float(resid @ resid)
+        log1p_xc(math.exp(theta[0]))
+        return sq_resid(math.exp(theta[1]))
 
     best_theta, best_val = None, math.inf
-    for c in np.exp(np.linspace(math.log(0.05), math.log(5e4), 60)):
-        k = 1.0 / float(np.mean(np.logaddexp(0.0, c * lnx)))
+    for c in np.exp(np.linspace(math.log(0.05), math.log(5e4), 60)).tolist():
+        k = 1.0 / float(np.mean(log1p_xc(c)))
         theta = (math.log(c), math.log(k))
-        val = objective(theta)
+        if math.exp(theta[0]) != c:
+            log1p_xc(math.exp(theta[0]))
+        val = sq_resid(math.exp(theta[1]))
         if val < best_val:
             best_theta, best_val = theta, val
 
@@ -213,54 +237,68 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     of x0 and x0 with one coordinate stepped by 5% (0.00025 from zero),
     reflection 1, expansion 2, contraction and shrink 1/2, and a stop when
     every vertex is within xatol of the best and every value within fatol.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for j in range(n):
-        y = x0.copy()
-        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
-        sim[j + 1] = y
-    fsim = np.array([func(v) for v in sim], dtype=float)
-    order = np.argsort(fsim)
-    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
 
+    Vertices are tuples of Python floats, so each step is scalar arithmetic;
+    ``func`` gets a tuple. The vertices are ordered by ``np.argsort`` of
+    their values, as scipy orders them, so that tied and NaN values keep
+    its order.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(x0)
+    sim = [tuple(x0)]
+    for j in range(n):
+        y = list(x0)
+        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
+        sim.append(tuple(y))
+    fsim = [func(v) for v in sim]
+
+    def reorder():
+        order = np.argsort(fsim).tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    sim, fsim = reorder()
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+        best, fbest = sim[0], fsim[0]
+        if all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best)) and all(
+            abs(fbest - f) <= fatol for f in fsim[1:]
+        ):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = list(sim[0])
+        for vertex in sim[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, vertex)]
+        xbar = [s / n for s in xbar]
+        worst = sim[-1]
+        xr = tuple(2 * m - w for m, w in zip(xbar, worst))
         fxr = func(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = tuple(3 * m - 2 * w for m, w in zip(xbar, worst))
             fxe = func(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = tuple(1.5 * m - 0.5 * w for m, w in zip(xbar, worst))
                 fxc = func(xc)
                 shrink = not fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = tuple(0.5 * m + 0.5 * w for m, w in zip(xbar, worst))
                 fxc = func(xc)
                 shrink = not fxc < fsim[-1]
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = tuple(b + 0.5 * (v - b) for v, b in zip(sim[j], best))
                     fsim[j] = func(sim[j])
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        sim, fsim = reorder()
 
+    x, fun = np.array(sim[0]), float(np.min(fsim))
     if iterations >= maxiter:
-        return sim[0], float(np.min(fsim)), False, "Maximum number of iterations has been exceeded."
-    return sim[0], float(np.min(fsim)), True, "Optimization terminated successfully."
+        return x, fun, False, "Maximum number of iterations has been exceeded."
+    return x, fun, True, "Optimization terminated successfully."
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +329,28 @@ def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(prev[n2])
 
 
-def _midranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks 1..n with each run of equal values given the mean of its ranks,
-    and the length of each run, in increasing order of value.
+def _u_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Mann-Whitney U of sorted ``xs`` against sorted ``ys``: for each x, the
+    ys below it plus half the ys equal to it.
 
-    The ranks equal ``scipy.stats.rankdata(a)`` (method "average"), bit for
-    bit: every rank is a multiple of 0.5 below 2**52, so both formulas are
-    exact. Any NaN makes every rank NaN, as it does there, and the runs are
-    then ``np.unique``'s counts, all NaNs in one.
+    Both counts come from ``np.searchsorted``, so ±0.0 are one value and ±inf
+    count like any other. The sum is an integer count of half pairs, so U
+    is exact and equals the midrank form R1 - n1(n1+1)/2 bit for bit.
     """
-    if np.isnan(a).any():
-        return np.full(a.shape, np.nan), np.unique(a, return_counts=True)[1]
-    order = np.argsort(a, kind="stable")
-    sorted_a = a[order]
-    new_run = np.concatenate(([True], sorted_a[1:] != sorted_a[:-1]))
-    dense = np.cumsum(new_run)  # 1-based run index of each sorted value
-    cnt = np.append(np.flatnonzero(new_run), a.size)  # run starts, then n
-    ranks = np.empty(a.size)
-    ranks[order] = 0.5 * (cnt[dense] + cnt[dense - 1] + 1)
-    return ranks, np.diff(cnt)
+    below = int(np.searchsorted(ys, xs, "left").sum())
+    not_above = int(np.searchsorted(ys, xs, "right").sum())
+    return (below + not_above) / 2
+
+
+def _tie_term(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Sum of t**3 - t over the runs of equal values in the pooled sorted
+    sample, each t a run length, in increasing order of value; 0.0 when
+    the two samples hold no value twice."""
+    pooled = np.concatenate((xs, ys))
+    pooled.sort(kind="stable")  # a merge of the two sorted runs
+    new_run = np.concatenate(([True], pooled[1:] != pooled[:-1]))
+    runs = np.diff(np.append(np.flatnonzero(new_run), pooled.size))
+    return float(np.sum(runs.astype(float) ** 3 - runs))
 
 
 # cephes ndtr.c: erf on |x| < 1 (T/U), erfc on 1 <= |x| < 8 (P/Q) and beyond (R/S)
@@ -376,6 +417,11 @@ def _norm_sf(z: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
+def _check_alternative(alternative: str) -> None:
+    if alternative not in ("greater", "two-sided"):
+        raise ValueError(f"unknown alternative {alternative!r}")
+
+
 def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> TestResult:
     """Mann-Whitney U test; "greater" means x stochastically greater than y.
 
@@ -383,27 +429,24 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
     midranks). The exact route enumerates the null distribution and is
     taken when the samples are tie-free and n1*n2 <= EXACT_MAX_PRODUCT,
     or when forced with method="exact"; otherwise the tie-corrected
-    normal approximation with continuity correction applies.
+    normal approximation with continuity correction applies. An empty
+    sample, or one holding NaN, raises DegenerateSampleError.
     """
-    if alternative not in ("greater", "two-sided"):
-        raise ValueError(f"unknown alternative {alternative!r}")
+    _check_alternative(alternative)
     if method not in ("auto", "exact", "normal-approx"):
         raise ValueError(f"unknown method {method!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n1, n2 = x.size, y.size
-    if n1 == 0 or n2 == 0:
+    xs = np.sort(np.asarray(x, dtype=float).ravel())
+    ys = np.sort(np.asarray(y, dtype=float).ravel())
+    if xs.size == 0 or ys.size == 0:
         raise DegenerateSampleError("mann_whitney: empty sample")
+    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # sorting puts NaN last
+        raise DegenerateSampleError("mann_whitney: NaN in sample")
+    n1, n2 = xs.size, ys.size
+    u, tie_term = _u_sorted(xs, ys), _tie_term(xs, ys)
 
-    ranked, runs = _midranks(np.concatenate([x, y]))
-    r1 = float(np.sum(ranked[:n1]))
-    u = r1 - n1 * (n1 + 1) / 2.0  # pairs with x > y, ties counted half
-
-    ties = bool(runs.max() > 1)
-    use_exact = method == "exact" or (method == "auto" and not ties and n1 * n2 <= EXACT_MAX_PRODUCT)
-    if use_exact and ties:
+    use_exact = method == "exact" or (method == "auto" and not tie_term and n1 * n2 <= EXACT_MAX_PRODUCT)
+    if use_exact and tie_term:
         raise ValueError("exact method is undefined for tied samples")
-
     if use_exact:
         counts = _exact_u_counts(n1, n2)
         total = float(sum(counts))
@@ -415,11 +458,13 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
         else:
             p = min(1.0, 2.0 * min(p_ge, p_le))
         return TestResult(u, p, alternative, n1, n2, "exact")
+    return _normal_approx(u, tie_term, n1, n2, alternative)
 
+
+def _normal_approx(u: float, tie_term: float, n1: int, n2: int, alternative: str) -> TestResult:
     n = n1 + n2
     mean_u = n1 * n2 / 2.0
     # tie correction for the variance
-    tie_term = float(np.sum(runs.astype(float) ** 3 - runs))
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0:
         return TestResult(u, 1.0, alternative, n1, n2, "normal-approx")
@@ -457,20 +502,44 @@ def class_test_matrix(
     ``bins`` maps class label -> growth values, in increasing size order
     (insertion order is trusted). For each unordered pair the "greater"
     cell tests that the smaller class grows at a higher rate; the
-    two-sided cell tests any difference. Per-pair failures become cells
-    carrying an error reason instead of a result.
+    two-sided cell tests any difference. Pairs that ``mann_whitney``
+    refuses with a ValueError (an empty class, NaN, an unknown alternative)
+    become cells carrying the reason instead of a result.
+
+    Each class is sorted once, and each pair's U and tie term serve all its
+    alternatives. Pairs on the exact route, and pairs the kernel cannot
+    take, go through ``mann_whitney`` itself, so every cell equals its
+    result.
     """
     labels = list(bins)
     if len(labels) < 2:
         raise ValueError("class_test_matrix needs at least 2 bins")
+    ready: dict[str, np.ndarray] = {}  # classes the kernel can take, sorted
+    for label, values in bins.items():
+        try:
+            xs = np.sort(np.asarray(values, dtype=float).ravel())
+        except ValueError:  # mann_whitney raises it again for each pair
+            continue
+        if xs.size and not np.isnan(xs[-1]):
+            ready[label] = xs
     cells: list[MatrixCell] = []
     for i, small in enumerate(labels):
         for large in labels[i + 1 :]:
+            xs, ys = ready.get(small), ready.get(large)
+            pair = None  # (u, tie_term) where the normal route applies
+            if xs is not None and ys is not None:
+                tie_term = _tie_term(xs, ys)
+                if tie_term or xs.size * ys.size > EXACT_MAX_PRODUCT:
+                    pair = _u_sorted(xs, ys), tie_term
             for alt in alternatives:
                 try:
-                    res = mann_whitney(bins[small], bins[large], alternative=alt)
+                    if pair is None:
+                        res = mann_whitney(bins[small], bins[large], alternative=alt)
+                    else:
+                        _check_alternative(alt)
+                        res = _normal_approx(*pair, xs.size, ys.size, alt)
                     cells.append(MatrixCell(small, large, alt, res))
-                except Exception as exc:  # degenerate pair: keep the reason
+                except ValueError as exc:  # degenerate pair: keep the reason
                     cells.append(MatrixCell(small, large, alt, None, error=str(exc)))
     return cells
 
@@ -494,17 +563,17 @@ def detailed_balance_check(samples) -> TestResult:
         Var(U) = n(n-1)(n-2)/3 + n(n-1) + n/4,   E(U) = n^2/2.
 
     Small p signals asymmetry around zero, i.e. a detailed-balance
-    violation.
+    violation. A sample holding NaN raises DegenerateSampleError.
     """
-    arr = np.asarray(samples, dtype=float)
+    arr = np.sort(np.asarray(samples, dtype=float).ravel())
     n = arr.size
     if n < SYMMETRY_MIN_SAMPLES:
         raise DegenerateSampleError(
             f"detailed_balance_check needs at least {SYMMETRY_MIN_SAMPLES} samples"
         )
-    ranked, _ = _midranks(np.concatenate([arr, -arr]))
-    r1 = float(np.sum(ranked[:n]))
-    u = r1 - n * (n + 1) / 2.0
+    if np.isnan(arr[-1]):
+        raise DegenerateSampleError("detailed_balance_check: NaN in sample")
+    u = _u_sorted(arr, -arr[::-1])  # the mirror, sorted
     mean_u = n * n / 2.0
     var_u = n * (n - 1) * (n - 2) / 3.0 + n * (n - 1) + n / 4.0
     z = (abs(u - mean_u) - 0.5) / math.sqrt(var_u)

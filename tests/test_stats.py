@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -11,13 +12,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize
 from scipy.special import ndtr
-from scipy.stats import rankdata
+from scipy.stats import mannwhitneyu, rankdata
 
+from pagegrowth import stats
 from pagegrowth.cohort import reliability_comparison
 from pagegrowth.stats import (
+    BURR_FIT_FATOL,
+    BURR_FIT_MAX_ITER,
     EXACT_MAX_PRODUCT,
     BurrParams,
     DegenerateSampleError,
+    FitConvergenceError,
     LaplaceParams,
     burr_cdf,
     burr_pdf,
@@ -29,7 +34,6 @@ from pagegrowth.stats import (
     laplace_pdf,
     mann_whitney,
     _burr_cdf_from_logx,
-    _midranks,
     _nelder_mead,
     _norm_sf,
 )
@@ -187,6 +191,67 @@ class TestBurrFit:
             fit_burr(np.linspace(0.5, 2.0, 30))
 
 
+def reference_fit_burr(samples):
+    """``fit_burr`` as it was before its objective went in place: a fresh
+    array per evaluation, every grid point's ln(1+x^c) computed twice, and
+    scipy's Nelder-Mead; returns scipy's result."""
+    arr = np.sort(np.asarray(samples, dtype=float))
+    n = arr.size
+    ecdf = np.arange(1, n + 1) / (n + 1.0)
+    lnx = np.log(arr)
+
+    def objective(theta):
+        c, k = math.exp(theta[0]), math.exp(theta[1])
+        resid = -np.expm1(-k * np.logaddexp(0.0, c * lnx)) - ecdf
+        return float(resid @ resid)
+
+    best_theta, best_val = None, math.inf
+    for c in np.exp(np.linspace(math.log(0.05), math.log(5e4), 60)):
+        k = 1.0 / float(np.mean(np.logaddexp(0.0, c * lnx)))
+        theta = (math.log(c), math.log(k))
+        val = objective(theta)
+        if val < best_val:
+            best_theta, best_val = theta, val
+    options = {"maxiter": stats.BURR_FIT_MAX_ITER, "xatol": 1e-8, "fatol": BURR_FIT_FATOL}
+    return minimize(objective, best_theta, method="Nelder-Mead", options=options)
+
+
+class TestBurrFitReference:
+    @staticmethod
+    def _samples(seed):
+        rng = np.random.default_rng(seed)
+        n = int(math.exp(rng.uniform(math.log(50), math.log(20_000))))
+        c, k = math.exp(rng.uniform(-2, 9)), math.exp(rng.uniform(-2.5, 1.5))
+        x = burr_ppf(rng.uniform(1e-12, 1 - 1e-12, n), BurrParams(c, k))
+        if seed % 4 == 3:  # every value four times: a stepped empirical CDF
+            x = np.repeat(x[: n // 4 + 13], 4)
+        return x
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_allocating_fit(self, seed, monkeypatch):
+        x = self._samples(seed)
+        if seed % 2:  # a low cap, so that the iteration limit is hit
+            monkeypatch.setattr(stats, "BURR_FIT_MAX_ITER", 5 + seed)
+        ref = reference_fit_burr(x)
+        c, k = math.exp(ref.x[0]), math.exp(ref.x[1])
+        if ref.success:
+            fit = fit_burr(x)
+            assert struct.pack("<2d", fit.c, fit.k) == struct.pack("<2d", c, k)
+            return
+        with pytest.raises(FitConvergenceError) as info:
+            fit_burr(x)
+        err = info.value
+        assert str(err) == f"fit_burr did not converge: {ref.message} (objective {ref.fun:.3e})"
+        assert struct.pack("<d", err.objective) == struct.pack("<d", ref.fun)
+        assert struct.pack("<2d", *err.last_params) == struct.pack("<2d", c, k)
+
+    def test_both_outcomes_are_covered(self, monkeypatch):
+        monkeypatch.setattr(stats, "BURR_FIT_MAX_ITER", 6)
+        assert not reference_fit_burr(self._samples(1)).success
+        monkeypatch.setattr(stats, "BURR_FIT_MAX_ITER", BURR_FIT_MAX_ITER)
+        assert reference_fit_burr(self._samples(0)).success
+
+
 class TestNormSfOracle:
     def _check(self, z):
         got = np.array([_norm_sf(float(v)) for v in z])
@@ -238,6 +303,30 @@ class TestNelderMeadOracle:
         assert not self._check(rosen, (-1.2, 1.0), 5)
         assert self._check(rosen, (-1.2, 1.0), 2000)
         assert self._check(rosen, (0.0, 0.0), 2000)  # zero start: steps of 0.00025
+
+    def test_tied_vertex_values(self):
+        # a flat floor: every vertex ties until the simplex has shrunk below xatol
+        def plateau(v):
+            return float(max(0.0, abs(v[0]) - 1.0) + max(0.0, abs(v[1]) - 1.0))
+
+        # a staircase: some vertices tie, some do not
+        def stairs(v):
+            return float(math.floor(4 * v[0]) ** 2 + math.floor(4 * v[1]) ** 2)
+
+        assert self._check(plateau, (0.5, 0.5), 500)
+        assert self._check(plateau, (1.5, -2.0), 500)
+        for x0 in ((1.3, -0.7), (0.0, 2.2), (-3.1, 0.4)):
+            for maxiter in (7, 500):
+                self._check(stairs, x0, maxiter)
+
+    def test_nan_vertex_values(self):
+        # undefined beyond a wall: NaN values sort last, as np.argsort puts them
+        def walled(v):
+            return math.nan if v[0] + v[1] > 2.0 else float((v[0] - 1.5) ** 2 + (v[1] - 0.2) ** 2)
+
+        for x0 in ((1.0, 0.96), (0.97, 1.0), (1.9, 0.05)):
+            for maxiter in (4, 500):
+                self._check(walled, x0, maxiter)
 
 
 class TestMannWhitney:
@@ -368,38 +457,104 @@ class TestClassTestMatrix:
         cells = class_test_matrix(bins)
         assert all(c.result is None and c.error for c in cells)
 
+    def test_nan_class_gives_error_cells(self):
+        bins = {"a": [1.0, np.nan, 2.0], "b": [3.0, 4.0], "c": [0.5, 5.0]}
+        cells = class_test_matrix(bins)
+        assert len(cells) == 6
+        for c in cells:
+            if "a" in (c.row, c.col):
+                assert c.result is None and c.error == "mann_whitney: NaN in sample"
+            else:
+                assert c.error is None and c.result.method == "exact"
 
-class TestMidranks:
-    # a few shared values, signed zeros among them, make long tie runs
-    tied_floats = st.one_of(
-        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, math.inf]), st.floats(allow_nan=False)
-    )
+    def test_type_error_is_not_a_cell(self):
+        # only refusals become cells; a bug in the input surfaces
+        with pytest.raises(TypeError):
+            class_test_matrix({"a": [1.0, object()], "b": [3.0, 4.0]})
 
-    @given(st.lists(tied_floats, min_size=1, max_size=500))
+
+def result_bits(r):
+    return struct.pack("<2d", r.u_statistic, r.p_value), r.alternative, r.n1, r.n2, r.method
+
+
+# samples for the sorted Mann-Whitney kernel
+tie_free = st.lists(st.floats(allow_nan=False), unique=True, max_size=60)
+heavily_tied = st.lists(st.integers(-4, 4).map(lambda i: i * 0.25), max_size=60)
+# a few shared values, signed zeros and infinities among them, make long tie runs
+specials = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]), st.floats(allow_nan=False)),
+    max_size=60,
+)
+kernel_samples = st.one_of(tie_free, heavily_tied, specials)
+
+
+class TestMannWhitneyKernel:
+    @given(st.lists(st.one_of(kernel_samples, kernel_samples.map(lambda v: [*v, math.nan])), min_size=2, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_rankdata(self, values):
-        a = np.array(values, dtype=float)
-        ranks, runs = _midranks(a)
-        assert ranks.tobytes() == rankdata(a).tobytes()
-        assert runs.tolist() == np.unique(a, return_counts=True)[1].tolist()
+    def test_matrix_cells_equal_mann_whitney(self, classes):
+        # empty classes and classes holding NaN among them
+        bins = {f"c{i}": values for i, values in enumerate(classes)}
+        for cell in class_test_matrix(bins):
+            try:
+                ref = mann_whitney(bins[cell.row], bins[cell.col], alternative=cell.alternative)
+            except ValueError as exc:
+                assert (cell.result, cell.error) == (None, str(exc))
+            else:
+                assert cell.error is None and result_bits(cell.result) == result_bits(ref)
 
-    def test_nan_makes_every_rank_nan(self):
-        a = np.array([1.0, np.nan, 0.0, np.nan])
-        ranks, runs = _midranks(a)
-        assert np.isnan(ranks).all() and np.isnan(rankdata(a)).all()
-        assert runs.tolist() == [1, 1, 2]  # the NaNs are one run, as np.unique counts them
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(20, 20), (16, 25), (1, 400), (1, 401), (401, 1), (21, 20)]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_route_boundary(self, seed, sizes, rounded):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=sizes[0]), rng.normal(size=sizes[1])
+        if rounded:
+            x, y = np.round(x, 1), np.round(y, 1)
+        tied = np.unique(np.concatenate([x, y])).size < x.size + y.size
+        exact = not tied and x.size * y.size <= EXACT_MAX_PRODUCT
+        for cell in class_test_matrix({"x": x, "y": y}):
+            ref = mann_whitney(x, y, alternative=cell.alternative)
+            assert result_bits(cell.result) == result_bits(ref)
+            assert ref.method == ("exact" if exact else "normal-approx")
+
+    @given(kernel_samples, kernel_samples, st.sampled_from(["greater", "two-sided"]))
+    @settings(max_examples=300, deadline=None)
+    def test_against_scipy(self, x, y, alternative):
+        if not x or not y:
+            return
+        r = mann_whitney(x, y, alternative=alternative)
+        ref = mannwhitneyu(x, y, alternative=alternative, method="asymptotic")
+        assert r.u_statistic == ref.statistic
+        if r.method == "normal-approx" and len(set(x + y)) > 1:  # scipy's p is NaN without spread
+            assert abs(r.p_value - ref.pvalue) <= 1e-12
+
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False), min_size=100, max_size=300),
+        st.lists(st.integers(-4, 4).map(lambda i: i * 0.25), min_size=100, max_size=300),
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf]), min_size=100, max_size=300),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_balance_u_equals_rankdata_u(self, values):
+        g = np.array(values)
+        n = g.size
+        ranks = rankdata(np.concatenate([g, -g]))
+        assert detailed_balance_check(g).u_statistic == float(np.sum(ranks[:n])) - n * (n + 1) / 2.0
 
 
 class TestMannWhitneyNan:
-    # NaN input gives a NaN U; NaNs count as one tie group, as np.unique counts them
+    # NaN is refused, as an empty sample is; these inputs once gave a U of
+    # NaN and the p in the last parameter, or a bare ValueError
 
     @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
     def test_one_nan_on_the_exact_route_raises(self, alternative):
-        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+        with pytest.raises(DegenerateSampleError, match="NaN"):
             mann_whitney([1.0, np.nan, 3.0], [2.0, 4.0], alternative=alternative)
 
     @pytest.mark.parametrize(
-        "x, y, alternative, p",
+        "x, y, alternative, earlier_p",
         [
             ([1.0, np.nan, 3.0], [np.nan, 4.0], "greater", 0.0),
             ([1.0, np.nan, 3.0], [np.nan, 4.0], "two-sided", 1.0),
@@ -409,10 +564,14 @@ class TestMannWhitneyNan:
             ([np.nan] * 3, [np.nan] * 4, "two-sided", 1.0),
         ],
     )
-    def test_normal_route_result(self, x, y, alternative, p):
-        r = mann_whitney(x, y, alternative=alternative)
-        assert math.isnan(r.u_statistic)
-        assert (r.p_value, r.method, r.n1, r.n2) == (p, "normal-approx", len(x), len(y))
+    def test_normal_route_result(self, x, y, alternative, earlier_p):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DegenerateSampleError, match="mann_whitney: NaN in sample"):
+                mann_whitney(a, b, alternative=alternative)
+
+    def test_empty_is_reported_before_nan(self):
+        with pytest.raises(DegenerateSampleError, match="empty"):
+            mann_whitney([np.nan], [])
 
 
 class TestDetailedBalance:
@@ -438,6 +597,11 @@ class TestDetailedBalance:
     def test_min_samples(self):
         with pytest.raises(DegenerateSampleError):
             detailed_balance_check(np.arange(50.0))
+
+    def test_nan_refused(self):
+        # a single NaN once gave p = 1.0
+        with pytest.raises(DegenerateSampleError, match="NaN"):
+            detailed_balance_check(np.append(np.arange(1.0, 200.0), np.nan))
 
 
 class TestReliabilityComparison:
