@@ -184,19 +184,6 @@ def _aggregate(cols: PostColumns, scale: Timescale, quarter_rule: str) -> dict[s
     }
 
 
-def select_followers(posts_in_window: Sequence[PostRecord], window: Window, quarter_rule: str = "latest") -> int | None:
-    """Representative follower value for one window, or None if unobserved.
-
-    Only posts carrying followers_at_posting participate; the value is
-    always one actually observed in the window (no interpolation).
-    """
-    cols = PostColumns.from_records(posts_in_window).sorted()
-    n = cols.seconds.size
-    start = np.full(n, window.start.toordinal() - EPOCH_ORDINAL)
-    followers, has = _representative(cols, np.zeros(n, dtype=np.int64), 1, start, window.timescale, quarter_rule)
-    return int(followers[0]) if has[0] else None
-
-
 def aggregate_engagement(
     posts: Sequence[PostRecord], scale: Timescale, quarter_rule: str = "latest"
 ) -> AggregatedSeries:

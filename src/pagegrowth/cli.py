@@ -182,7 +182,7 @@ def _parse_f0(text: str) -> dict[int, float]:
 def _read_coefficients(spec: str) -> ModelCoefficients:
     if spec == "builtin-table1":
         return published_coefficients()
-    with open(spec, newline="") as fh:
+    with open(spec, "rb") as fh:
         return read_coefficients_csv(fh)
 
 

@@ -1,25 +1,34 @@
-"""Canonical data model and parsers for post-level and page-level input files.
+"""Canonical data model, parsers for post-level and page-level input files,
+and the one reader and writer of every CSV file the package touches.
 
 Input formats
 -------------
-Posts CSV header (exact, ordered)::
+Four CSV inputs, each with an exact, ordered header:
 
-    page_id,post_id,timestamp,likes,comments,shares,total_interactions,followers_at_posting
-
-Pages CSV header::
-
-    page_id,name,created_at,newsguard_score,language
+* posts: ``page_id,post_id,timestamp,likes,comments,shares,total_interactions,followers_at_posting``
+* pages: ``page_id,name,created_at,newsguard_score,language``
+* size classes (``--classes``): ``label,lower,upper``
+* coefficients (``--coefficients``, ``--model``): ``parameter,timescale,beta0,beta1,beta2``
 
 Posts may also arrive as JSONL, one object per line with the same field
 names. Empty strings (CSV) and missing/null keys (JSONL) encode absence.
 
+Every CSV input is read by the same rules. ``_decoded`` reads UTF-8 and
+drops a byte order mark before the header; ``_csv_reader`` checks the
+header. Text that is not UTF-8, a field beyond the csv module's size
+limit, an empty file or another header is fatal (``FatalParseError``,
+naming the kind of file). Blank records are skipped, fields are stripped,
+and a row is numbered by the physical line it starts on (``_records``),
+since a quoted field may span lines.
+
 Timestamps must be RFC 3339 date-times (section 5.6) with an explicit
 offset; they are normalized to UTC at second precision on ingest. Dates
-(``created_at``) are ``YYYY-MM-DD``; counts are ASCII digits. Rows that fail
-validation are quarantined into a rejection report rather than aborting
-the parse; only structural problems (bad header, duplicate page ids,
-text that is not UTF-8, a field beyond the csv module's size limit,
-nothing left after filtering) are fatal.
+(``created_at``) are ``YYYY-MM-DD``; counts and size-class bounds are ASCII
+digits up to ``MAX_COUNT``; betas are ASCII ``float()`` numbers. Posts and
+pages rows that fail validation are quarantined into a rejection report;
+only the structural problems above, duplicate page ids and nothing left
+after filtering are fatal. A bad size-class or coefficients row is an
+error naming its line, since a partial scheme or table is of no use.
 
 Posts are parsed straight into one table, ``PostColumns``: an array per
 field, no object per post. The file is read in chunks of rows; each field
@@ -46,9 +55,10 @@ import gc
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta, timezone
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,11 +291,31 @@ def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
                             encoding="utf-8-sig", newline="")
 
 
-def _release(text: io.TextIOBase) -> None:
-    # hand a caller's binary file back open: a wrapper left attached closes
-    # it whenever the wrapper is collected, with a ResourceWarning
-    if isinstance(text, io.TextIOWrapper):
-        text.detach()
+@contextmanager
+def _decoded(stream: BinaryIO | bytes | str, what: str) -> Iterator[io.TextIOBase]:
+    """The input as text (``_text_lines``), for the body of a ``with``: text that is
+    not UTF-8 or that the csv module refuses is fatal, and a caller's binary file is
+    handed back open."""
+    text = _text_lines(stream)
+    try:
+        yield text
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field beyond csv's size limit
+        raise FatalParseError(f"unreadable {what} file: {exc}") from exc
+    finally:
+        # a wrapper left attached closes the caller's file whenever it is collected, with a ResourceWarning
+        if isinstance(text, io.TextIOWrapper):
+            text.detach()
+
+
+def _csv_reader(text: io.TextIOBase, header: list[str], what: str):
+    """A csv.reader past the first record, which must be exactly ``header``."""
+    reader = csv.reader(text)
+    got = next(reader, None)
+    if got is None:
+        raise FatalParseError(f"empty {what} file: missing header")
+    if got != header:
+        raise FatalParseError(f"malformed {what} header: expected {','.join(header)}, got {','.join(got)}")
+    return reader
 
 
 def _iso_date(raw: str, what: str) -> date:
@@ -583,13 +613,8 @@ def parse_posts(
     """
     if format not in ("csv", "jsonl"):
         raise FatalParseError(f"unknown posts format {format!r}")
-    text = _text_lines(stream)
-    try:
+    with _decoded(stream, "posts") as text:
         return _read_posts(text, format)
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field beyond csv's size limit
-        raise FatalParseError(f"unreadable posts file: {exc}") from exc
-    finally:
-        _release(text)
 
 
 def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, RejectionReport]:
@@ -600,17 +625,7 @@ def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, Rejectio
     gc.disable()
     try:
         if format == "csv":
-            reader = csv.reader(text)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FatalParseError("empty posts file: missing header")
-            if header != POSTS_HEADER:
-                raise FatalParseError(
-                    f"malformed posts header: expected {','.join(POSTS_HEADER)}, "
-                    f"got {','.join(header)}"
-                )
-            for lines, columns in _csv_blocks(reader, table.rejected):
+            for lines, columns in _csv_blocks(_csv_reader(text, POSTS_HEADER, "posts"), table.rejected):
                 table.add(lines, columns, any_type=False)
         else:
             for lines, objects in _chunks(_json_objects(text, table.rejected)):
@@ -694,61 +709,42 @@ def parse_pages(
     stream: BinaryIO | bytes | str,
 ) -> tuple[dict[str, PageMeta], RejectionReport]:
     """Parse a pages CSV into page_id -> PageMeta. Duplicate ids are fatal."""
-    text = _text_lines(stream)
-    try:
-        return _read_pages(text)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FatalParseError(f"unreadable pages file: {exc}") from exc
-    finally:
-        _release(text)
-
-
-def _read_pages(text: io.TextIOBase) -> tuple[dict[str, PageMeta], RejectionReport]:
-    reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FatalParseError("empty pages file: missing header")
-    if header != PAGES_HEADER:
-        raise FatalParseError(
-            f"malformed pages header: expected {','.join(PAGES_HEADER)}, "
-            f"got {','.join(header)}"
-        )
     pages: dict[str, PageMeta] = {}
     duplicates: list[str] = []
     report = RejectionReport()
-    for line, row in _records(reader):
-        if len(row) != len(PAGES_HEADER):
-            report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
-            continue
-        page_id, name, raw_created, raw_score, language = (v.strip() for v in row)
-        if not page_id:
-            report.add(line, "missing page_id")
-            continue
-        if page_id in pages:
-            duplicates.append(page_id)
-            continue
-        try:
-            created = _iso_date(raw_created, "created_at")
-        except ValueError as exc:
-            report.add(line, str(exc))
-            continue
-        score: float | None = None
-        if raw_score:
-            if not _DECIMAL.fullmatch(raw_score):
-                report.add(line, f"newsguard_score is not a number: {raw_score!r}")
+    with _decoded(stream, "pages") as text:
+        for line, row in _records(_csv_reader(text, PAGES_HEADER, "pages")):
+            if len(row) != len(PAGES_HEADER):
+                report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
                 continue
-            score = float(raw_score)
-            if not 0.0 <= score <= 100.0:
-                report.add(line, f"newsguard_score {score} outside [0,100]")
+            page_id, name, raw_created, raw_score, language = (v.strip() for v in row)
+            if not page_id:
+                report.add(line, "missing page_id")
                 continue
-        pages[page_id] = PageMeta(
-            page_id=page_id,
-            name=name,
-            created_at=created,
-            newsguard_score=score,
-            language=language or None,
-        )
+            if page_id in pages:
+                duplicates.append(page_id)
+                continue
+            try:
+                created = _iso_date(raw_created, "created_at")
+            except ValueError as exc:
+                report.add(line, str(exc))
+                continue
+            score: float | None = None
+            if raw_score:
+                if not _DECIMAL.fullmatch(raw_score):
+                    report.add(line, f"newsguard_score is not a number: {raw_score!r}")
+                    continue
+                score = float(raw_score)
+                if not 0.0 <= score <= 100.0:
+                    report.add(line, f"newsguard_score {score} outside [0,100]")
+                    continue
+            pages[page_id] = PageMeta(
+                page_id=page_id,
+                name=name,
+                created_at=created,
+                newsguard_score=score,
+                language=language or None,
+            )
     if duplicates:
         raise FatalParseError(f"duplicate page_id(s): {sorted(set(duplicates))}")
     return pages, report

@@ -15,14 +15,14 @@ data. Daily coefficients are deliberately not provided.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass, field, fields
+from typing import BinaryIO
 
 import numpy as np
 
 from .aggregate import Timescale
-from .ingest import _write_rows, _write_table
+from .ingest import _csv_reader, _decoded, _records, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -296,8 +296,9 @@ def _step(coeffs: ModelCoefficients, timescale: Timescale, f, e, u_laplace, u_bu
     ln_f = _map(math.log, f)
     mu, b, b_low = _mu_b(coeffs, timescale, ln_f, _map(math.log, e))
     c, k, c_low, k_low = _c_k(coeffs, timescale, ln_f)
-    e = e * _map(math.exp, _laplace_ppf(u_laplace, mu, b))
-    f = f * _burr_ppf(u_burr, c, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # both callers refuse an inf or NaN state
+        e = e * _map(math.exp, _laplace_ppf(u_laplace, mu, b))
+        f = f * _burr_ppf(u_burr, c, k)
     return f, e, (b_low, c_low, k_low)
 
 
@@ -383,8 +384,8 @@ def simulate(
     for step in range(1, steps + 1):
         f, e, low = _step(coeffs, timescale, f, e, u[2 * step - 2], u[2 * step - 1])
         floored += low
-        if not ((f > 0).all() and (e > 0).all()):
-            raise ValueError("simulation state must stay positive")
+        if not ((0 < f) & (f < math.inf) & (0 < e) & (e < math.inf)).all():  # NaN fails too
+            raise ValueError("simulation state must stay finite and positive")
         followers[:, step], engagement[:, step] = f, e
     return [
         Trajectory(followers[i], engagement[i], timescale, seed, i, ClampCounter(*floored[:, i].tolist()))
@@ -445,37 +446,35 @@ def write_coefficients_csv(coeffs: ModelCoefficients, stream) -> None:
     _write_table(stream, COEFFS_HEADER, rows)
 
 
-def read_coefficients_csv(stream) -> ModelCoefficients:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != COEFFS_HEADER:
-        raise ValueError(
-            f"malformed coefficients header: expected {','.join(COEFFS_HEADER)}"
-        )
+def _coefficient(raw: str, name: str) -> float:
+    try:
+        if raw.isascii() and "_" not in raw:  # float() alone also reads 1_0 and non-ASCII digits
+            return float(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} is not a number: {raw!r}")
+
+
+def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
+    """A coefficients file as ``write_coefficients_csv`` writes it; each (parameter, timescale) once."""
     coeffs = ModelCoefficients()
     lines: dict[tuple[str, Timescale], int] = {}  # (parameter, timescale) -> line first giving it
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(COEFFS_HEADER):
-            raise ValueError(f"coefficients line {reader.line_num}: expected 5 fields, got {len(row)}")
-        parameter, scale_text, b0, b1, b2 = (v.strip() for v in row)
-        scale = Timescale.parse(scale_text)
-        first = lines.setdefault((parameter, scale), reader.line_num)
-        if first != reader.line_num:
-            raise ValueError(f"coefficients line {reader.line_num}: {parameter}/{scale.value} "
-                             f"already given on line {first}")
-        two_cov = parameter in ("mu", "b")
-        coeffs.add(
-            ParamRegression(
-                parameter=parameter,
-                timescale=scale,
-                beta0=float(b0),
-                beta1=float(b1),
-                beta2=float(b2) if two_cov and b2 != "" else None,
-                p_values=tuple(),
-            )
-        )
+    with _decoded(stream, "coefficients") as text:
+        for line, row in _records(_csv_reader(text, COEFFS_HEADER, "coefficients")):
+            try:
+                if len(row) != len(COEFFS_HEADER):
+                    raise ValueError(f"expected {len(COEFFS_HEADER)} fields, got {len(row)}")
+                parameter, scale, b0, b1, b2 = (v.strip() for v in row)
+                beta2 = _coefficient(b2, "beta2") if parameter in ("mu", "b") and b2 != "" else None
+                reg = ParamRegression(parameter, Timescale.parse(scale), _coefficient(b0, "beta0"),
+                                      _coefficient(b1, "beta1"), beta2, ())
+            except ValueError as exc:
+                raise ValueError(f"coefficients line {line}: {exc}") from exc
+            first = lines.setdefault((reg.parameter, reg.timescale), line)
+            if first != line:
+                raise ValueError(f"coefficients line {line}: {reg.parameter}/{reg.timescale.value} "
+                                 f"already given on line {first}")
+            coeffs.add(reg)
     return coeffs
 
 

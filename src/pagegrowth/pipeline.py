@@ -11,7 +11,6 @@ of the output files; warnings go to the ``warn`` callback as they arise.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +46,10 @@ from .ingest import (
     PageMeta,
     PostColumns,
     RejectionReport,
+    _csv_reader,
+    _decoded,
+    _opt_count,
+    _records,
     _utc_date,
     build_dataset,
     parse_pages,
@@ -93,21 +96,26 @@ class Options:
 # inputs
 # ---------------------------------------------------------------------------
 
+def _bound(raw: str, what: str) -> int:
+    value = _opt_count(raw, what)
+    if value is None:
+        raise ValueError(f"{what} is missing")
+    return value
+
+
 def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
     """Size-class scheme from a ``label,lower,upper`` CSV; the default one without a file."""
     if path is None:
         return tuple(DEFAULT_FOLLOWER_CLASSES)
     scheme = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["label", "lower", "upper"]:
-            raise ValueError("size-class file must have header label,lower,upper")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"size-class file line {line}: expected label,lower,upper, got {row}")
-            scheme.append(SizeClass(row[0].strip(), int(row[1]), int(row[2])))
+    with open(path, "rb") as fh, _decoded(fh, "size-class") as text:
+        for line, row in _records(_csv_reader(text, ["label", "lower", "upper"], "size-class")):
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected label,lower,upper, got {row}")
+                scheme.append(SizeClass(row[0].strip(), _bound(row[1], "lower"), _bound(row[2], "upper")))
+            except ValueError as exc:
+                raise ValueError(f"size-class file line {line}: {exc}") from exc
     validate_scheme(scheme)
     return tuple(scheme)
 

@@ -10,7 +10,6 @@ from pagegrowth.aggregate import (
     Timescale,
     aggregate_dataset,
     aggregate_engagement,
-    select_followers,
     window_of,
 )
 from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
@@ -113,66 +112,66 @@ class TestAggregateEngagement:
 
 
 class TestSelectFollowers:
+    """The follower point each timescale selects for a window, through ``aggregate_engagement``."""
+
+    @staticmethod
+    def _followers(posts, scale, quarter_rule="latest"):
+        """The follower value of the one window that ``posts`` fall in."""
+        (entry,) = aggregate_engagement(posts, scale, quarter_rule).entries
+        return entry.followers
+
     def test_weekly_minimum_observed_date(self):
         # Tue = 1000, Fri = 1100 within the same ISO week
         posts = [
             _post("p", _utc(2021, 6, 8, 15), 1, followers=1000),  # Tuesday
             _post("p", _utc(2021, 6, 11, 9), 1, followers=1100),  # Friday
         ]
-        w = window_of(posts[0].timestamp, Timescale.W)
-        assert select_followers(posts, w) == 1000
+        assert self._followers(posts, Timescale.W) == 1000
 
     def test_monthly_closest_to_15th(self):
         posts = [
             _post("p", _utc(2021, 6, 3), 1, followers=900),
             _post("p", _utc(2021, 6, 14), 1, followers=950),
         ]
-        w = window_of(posts[0].timestamp, Timescale.M)
-        assert select_followers(posts, w) == 950
+        assert self._followers(posts, Timescale.M) == 950
 
     def test_monthly_tie_resolves_earlier(self):
         posts = [
             _post("p", _utc(2021, 6, 14), 1, followers=940),
             _post("p", _utc(2021, 6, 16), 1, followers=960),
         ]
-        w = window_of(posts[0].timestamp, Timescale.M)
-        assert select_followers(posts, w) == 940
+        assert self._followers(posts, Timescale.M) == 940
 
     def test_quarterly_latest_observed(self):
         posts = [
             _post("p", _utc(2021, 1, 2), 1, followers=500),
             _post("p", _utc(2021, 3, 30), 1, followers=600),
         ]
-        w = window_of(posts[0].timestamp, Timescale.Q)
-        assert select_followers(posts, w) == 600
+        assert self._followers(posts, Timescale.Q) == 600
 
     def test_quarterly_earliest_switch(self):
         posts = [
             _post("p", _utc(2021, 1, 2), 1, followers=500),
             _post("p", _utc(2021, 3, 30), 1, followers=600),
         ]
-        w = window_of(posts[0].timestamp, Timescale.Q)
-        assert select_followers(posts, w, quarter_rule="earliest") == 500
+        assert self._followers(posts, Timescale.Q, quarter_rule="earliest") == 500
 
     def test_daily_earliest_post(self):
         posts = [
             _post("p", _utc(2021, 6, 8, 6), 1, followers=700),
             _post("p", _utc(2021, 6, 8, 20), 1, followers=710),
         ]
-        w = window_of(posts[0].timestamp, Timescale.D)
-        assert select_followers(posts, w) == 700
+        assert self._followers(posts, Timescale.D) == 700
 
     def test_absent_when_unobserved(self):
         posts = [_post("p", _utc(2021, 6, 8), 1)]
-        w = window_of(posts[0].timestamp, Timescale.W)
-        assert select_followers(posts, w) is None
+        assert self._followers(posts, Timescale.W) is None
 
     def test_value_always_observed(self):
         posts = [
             _post("p", _utc(2021, 6, 7 + i), 1, followers=100 + i) for i in range(5)
         ]
-        w = window_of(posts[0].timestamp, Timescale.W)
-        assert select_followers(posts, w) in {p.followers_at_posting for p in posts}
+        assert self._followers(posts, Timescale.W) in {p.followers_at_posting for p in posts}
 
 
 class TestAggregateDataset:

@@ -1,5 +1,6 @@
 """CLI subcommands: formats, exit codes, determinism, pipeline composition."""
 
+import ast
 import csv
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import pagegrowth
 from pagegrowth.cli import main
-from pagegrowth.ingest import POSTS_HEADER, build_dataset, parse_pages, parse_posts
+from pagegrowth.ingest import PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
+from pagegrowth.model import COEFFS_HEADER
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
 
@@ -130,6 +132,74 @@ def test_short_coefficients_row_reported_by_line(tmp_path, capsys):
     coeffs.write_text("parameter,timescale,beta0,beta1,beta2\nmu,W,0.01,0,0\n\nb,W,0.2\n")
     assert main(["synth", "--model", str(coeffs), "--out", str(tmp_path / "out")]) == 2
     assert "coefficients line 4: expected 5 fields, got 3" in capsys.readouterr().err
+
+
+# Every CSV input goes through one reader. Per kind of file: its header, a good
+# row with a quoted field over two lines, a bad row that also spans two lines,
+# the other good rows, and the flags of a command that reads it ({file}; {posts}
+# is a small posts file).
+_CSV_INPUTS = {
+    "posts": (POSTS_HEADER, 'p1,"x\ny",2018-01-03T00:00:00Z,,,,5,', 'p1,"z\nq",yesterday,,,,5,',
+              ["p1,w,2018-01-04T00:00:00Z,,,,7,"], ["aggregate", "--input", "{file}"]),
+    "pages": (PAGES_HEADER, 'p1,"Outlet\none",2017-01-01,80,en', 'p2,"Two\nlines",someday,,', [],
+              ["aggregate", "--input", "{posts}", "--pages", "{file}"]),
+    "size-class": (["label", "lower", "upper"], '"small\nones",10,150', '"big\nger",150,', ["big,150,1000"],
+                   ["aggregate", "--input", "{posts}", "--classes", "{file}"]),
+    "coefficients": (COEFFS_HEADER, 'mu,W,"0.01\n",0,0', 'b,W,"0.2\n",0', ["b,W,0.2,0,0", "c,W,500,0,", "k,W,0.5,0,"],
+                     ["simulate", "--coefficients", "{file}", "--timescales", "W", "--runs", "2", "--steps", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", ["byte-order-mark", "wrong-header", "not-utf-8", "line-of-bad-row"])
+@pytest.mark.parametrize("kind", list(_CSV_INPUTS))
+def test_one_reader_for_every_csv_input(tmp_path, capsys, kind, case):
+    header, two_line, bad, rest, argv = _CSV_INPUTS[kind]
+    posts = tmp_path / "posts.csv"
+    posts.write_text(",".join(POSTS_HEADER) + "\n"
+                     "p1,a,2018-01-02T00:00:00Z,,,,5,100\np1,b,2018-01-09T00:00:00Z,,,,6,200\n")
+    rows = [",".join(header), two_line, *([bad] if case == "line-of-bad-row" else []), *rest]
+    if case == "wrong-header":
+        rows[0] = "wrong,header"
+    data = "\n".join(rows).encode() + b"\n"
+    if case == "byte-order-mark":
+        data = "\ufeff".encode() + data
+    if case == "not-utf-8":
+        data += b"\xff\n"
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    code = main([a.format(file=path, posts=posts) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if case == "byte-order-mark":
+        assert code == 0, err
+    elif case == "wrong-header":
+        assert code == 2 and f"malformed {kind} header: expected {','.join(header)}, got wrong,header" in err
+    elif case == "not-utf-8":
+        assert code == 2 and f"unreadable {kind} file" in err
+    elif kind in ("posts", "pages"):  # quarantined: the bad row is the third record, on lines 4 and 5
+        assert code == 0, err
+        with open(out / "rejections.csv") as fh:
+            assert [r[:2] for r in csv.reader(fh)][1:] == [[kind, "4"]]
+    else:
+        assert code == 2 and "line 4: " in err
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("small,1_000,2000", "lower is not an integer: '1_000'", id="underscore"),
+    pytest.param("small,\u0661,2000", "lower is not an integer: '\u0661'", id="arabic-indic-digit"),
+    pytest.param("small,-5,2000", "lower is negative", id="negative"),
+    pytest.param("small,10,", "upper is missing", id="empty-bound"),
+    pytest.param("small,10,2000,x", "expected label,lower,upper, got ['small', '10', '2000', 'x']", id="fourth-field"),
+    pytest.param("small,2000,10", "size class small: lower must be below upper", id="reversed"),
+])
+def test_bad_class_bound_exit_2_with_line(synth_dir, tmp_path, capsys, row, message):
+    classes = tmp_path / "classes.csv"
+    classes.write_text(f"label,lower,upper\n{row}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["aggregate", "--input", str(synth_dir / "posts.csv"), "--classes", str(classes), "--out", str(out)])
+    assert code == 2
+    assert f"size-class file line 2: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -403,6 +473,21 @@ class TestSimulateCmd:
         assert code == 2 and not caught
         assert "finite and positive" in capsys.readouterr().err
 
+    def test_infinite_state_exits_2_without_numpy_warning(self, tmp_path, capsys):
+        # c floored to 1e-3 raises the Burr draw to the power 1000: with seed 1 the
+        # one run's followers overflow to inf in the first step
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("parameter,timescale,beta0,beta1,beta2\n"
+                          "mu,W,0.01,0,0\nb,W,0.2,0,0\nc,W,1e-4,0,\nk,W,0.5,0,\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--f0", "25000",
+                         "--steps", "1", "--runs", "1", "--seed", "1", "--out", str(out)])
+        assert code == 2 and not caught
+        assert "simulation state must stay finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_daily_not_supported(self, tmp_path):
         code = main(
             ["simulate", "--timescales", "D", "--out", str(tmp_path), "--runs", "1", "--steps", "1"]
@@ -538,3 +623,19 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert any(r["distribution"] == "burr" for r in rows("analyze/fits.csv"))
     assert {"c", "k"} <= {r["parameter"] for r in rows("model/coefficients.csv")}
     assert rows("cohort/matches.csv")
+
+
+def test_only_ingest_imports_csv():
+    # ingest reads every CSV input and writes every CSV output
+    importers = []
+    for path in sorted(Path(pagegrowth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "csv" or name.startswith("csv.") for name in names):
+                importers.append(path.name)
+    assert importers == ["ingest.py"]

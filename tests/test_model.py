@@ -150,8 +150,7 @@ class TestPublishedCoefficients:
         coeffs = published_coefficients()
         buf = io.StringIO()
         write_coefficients_csv(coeffs, buf)
-        buf.seek(0)
-        back = read_coefficients_csv(buf)
+        back = read_coefficients_csv(buf.getvalue())
         for key, reg in coeffs.entries.items():
             other = back.entries[key]
             assert other.beta0 == pytest.approx(reg.beta0, rel=1e-12)

@@ -65,8 +65,8 @@ def _oracle(coeffs, scale, f0, e0, steps, runs, seed):
             r = float(np.exp((w + np.log(-np.expm1(-w))) / c))
             e = e * math.exp(g)
             f = f * r
-            if not (f > 0 and e > 0):
-                raise ValueError("simulation state must stay positive")
+            if not (0 < f < math.inf and 0 < e < math.inf):
+                raise ValueError("simulation state must stay finite and positive")
             states.append((f, e))
         out.append((states, clamps))
     return out
@@ -74,7 +74,7 @@ def _oracle(coeffs, scale, f0, e0, steps, runs, seed):
 
 def _outcome(fn, *args):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # overflow to inf is a valid state
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's numpy scalars overflow before its state check
         try:
             return fn(*args), None
         except (ValueError, ArithmeticError) as exc:
