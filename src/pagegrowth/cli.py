@@ -192,26 +192,30 @@ def cmd_simulate(args) -> int:
     scales = [s for s in _parse_timescales(args.timescales) if s in SIM_TIMESCALES]
     if not scales:
         raise FatalParseError("simulate supports W, M, Q timescales")
+    missing = [s.value for s in scales if not coeffs.has_timescale(s)]
+    if missing:
+        raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")
+    runs = {  # every pair runs, and so passes its checks, before any file is written
+        (scale, f0_tag): simulate(coeffs, scale, f0, float(args.e0), args.steps, args.runs, args.seed)
+        for scale in scales
+        for f0_tag, f0 in f0_by_tag.items()
+    }
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     clamp_total = 0
-    for scale in scales:
-        for f0_tag, f0 in f0_by_tag.items():
-            trajectories = simulate(
-                coeffs, scale, f0, float(args.e0), args.steps, args.runs, args.seed
-            )
-            out_dir.mkdir(parents=True, exist_ok=True)  # simulate has checked the flags by now
-            clamp_total += sum(t.clamps.total for t in trajectories)
-            tag = f"{scale.value}_{f0_tag}"
-            with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
-                write_trajectories_csv(trajectories, fh)
-            with open(out_dir / f"summary_{tag}.csv", "w", newline="") as fh:
-                write_summary_csv(summarize_trajectories(trajectories), fh)
-            final_f = sum(t.final().followers for t in trajectories) / len(trajectories)
-            final_e = sum(t.final().engagement for t in trajectories) / len(trajectories)
-            print(
-                f"{scale.value} f0={f0_tag}: mean final followers {final_f:.0f}, "
-                f"mean final engagement {final_e:.0f}"
-            )
+    for (scale, f0_tag), trajectories in runs.items():
+        clamp_total += sum(t.clamps.total for t in trajectories)
+        tag = f"{scale.value}_{f0_tag}"
+        with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
+            write_trajectories_csv(trajectories, fh)
+        with open(out_dir / f"summary_{tag}.csv", "w", newline="") as fh:
+            write_summary_csv(summarize_trajectories(trajectories), fh)
+        final_f = sum(t.followers[-1] for t in trajectories) / len(trajectories)
+        final_e = sum(t.engagement[-1] for t in trajectories) / len(trajectories)
+        print(
+            f"{scale.value} f0={f0_tag}: mean final followers {final_f:.0f}, "
+            f"mean final engagement {final_e:.0f}"
+        )
     if clamp_total:
         print(f"parameter clamping events: {clamp_total}", file=sys.stderr)
     return EXIT_OK
@@ -229,10 +233,10 @@ def cmd_cohort(args) -> int:
     labels = ([l.page_id, _format_score(l.score), l.label] for l in result.labels)
     _write_csv(out_dir / "labels.csv", ["page_id", "score", "label"], labels)
     with open(out_dir / "matches.csv", "w", newline="") as fh:
-        write_match_csv(match, result.questionable, result.reliable, fh)
+        write_match_csv(match, fh)
     with open(out_dir / "cohort_summary.csv", "w", newline="") as fh:
         write_cohort_summary_csv(
-            {i: result.features[i] for i in result.questionable},
+            {q: result.features[q] for q, _ in match.pairs},
             {r: result.features[r] for _, r in match.pairs},
             fh,
         )

@@ -5,7 +5,8 @@ questionable; unscored pages are excluded and reported. The matched
 reliable sample minimizes the total Euclidean distance to the
 questionable cohort in standardized (max followers, lifespan) space,
 solved as an exact rectangular assignment problem. A greedy
-nearest-neighbour variant is available for comparison. The comparison
+nearest-neighbour variant is available for comparison. Both pick cells of
+one distance matrix and report each chosen pair's distance. The comparison
 tests ask whether the matched reliable pages out-engage the questionable
 ones.
 """
@@ -45,9 +46,10 @@ class ReliabilityLabel:
 class MatchResult:
     """One-to-one pairing of each questionable page with a reliable page."""
 
-    pairs: list[tuple[str, str]]  # (questionable_id, reliable_id)
+    pairs: list[tuple[str, str]]  # (questionable_id, reliable_id), sorted
+    distances: list[float]  # each pair's distance in standardized feature space
     total_distance: float
-    method: str = "assignment"
+    method: str  # "assignment" | "greedy"
 
 
 def label_pages(pages: dict[str, PageMeta]) -> tuple[list[ReliabilityLabel], list[str]]:
@@ -99,14 +101,35 @@ def standardize_features(
 
 
 def _distance_matrix(
-    questionable: dict[str, np.ndarray], pool: dict[str, np.ndarray]
+    questionable: dict[str, np.ndarray], pool: dict[str, np.ndarray], who: str
 ) -> tuple[list[str], list[str], np.ndarray]:
+    """Sorted questionable and pool ids, and the Euclidean distance of every
+    questionable page (row) to every pool page (column)."""
+    if len(pool) < len(questionable):
+        raise MatchInfeasibleError(
+            f"reliable pool ({len(pool)}) smaller than questionable "
+            f"cohort ({len(questionable)})"
+        )
+    if not questionable:
+        raise ValueError(f"{who}: empty questionable cohort")
     q_ids = sorted(questionable)
     r_ids = sorted(pool)
     q = np.array([questionable[i] for i in q_ids], dtype=float)
     r = np.array([pool[i] for i in r_ids], dtype=float)
     diff = q[:, None, :] - r[None, :, :]
     return q_ids, r_ids, np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _match_result(q_ids, r_ids, dist: np.ndarray, rows, cols, method: str) -> MatchResult:
+    """The cells (rows[n], cols[n]) of ``dist`` that a matcher chose. Rows
+    ascend, so the pairs come sorted by questionable id."""
+    chosen = dist[rows, cols]
+    return MatchResult(
+        pairs=[(q_ids[i], r_ids[j]) for i, j in zip(rows, cols)],
+        distances=chosen.tolist(),
+        total_distance=float(chosen.sum()),
+        method=method,
+    )
 
 
 def match_cohorts(
@@ -118,19 +141,8 @@ def match_cohorts(
     reliable pool; the summed Euclidean distance is globally minimal
     over all such pairings.
     """
-    if len(reliable_pool) < len(questionable):
-        raise MatchInfeasibleError(
-            f"reliable pool ({len(reliable_pool)}) smaller than questionable "
-            f"cohort ({len(questionable)})"
-        )
-    if not questionable:
-        raise ValueError("match_cohorts: empty questionable cohort")
-    q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool)
-    rows, cols = _assign(dist)
-    pairs = [(q_ids[i], r_ids[j]) for i, j in zip(rows, cols)]
-    pairs.sort()
-    total = float(dist[rows, cols].sum())
-    return MatchResult(pairs=pairs, total_distance=total, method="assignment")
+    q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool, "match_cohorts")
+    return _match_result(q_ids, r_ids, dist, *_assign(dist), "assignment")
 
 
 def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,25 +212,14 @@ def greedy_match(
     """Greedy alternative: each questionable page takes the nearest unused
     reliable page, in questionable-id order. Kept for comparison with the
     exact assignment; its total distance is never smaller."""
-    if len(reliable_pool) < len(questionable):
-        raise MatchInfeasibleError(
-            f"reliable pool ({len(reliable_pool)}) smaller than questionable "
-            f"cohort ({len(questionable)})"
-        )
-    if not questionable:
-        raise ValueError("greedy_match: empty questionable cohort")
-    q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool)
+    q_ids, r_ids, dist = _distance_matrix(questionable, reliable_pool, "greedy_match")
     used: set[int] = set()
-    pairs = []
-    total = 0.0
-    for i, q_id in enumerate(q_ids):
-        order = np.argsort(dist[i])
-        j = next(int(col) for col in order if int(col) not in used)
+    cols = []
+    for row in dist:
+        j = next(int(col) for col in np.argsort(row) if int(col) not in used)
         used.add(j)
-        pairs.append((q_id, r_ids[j]))
-        total += float(dist[i, j])
-    pairs.sort()
-    return MatchResult(pairs=pairs, total_distance=total, method="greedy")
+        cols.append(j)
+    return _match_result(q_ids, r_ids, dist, np.arange(len(q_ids)), cols, "greedy")
 
 
 def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
@@ -245,14 +246,9 @@ def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
 MATCH_HEADER = ["questionable_id", "reliable_id", "distance"]
 
 
-def write_match_csv(
-    result: MatchResult,
-    questionable: dict[str, np.ndarray],
-    pool: dict[str, np.ndarray],
-    stream,
-) -> None:
-    rows = [[q_id, r_id, format(float(np.linalg.norm(questionable[q_id] - pool[r_id])), ".12g")]
-            for q_id, r_id in result.pairs]
+def write_match_csv(result: MatchResult, stream) -> None:
+    """Each pair with the distance the matcher minimized."""
+    rows = [[q_id, r_id, format(d, ".12g")] for (q_id, r_id), d in zip(result.pairs, result.distances)]
     _write_table(stream, MATCH_HEADER, rows)
 
 

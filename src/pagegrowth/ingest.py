@@ -358,11 +358,13 @@ def _opt_count(raw, what: str) -> int | None:
         raw = raw.strip()
         if raw == "":
             return None
-        if not raw.isascii() or "_" in raw:  # int() also reads 5_000 and non-ASCII digits
+        if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() and raw[1:].strip("0"):
+            raise ValueError(f"{what} is negative")
+        if not (raw.isascii() and raw.isdigit()):  # int() also reads +5, -0, 5_000 and non-ASCII digits
             raise ValueError(f"{what} is not an integer: {raw!r}")
         try:
             value = int(raw)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise ValueError(f"{what} is not an integer: {raw!r}")
     elif isinstance(raw, bool):
         raise ValueError(f"{what} is not an integer: {raw!r}")

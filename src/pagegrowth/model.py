@@ -8,7 +8,7 @@ per-bin distribution fits by ordinary least squares; ``simulate`` steps
 the two multiplicative processes forward for all runs at once, from a
 pair of starting values, one independent substream per run.
 
-A built-in coefficient set (PUBLISHED_COEFFICIENTS) covers the weekly,
+A built-in coefficient set (``published_coefficients()``) covers the weekly,
 monthly and quarterly timescales so simulations are runnable without any
 data. Daily coefficients are deliberately not provided.
 """
@@ -131,9 +131,6 @@ def published_coefficients() -> ModelCoefficients:
         coeffs.add(row)
     coeffs.validate_complete()
     return coeffs
-
-
-PUBLISHED_COEFFICIENTS = published_coefficients()
 
 
 def _t_two_sided_p(t: float, df: int) -> float:
@@ -340,10 +337,6 @@ class Trajectory:
         """The states as objects, built on each access."""
         pairs = enumerate(zip(self.followers.tolist(), self.engagement.tolist()))
         return [SimState(f, e, step, self.timescale) for step, (f, e) in pairs]
-
-    def final(self) -> SimState:
-        f, e = float(self.followers[-1]), float(self.engagement[-1])
-        return SimState(f, e, self.followers.size - 1, self.timescale)
 
 
 def simulate(

@@ -402,8 +402,6 @@ class Cohort:
 
     labels: list[ReliabilityLabel]
     match: MatchResult
-    questionable: dict[str, np.ndarray]  # standardized features of the cohort
-    reliable: dict[str, np.ndarray]  # standardized features of the reliable pool
     features: dict[str, tuple[float, float]]  # raw (max followers, lifespan days)
     tests: Iterator[tuple[Timescale, dict[str, TestResult]]]
 
@@ -454,4 +452,4 @@ def cohort(dataset: Dataset, options: Options, warn: Warn, matching: str = "assi
                 continue
             yield scale, results
 
-    return Cohort(labels, result, q_vecs, r_vecs, raw, tests())
+    return Cohort(labels, result, raw, tests())

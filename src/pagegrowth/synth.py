@@ -24,6 +24,7 @@ formats the table a block of rows at a time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -79,8 +80,10 @@ class GeneratorConfig:
             raise ValueError("generator needs at least one page")
         if self.start >= self.end:
             raise ValueError("generator date range is empty")
-        if self.posts_per_day <= 0:
-            raise ValueError("posts_per_day must be positive")
+        if not (math.isfinite(self.posts_per_day) and self.posts_per_day > 0):
+            raise ValueError(f"posts_per_day must be finite and positive, got {self.posts_per_day!r}")
+        if not 0 <= self.questionable_fraction <= 1:  # NaN fails too
+            raise ValueError(f"questionable_fraction must lie in [0, 1], got {self.questionable_fraction!r}")
 
 
 @dataclass

@@ -72,6 +72,19 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path), "--pages-count", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--questionable-frac", "2", "questionable_fraction must lie in [0, 1]", id="frac=2"),
+        pytest.param("--questionable-frac", "-1", "questionable_fraction must lie in [0, 1]", id="frac=-1"),
+        pytest.param("--questionable-frac", "nan", "questionable_fraction must lie in [0, 1]", id="frac=nan"),
+        pytest.param("--posts-per-day", "nan", "posts_per_day must be finite and positive", id="rate=nan"),
+        pytest.param("--posts-per-day", "inf", "posts_per_day must be finite and positive", id="rate=inf"),
+    ])
+    def test_numeric_flags_checked_before_writing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--pages-count", "2", flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--start", "--end"])
     @pytest.mark.parametrize("value", ["20180101", "2018-W10-1"])
     def test_date_flags_take_only_yyyy_mm_dd(self, tmp_path, capsys, flag, value):
@@ -188,6 +201,7 @@ def test_one_reader_for_every_csv_input(tmp_path, capsys, kind, case):
     pytest.param("small,1_000,2000", "lower is not an integer: '1_000'", id="underscore"),
     pytest.param("small,\u0661,2000", "lower is not an integer: '\u0661'", id="arabic-indic-digit"),
     pytest.param("small,-5,2000", "lower is negative", id="negative"),
+    pytest.param("small,+5,2000", "lower is not an integer: '+5'", id="plus-sign"),
     pytest.param("small,10,", "upper is missing", id="empty-bound"),
     pytest.param("small,10,2000,x", "expected label,lower,upper, got ['small', '10', '2000', 'x']", id="fourth-field"),
     pytest.param("small,2000,10", "size class small: lower must be below upper", id="reversed"),
@@ -485,6 +499,30 @@ class TestSimulateCmd:
             code = main(["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--f0", "25000",
                          "--steps", "1", "--runs", "1", "--seed", "1", "--out", str(out)])
         assert code == 2 and not caught
+        assert "simulation state must stay finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_timescale_exits_2_before_writing(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("parameter,timescale,beta0,beta1,beta2\n"
+                          "mu,W,0.01,0,0\nb,W,0.2,0,0\nc,W,500,0,\nk,W,0.5,0,\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--coefficients", str(coeffs), "--timescales", "W,M,Q", "--f0", "25000",
+                     "--steps", "2", "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert "error: coefficient table lacks timescale M, Q\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_later_pair_leaving_the_state_writes_nothing(self, tmp_path, capsys):
+        # the W pair runs cleanly; M's c of 1e-4 overflows followers as in the test above
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("parameter,timescale,beta0,beta1,beta2\n"
+                          "mu,W,0.01,0,0\nb,W,0.2,0,0\nc,W,500,0,\nk,W,0.5,0,\n"
+                          "mu,M,0.01,0,0\nb,M,0.2,0,0\nc,M,1e-4,0,\nk,M,0.5,0,\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--coefficients", str(coeffs), "--timescales", "W,M", "--f0", "25000",
+                     "--steps", "1", "--runs", "1", "--seed", "1", "--out", str(out)])
+        assert code == 2
         assert "simulation state must stay finite and positive" in capsys.readouterr().err
         assert not out.exists()
 

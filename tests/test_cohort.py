@@ -1,5 +1,7 @@
 """Reliability labels, matching features, and assignment optimality."""
 
+import csv
+import io
 import itertools
 import math
 from datetime import date, datetime, timezone
@@ -17,6 +19,7 @@ from pagegrowth.cohort import (
     match_cohorts,
     page_features,
     standardize_features,
+    write_match_csv,
     _assign,
 )
 from pagegrowth.ingest import PageMeta, PostRecord
@@ -176,6 +179,31 @@ class TestMatching:
         res2 = match_cohorts({i: z2[i] for i in q_ids}, {i: z2[i] for i in r_ids})
         assert res1.pairs == res2.pairs
         assert res1.total_distance == pytest.approx(res2.total_distance, rel=1e-9)
+
+
+class TestMatchDistances:
+    """Both matchers report the distance of each pair they chose, and
+    matches.csv writes those numbers."""
+
+    @pytest.mark.parametrize("matcher", [match_cohorts, greedy_match])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distances_follow_the_pairs(self, matcher, seed):
+        rng = np.random.default_rng(seed)
+        raw = {f"p{i:02d}": (float(rng.uniform(1e4, 1e6)), float(rng.uniform(100, 4000))) for i in range(30)}
+        z = standardize_features(raw)
+        q = {i: z[i] for i in sorted(z)[:9]}
+        pool = {i: z[i] for i in sorted(z)[9:]}
+        result = matcher(q, pool)
+        assert len(result.distances) == len(result.pairs) == 9
+        for (q_id, r_id), d in zip(result.pairs, result.distances):
+            assert d == pytest.approx(float(np.linalg.norm(q[q_id] - pool[r_id])), rel=0, abs=1e-12)
+        assert math.fsum(result.distances) == pytest.approx(result.total_distance, rel=0, abs=1e-12)
+
+        stream = io.StringIO()
+        write_match_csv(result, stream)
+        rows = list(csv.reader(io.StringIO(stream.getvalue())))
+        assert rows[0] == ["questionable_id", "reliable_id", "distance"]
+        assert rows[1:] == [[q_id, r_id, format(d, ".12g")] for (q_id, r_id), d in zip(result.pairs, result.distances)]
 
 
 class TestAssignOracle:

@@ -253,7 +253,7 @@ class TestParseTimestamp:
 
 
 class TestStrictFields:
-    @pytest.mark.parametrize("raw", ["5_000", "\u0661\u0662\u0663", "\uff15"])
+    @pytest.mark.parametrize("raw", ["5_000", "\u0661\u0662\u0663", "\uff15", "+5", "-0"])
     def test_count_must_be_ascii_digits(self, raw):
         posts, report = parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,,,,7,", f"p1,b,2020-01-01T00:00:00Z,,,,{raw},"))
         assert [p.post_id for p in posts] == ["a"]
