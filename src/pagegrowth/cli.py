@@ -189,9 +189,10 @@ def _read_coefficients(spec: str) -> ModelCoefficients:
 def cmd_simulate(args) -> int:
     f0_by_tag = _parse_f0(args.f0)
     coeffs = _read_coefficients(args.coefficients)
-    scales = [s for s in _parse_timescales(args.timescales) if s in SIM_TIMESCALES]
-    if not scales:
-        raise FatalParseError("simulate supports W, M, Q timescales")
+    scales = _parse_timescales(args.timescales)
+    unsupported = [s.value for s in scales if s not in SIM_TIMESCALES]
+    if unsupported:
+        raise FatalParseError(f"simulate supports W, M, Q timescales, not {', '.join(unsupported)}")
     missing = [s.value for s in scales if not coeffs.has_timescale(s)]
     if missing:
         raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")

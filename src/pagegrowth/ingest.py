@@ -790,7 +790,7 @@ def _texts(values: Sequence[str]) -> list[str]:
 
 def _counts(values: np.ndarray, present: np.ndarray) -> list[str]:
     """A column of counts as text, empty where not ``present``."""
-    return np.where(present, values.astype(str), "").tolist()
+    return [str(v) if p else "" for v, p in zip(values.tolist(), present.tolist())]
 
 
 def _write_rows(stream, header: Sequence[str], n: int, row, columns) -> None:

@@ -6,7 +6,10 @@ gross growth rate is Burr-distributed with shapes linear in
 ln(followers). ``regress_parameters`` estimates those linear maps from
 per-bin distribution fits by ordinary least squares; ``simulate`` steps
 the two multiplicative processes forward for all runs at once, from a
-pair of starting values, one independent substream per run.
+pair of starting values, one independent substream per run. Those
+substreams depend only on the seed, so every (timescale, f0) pair
+simulated with one (seed, steps, runs) reads the same uniforms, drawn
+once: run i of each pair uses the same draws (common random numbers).
 
 A built-in coefficient set (``published_coefficients()``) covers the weekly,
 monthly and quarterly timescales so simulations are runnable without any
@@ -15,7 +18,9 @@ data. Daily coefficients are deliberately not provided.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import astuple, dataclass, field, fields
 from typing import BinaryIO
 
@@ -281,6 +286,19 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=1)
+def _uniform_block(seed: int, steps: int, runs: int) -> np.ndarray:
+    """``simulate``'s (2*steps, runs) uniforms, read-only since calls share them: column i
+    is run i's stream from ``SeedSequence((seed, i))``, row 2s-2 step s's Laplace
+    uniform and row 2s-1 its Burr uniform."""
+    u = np.empty((2 * steps, runs))
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        u[:, run] = _open_uniforms(rng, 2 * steps)
+    u.flags.writeable = False
+    return u
+
+
 def _map(fn, a: np.ndarray) -> np.ndarray:
     # fn per element: numpy's SIMD exp can differ from math.exp in the last bit
     return np.fromiter(map(fn, a.tolist()), float, a.size)
@@ -356,7 +374,10 @@ def simulate(
     Both parameter evaluations use the pre-update state. Run i consumes the
     substream seeded by (seed, i), the Laplace then the Burr uniform of
     each step in turn, so results are reproducible and runs are
-    order-independent.
+    order-independent. The uniforms depend on (seed, steps, runs) alone, so
+    run i of every (timescale, f0) pair called with them uses the same draws
+    (common random numbers); the block for the last (seed, steps, runs) is
+    kept, read-only, and not drawn again.
     """
     if steps < 1 or runs < 1:
         raise ValueError("steps and runs must both be at least 1")
@@ -366,10 +387,8 @@ def simulate(
         raise KeyError(f"coefficient table lacks timescale {timescale.value}")
     if not all(math.isfinite(v) and v > 0 for v in (f0, e0)):
         raise ValueError("starting followers and engagement must be finite and positive")
-    u = np.empty((2 * steps, runs))  # column i: run i's stream; row 2s-2 Laplace, 2s-1 Burr
-    for run in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        u[:, run] = _open_uniforms(rng, 2 * steps)
+    # keyed on ints: a float seed (which SeedSequence refuses) must not hit an int's entry
+    u = _uniform_block(operator.index(seed), operator.index(steps), operator.index(runs))
     followers, engagement = np.empty((runs, steps + 1)), np.empty((runs, steps + 1))
     f, e = np.full(runs, float(f0)), np.full(runs, float(e0))
     followers[:, 0], engagement[:, 0] = f, e

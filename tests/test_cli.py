@@ -532,6 +532,14 @@ class TestSimulateCmd:
         )
         assert code == 2
 
+    def test_daily_beside_weekly_refused_before_writing(self, tmp_path, capsys):
+        # D is refused by name, not dropped, and before the coefficient table is asked for it
+        out = tmp_path / "out"
+        code = main(["simulate", "--timescales", "D,W", "--out", str(out), "--runs", "1", "--steps", "1"])
+        assert code == 2
+        assert "error: simulate supports W, M, Q timescales, not D\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCohortCmd:
     def test_outputs(self, synth_dir, tmp_path):

@@ -5,12 +5,14 @@ import io
 import warnings
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagegrowth import ingest
 from pagegrowth.ingest import (
+    ABSENT,
     MAX_COUNT,
     FatalParseError,
     NoUsableDataError,
@@ -452,3 +454,15 @@ class TestRoundTrip:
         assert {i: p.newsguard_score for i, p in parsed.items()} == {
             i: p.newsguard_score for i, p in pages.items()
         }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("absent_share", [0.0, 0.3])
+    def test_count_column_text_is_numpy_text(self, seed, absent_share):
+        # the writers' count columns read as the numpy formatting they replaced
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, MAX_COUNT + 1, 5_000, dtype=np.int64)
+        values[:2] = 0, MAX_COUNT
+        values[rng.random(values.size) < absent_share] = ABSENT
+        present = values != ABSENT
+        assert present.all() == (absent_share == 0.0)
+        assert ingest._counts(values, present) == np.where(present, values.astype(str), "").tolist()

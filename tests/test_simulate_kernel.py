@@ -16,7 +16,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from pagegrowth import model
 from pagegrowth.aggregate import Timescale
+from pagegrowth.cli import main
 from pagegrowth.model import (
     B_FLOOR,
     CK_FLOOR,
@@ -25,6 +27,7 @@ from pagegrowth.model import (
     ModelCoefficients,
     ParamRegression,
     _open_uniforms,
+    _uniform_block,
     _uniform_open,
     published_coefficients,
     simulate,
@@ -195,3 +198,46 @@ def test_bad_start_rejected_before_drawing(f0, e0):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite and positive"):
             simulate(published_coefficients(), Timescale.W, f0, e0, steps=2, runs=2, seed=0)
+
+
+def test_command_draws_the_block_once(tmp_path, monkeypatch):
+    # the default 3x3 grid of (timescale, f0) pairs shares one (seed, steps, runs)
+    calls = []
+
+    def counted(rng, n):
+        calls.append(n)
+        return _open_uniforms(rng, n)
+
+    monkeypatch.setattr(model, "_open_uniforms", counted)
+    _uniform_block.cache_clear()
+    assert main(["simulate", "--runs", "20", "--steps", "5", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [10] * 20  # one stream per run, not one per run and pair
+
+
+def test_block_is_read_only():
+    u = _uniform_block(7, 3, 4)
+    assert u.shape == (6, 4) and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.5
+
+
+@given(tables(), tables(), st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_tables_sharing_a_block_each_match_the_oracle(first, second, steps, runs, seed):
+    # the second call reads the first call's cached block
+    _uniform_block.cache_clear()
+    for scale, coeffs in (first, second):
+        _assert_same(coeffs, scale, 25_000, 10_000, steps, runs, seed)
+    assert _uniform_block.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_seed_must_be_an_integer_after_a_cached_int():
+    coeffs = published_coefficients()
+    _uniform_block.cache_clear()
+    simulate(coeffs, Timescale.W, 25_000, 10_000, steps=2, runs=2, seed=3)
+    with pytest.raises(TypeError):
+        simulate(coeffs, Timescale.W, 25_000, 10_000, steps=2, runs=2, seed=3.0)
+    with pytest.raises(ValueError):  # SeedSequence refuses it before the block is kept
+        simulate(coeffs, Timescale.W, 25_000, 10_000, steps=2, runs=2, seed=-1)
+    simulate(coeffs, Timescale.W, 25_000, 10_000, steps=2, runs=2, seed=3)
+    assert _uniform_block.cache_info()[:2] == (1, 2)  # only seed 3's block was kept, and read again
