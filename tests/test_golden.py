@@ -18,27 +18,59 @@ output on purpose re-pins the digests and says why::
     PYTHONPATH=src python tests/test_golden.py   # rewrites golden_digests.json
 
 Re-pinning never regenerates ``golden_corpus/``: the data commands keep
-reading the same bytes whatever synth writes today.
+reading the same bytes whatever synth writes today. It records the numpy
+version and SIMD level it pinned under as ``_pinned_under``.
+
+Six digests hold Burr fits or values regressed on them (``FIT_DIGESTS``):
+``analyze/fits.csv``, ``analyze-flags/fits.csv``, ``model/coefficients.csv``,
+``model-flags/coefficients.csv``, ``model/regression_details.csv`` and
+``model-flags/regression_details.csv``. Their last digits depend on the SIMD
+level numpy dispatches ``exp``, ``log1p`` and ``expm1`` to. They are pinned
+under numpy 2.4.6 at X86_V4 (AVX-512); under ``NPY_DISABLE_CPU_FEATURES=X86_V4``
+exactly these six differ. The comparison stays exact, and when one of the six
+differs its message names the level pinned under and the level observed.
+``test_fits_agree_below_x86_v4`` checks that the two levels give the same fits
+and coefficients within ``tests.test_stats.BURR_FIT_REL``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
+try:
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
 from pagegrowth.cli import main
+from pagegrowth.stats import BurrParams, burr_cdf, burr_ppf
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CORPUS = Path(__file__).with_name("golden_corpus")  # synth's seed-11 output plus the rows below
+PINNED_UNDER = "_pinned_under"  # the key of the level the digests were pinned under
+FIT_DIGESTS = (
+    "analyze/fits.csv",
+    "analyze-flags/fits.csv",
+    "model/coefficients.csv",
+    "model-flags/coefficients.csv",
+    "model/regression_details.csv",
+    "model-flags/regression_details.csv",
+)
 
 # appended to the synthetic files: one row per rejection kind
 BAD_POSTS = [
@@ -117,6 +149,12 @@ def _versions() -> str:
     return f"numpy {np.__version__}, scipy {scipy.__version__}, python {sys.version.split()[0]}"
 
 
+def simd_level() -> str:
+    """numpy's version, its baseline and the dispatch targets this host enables."""
+    enabled = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    return f"numpy {np.__version__}, SIMD baseline {' '.join(__cpu_baseline__)}, dispatch {enabled}"
+
+
 def test_outputs_match_golden_digests(tmp_path):
     observed = observe(tmp_path)
     assert observed["model/coefficients.csv"] != _sha(
@@ -124,11 +162,100 @@ def test_outputs_match_golden_digests(tmp_path):
     ), "model wrote no coefficients; the corpus no longer exercises the fits"
     assert "aggregate/rejections.csv" in observed
     expected = json.loads(GOLDEN.read_text())
+    pinned_under = expected.pop(PINNED_UNDER, "an unrecorded level")
     differing = sorted(k for k in set(expected) | set(observed) if expected.get(k) != observed.get(k))
+    levels = ""
+    if set(differing) & set(FIT_DIGESTS):
+        levels = f"Burr fit digests pinned under {pinned_under}, observed under {simd_level()}\n"
     assert not differing, (
-        f"{len(differing)} golden digests differ ({_versions()}): {differing}\n"
+        f"{len(differing)} golden digests differ ({_versions()}): {differing}\n{levels}"
         f"observed digests:\n{json.dumps(observed, indent=1, sort_keys=True)}"
     )
+
+
+# runs each argv given as a JSON list, then prints whether numpy dispatches to X86_V4
+_RUN_SCRIPT = """
+import json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from pagegrowth.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(bool(__cpu_features__.get("X86_V4")))
+"""
+_BURR_U = np.linspace(0.01, 0.99, 99)  # the probabilities at which two fitted Burr laws are compared
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _assert_cells_close(here: list[str], below: list[str], bound: float) -> None:
+    assert len(here) == len(below)
+    for a, b in zip(here, below):
+        if a != b:
+            assert float(a) == pytest.approx(float(b), rel=bound), (here, below)
+
+
+def _assert_fits_close(here: list[list[str]], below: list[list[str]], bound: float) -> None:
+    """Laplace rows equal; each Burr fit's CDF within the bound of the other's.
+
+    For c in the thousands the objective is nearly flat along a valley of
+    (c, k), so the optimizer stops at points that give the same law but
+    differ in c and k by up to 2e-3.
+    """
+    assert [row[:4] for row in here] == [row[:4] for row in below]
+    burr: dict[tuple, list[dict]] = defaultdict(lambda: [{}, {}])
+    for a, b in zip(here[1:], below[1:]):
+        if a[2] == "burr":
+            burr[tuple(a[:2])][0][a[3]] = float(a[4])
+            burr[tuple(a[:2])][1][b[3]] = float(b[4])
+        else:
+            assert a == b
+    assert burr, "the golden fits hold no Burr row"
+    for key, (p, q) in burr.items():
+        gap = np.max(np.abs(burr_cdf(burr_ppf(_BURR_U, BurrParams(**p)), BurrParams(**q)) - _BURR_U))
+        assert gap <= bound, (key, p, q, gap)
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy reports no X86_V4 on this host")
+def test_fits_agree_below_x86_v4(tmp_path):
+    """The golden ``analyze`` and ``model`` runs, here and in a child process
+    with ``NPY_DISABLE_CPU_FEATURES=X86_V4``: their fits and coefficients
+    differ in the last digits but agree within the bound."""
+    from tests.test_stats import BURR_FIT_REL  # not importable when this file runs as a script
+
+    (tmp_path / "classes.csv").write_text(CLASSES)
+    shutil.copytree(CORPUS, tmp_path / "data")
+    names = {digest.split("/")[0] for digest in FIT_DIGESTS}
+    runs = {name: [arg.format(tmp=tmp_path) for arg in t] for name, t in RUNS if name in names}
+    for name, argv in runs.items():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path / "v4" / name)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    argvs = [[*argv, "--out", str(tmp_path / "below" / name)] for name, argv in runs.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False", "the child still dispatched to X86_V4"
+    for digest in FIT_DIGESTS:
+        here, below = _read_csv(tmp_path / "v4" / digest), _read_csv(tmp_path / "below" / digest)
+        if digest.endswith("fits.csv"):
+            _assert_fits_close(here, below, BURR_FIT_REL)
+        else:
+            assert len(here) == len(below) > 1
+            for a, b in zip(here, below):
+                _assert_cells_close(a, b, BURR_FIT_REL)
 
 
 if __name__ == "__main__":
@@ -136,5 +263,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         pins = observe(Path(tmp))
-    GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(pins)} digests to {GOLDEN} ({_versions()})")
+    level = simd_level()
+    GOLDEN.write_text(json.dumps({PINNED_UNDER: level, **pins}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} digests to {GOLDEN} ({_versions()}; {level})")
