@@ -13,13 +13,18 @@ Four CSV inputs, each with an exact, ordered header:
 Posts may also arrive as JSONL, one object per line with the same field
 names. Empty strings (CSV) and missing/null keys (JSONL) encode absence.
 
-Every CSV input is read by the same rules. ``_decoded`` reads UTF-8 and
-drops a byte order mark before the header; ``_csv_reader`` checks the
-header. Text that is not UTF-8, a field beyond the csv module's size
-limit, an empty file or another header is fatal (``FatalParseError``,
-naming the kind of file). Blank records are skipped, fields are stripped,
-and a row is numbered by the physical line it starts on (``_records``),
-since a quoted field may span lines.
+Every CSV input is read by one tokenizer over the file's bytes
+(``_csv_blocks``), with the csv module's default rules: a record ends at
+LF, CR LF or a lone CR outside quotes; a field opening with ``"`` is
+quoted, ``""`` in it standing for one quote; and a quote elsewhere is read
+as that module reads it, not strictly (``"ab"c"d`` is ``abc"d``, ``a"b``
+stays as it is, and input ending inside quotes ends the field). A byte
+order mark before the header is dropped. Text that is not UTF-8, a field
+of more than 131,072 characters, an empty file or another header than the
+expected one (compared unstripped) is fatal (``FatalParseError``, naming
+the kind of file). NUL is an ordinary character. Blank records are
+skipped, fields are stripped, and a row is numbered by the physical line
+it starts on, since a quoted field may span lines.
 
 Timestamps must be RFC 3339 date-times (section 5.6) with an explicit
 offset; they are normalized to UTC at second precision on ingest. Dates
@@ -31,13 +36,16 @@ after filtering are fatal. A bad size-class or coefficients row is an
 error naming its line, since a partial scheme or table is of no use.
 
 Posts are parsed straight into one table, ``PostColumns``: an array per
-field, no object per post. The file is read in chunks of rows; each field
-of a chunk is checked as a whole column against its common form (plain
-ids, ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or ``±hh:mm``),
-and only the values outside it go through the scalar validators
-(``_opt_text``, ``_opt_count``, ``parse_timestamp``). A ``Dataset`` holds
-that table, joined and sorted, with the page metadata; ``PostRecord`` is
-the row view, built only on request.
+field, no object per post. The tokenizer finds the records and fields of
+a block of the file with numpy and hands on each field as its offsets in
+the block's bytes (``_Fields``), no str per field. Each field of a chunk
+of rows is checked as a whole column on those bytes against its common
+form (ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or
+``±hh:mm``), and only the values outside it go through the scalar
+validators (``_opt_text``, ``_opt_count``, ``parse_timestamp``); ids are
+sliced from the block's text, decoded once. A ``Dataset`` holds that
+table, joined and sorted, with the page metadata; ``PostRecord`` is the
+row view, built only on request.
 
 Output format
 -------------
@@ -50,7 +58,6 @@ the parsers accept reads back unchanged.
 
 from __future__ import annotations
 
-import csv
 import gc
 import io
 import json
@@ -247,7 +254,10 @@ class PostColumns:
         Raises FatalParseError when the totals sum past MAX_COUNT, so that
         every window sum stays exact in int64 and float64.
         """
-        rows = np.arange(len(self)) if rows is None else rows
+        return self[self._sort_order(np.arange(len(self)) if rows is None else rows)]
+
+    def _sort_order(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` in the order ``sorted`` gives them."""
         if _sum_exceeds(self.total[rows], MAX_COUNT):
             raise FatalParseError(f"total_interactions sum to more than {MAX_COUNT}")
         page, seconds = self.page[rows], self.seconds[rows]
@@ -258,7 +268,23 @@ class PostColumns:
             post_rank = np.zeros(rows.size, dtype=np.int64)
             post_rank[tied] = np.unique(self.post_id[rows[tied]], return_inverse=True)[1]
             order = np.lexsort((post_rank, seconds, page))
-        return self[rows[order]]
+        return rows[order]
+
+
+class _HandedOver(PostColumns):
+    """A table that its one holder hands to ``build_dataset``, which may reorder it in place."""
+
+    def sorted(self, rows: np.ndarray | None = None) -> PostColumns:
+        """``PostColumns.sorted`` without a second table: each column is permuted in
+        place, one at a time, and the sorted rows are kept as a prefix view of it."""
+        order = self._sort_order(np.arange(len(self)) if rows is None else rows)
+        columns = {}
+        for f in fields(self)[1:]:
+            column = getattr(self, f.name)
+            column[: order.size] = column[order]
+            columns[f.name] = column[: order.size]
+        page_ids, columns["page"] = _page_codes(self.page_ids, columns["page"])
+        return PostColumns(page_ids, **columns)
 
 
 @dataclass
@@ -282,9 +308,9 @@ class Dataset:
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
-    # utf-8-sig: a byte order mark before the header is dropped, not fatal;
+    # utf-8-sig: a byte order mark before the first line is dropped, not fatal;
     # bytes are decoded while read, so a decoding error arises inside the parse
-    # newline="": line ends reach the csv module untranslated, so a quoted CR stays in its field
+    # newline="": lines end at LF, CR LF or a lone CR, as records do in the CSV reader
     if isinstance(stream, str):
         return io.StringIO(stream, newline="")
     return io.TextIOWrapper(io.BytesIO(stream) if isinstance(stream, bytes) else stream,
@@ -294,12 +320,11 @@ def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
 @contextmanager
 def _decoded(stream: BinaryIO | bytes | str, what: str) -> Iterator[io.TextIOBase]:
     """The input as text (``_text_lines``), for the body of a ``with``: text that is
-    not UTF-8 or that the csv module refuses is fatal, and a caller's binary file is
-    handed back open."""
+    not UTF-8 is fatal, and a caller's binary file is handed back open."""
     text = _text_lines(stream)
     try:
         yield text
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field beyond csv's size limit
+    except UnicodeDecodeError as exc:
         raise FatalParseError(f"unreadable {what} file: {exc}") from exc
     finally:
         # a wrapper left attached closes the caller's file whenever it is collected, with a ResourceWarning
@@ -307,15 +332,230 @@ def _decoded(stream: BinaryIO | bytes | str, what: str) -> Iterator[io.TextIOBas
             text.detach()
 
 
-def _csv_reader(text: io.TextIOBase, header: list[str], what: str):
-    """A csv.reader past the first record, which must be exactly ``header``."""
-    reader = csv.reader(text)
-    got = next(reader, None)
-    if got is None:
-        raise FatalParseError(f"empty {what} file: missing header")
-    if got != header:
-        raise FatalParseError(f"malformed {what} header: expected {','.join(header)}, got {','.join(got)}")
-    return reader
+# ---------------------------------------------------------------------------
+# CSV input: one tokenizer over the file's bytes
+# ---------------------------------------------------------------------------
+
+_COMMA, _QUOTE, _CR, _LF = b',"\r\n'
+_BOM = b"\xef\xbb\xbf"
+_BLOCK_BYTES = 1 << 17  # bytes read and tokenized at a time, besides a record carried over
+_FIELD_LIMIT = 131_072  # characters in one field, the csv module's default limit
+
+
+@dataclass(frozen=True)
+class _Fields:
+    """Fields as slices of one text: character offsets into ``text`` for the values,
+    byte offsets into its UTF-8 ``data`` for the column checks."""
+
+    text: str
+    data: np.ndarray  # uint8
+    starts: np.ndarray
+    ends: np.ndarray
+    char_starts: np.ndarray
+    char_ends: np.ndarray
+
+    @classmethod
+    def of(cls, values: Sequence[str]) -> "_Fields":
+        """The values, in order, as fields of their concatenation."""
+        encoded = [v.encode("utf-8", "surrogatepass") for v in values]  # a JSON string may hold a lone surrogate
+        char_ends, ends = (np.cumsum([len(v) for v in x], dtype=np.int64) for x in (values, encoded))
+        return cls("".join(values), np.frombuffer(b"".join(encoded), dtype=np.uint8),
+                   np.concatenate(([0], ends))[:-1], ends, np.concatenate(([0], char_ends))[:-1], char_ends)
+
+    def strings(self, index) -> list[str]:
+        text = self.text
+        return [text[a:b] for a, b in zip(self.char_starts[index].tolist(), self.char_ends[index].tolist())]
+
+    def column(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(data, first byte, byte length) of the fields at ``index``."""
+        starts = self.starts[index]
+        return self.data, starts, self.ends[index] - starts
+
+
+def _delimits(codes: np.ndarray) -> np.ndarray:
+    return (codes == _COMMA) | (codes == _CR) | (codes == _LF)
+
+
+def _quote_roles(a: np.ndarray, quotes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where quoted text opens and closes, and which quotes stand for a quote in a field.
+
+    Quoting is regular when every quote that opens by parity starts a field
+    and every one that closes by parity ends a field or escapes the next
+    quote (``""``); then quoted text is where an odd number of quotes
+    precede. Otherwise the quotes are scanned in order as the csv module
+    reads them, not strictly: a quote inside an unquoted field is text, and
+    text after a closing quote continues the field unquoted.
+    """
+    n = a.size
+    closing = np.arange(quotes.size) % 2 == 1
+    adjacent = quotes[1:] == quotes[:-1] + 1
+    escapes = closing & np.append(adjacent, False)
+    starts_field = (quotes == 0) | _delimits(a[quotes - 1])
+    ends_field = (quotes == n - 1) | _delimits(a[np.minimum(quotes + 1, n - 1)])
+    if np.where(closing, ends_field | escapes, starts_field | np.insert(adjacent, 0, False)).all():
+        return quotes, escapes
+    toggles, text = [], np.zeros(quotes.size, dtype=bool)
+    positions, starts_field = quotes.tolist(), starts_field.tolist()
+    inside, i = False, 0
+    while i < len(positions):
+        if inside and i + 1 < len(positions) and positions[i + 1] == positions[i] + 1:
+            text[i] = True  # "" in quoted text: one quote
+            i += 1
+        elif inside or starts_field[i]:
+            inside = not inside
+            toggles.append(positions[i])
+        else:
+            text[i] = True  # a quote inside an unquoted field
+        i += 1
+    return np.array(toggles, dtype=np.int64), text
+
+
+def _tokenize(buf: bytes, line: int, final: bool, what: str):
+    """The complete records at the start of ``buf``, the first starting on physical ``line``.
+
+    Returns (fields, lines, widths, stop, line) with each record's start line
+    and field count (0 for a blank record), the end of the records in
+    ``buf`` and the line after them; or None when no record is complete. A
+    record is complete at a line break outside quotes (CR LF, LF or a lone
+    CR), and at the end of the input when ``final``, even inside quotes.
+    Quotes that delimit quoted text or escape a quote are dropped from the
+    fields. Text that is not UTF-8, or a field of more than _FIELD_LIMIT
+    characters, is fatal.
+    """
+    a = np.frombuffer(buf, dtype=np.uint8)
+    n = a.size
+    special = np.flatnonzero(_delimits(a))
+    code = a[special]
+    crlf_lf = np.zeros(special.size, dtype=bool)  # the LF of a CR LF ends neither a line nor a record
+    crlf_lf[1:] = (code[1:] == _LF) & (code[:-1] == _CR) & (special[1:] == special[:-1] + 1)
+    breaks = special[(code != _COMMA) & ~crlf_lf]
+    quotes = np.flatnonzero(a == _QUOTE)
+    text_quotes = np.zeros(0, dtype=bool)
+    bound = ~crlf_lf
+    if quotes.size:
+        toggles, text_quotes = _quote_roles(a, quotes)
+        bound &= np.searchsorted(toggles, special) % 2 == 0
+    bounds, term = special[bound], code[bound] != _COMMA
+
+    ends = bounds[term]
+    last = ends.size - 1
+    if last >= 0 and not final and ends[last] == n - 1 and a[-1] == _CR:
+        last -= 1  # a CR at the end may be the first half of a CR LF
+    complete = final or last >= 0
+    if complete and not final:
+        stop = int(ends[last]) + 1
+        stop += bool(a[stop - 1] == _CR and a[stop] == _LF)
+        kept = np.searchsorted(bounds, ends[last], side="right")
+        bounds, term = bounds[:kept], term[:kept]
+    else:
+        # the whole input; without ``final`` only to bound the fields read so far
+        stop = n
+        tail = int(ends[-1]) + 1 if ends.size else 0
+        tail += bool(0 < tail < n and a[tail - 1] == _CR and a[tail] == _LF)
+        if tail < n:
+            bounds, term = np.append(bounds, n), np.append(term, True)
+    field_ends = bounds
+    starts = np.concatenate(([0], bounds + 1))[:-1]
+    last_field = np.flatnonzero(term)
+    first_field = np.concatenate(([0], last_field + 1))[:-1]
+    widths = last_field - first_field + 1
+    record_ends = bounds[last_field[:-1]]
+    starts[first_field[1:]] += (a[record_ends] == _CR) & (a[record_ends + 1] == _LF)  # a record after CR LF
+    record_starts = starts[first_field]
+    blank = (widths == 1) & (field_ends[first_field] == record_starts)  # a line break at once: no field at all
+    if blank.any():
+        keep = np.ones(starts.size, dtype=bool)
+        keep[first_field[blank]] = False
+        starts, field_ends, widths[blank] = starts[keep], field_ends[keep], 0
+
+    drop = quotes[~text_quotes]
+    drop = drop[: np.searchsorted(drop, stop)]
+    data = a[:stop]
+    if drop.size:
+        keep = np.ones(stop, dtype=bool)
+        keep[drop] = False
+        data = data[keep]
+        starts = starts - np.searchsorted(drop, starts)
+        field_ends = field_ends - np.searchsorted(drop, field_ends)
+    ascii_only = not data.size or data.max() < 0x80
+    if ascii_only:
+        char_starts, char_ends = starts, field_ends
+    else:
+        chars = np.concatenate(([0], np.cumsum((data & 0xC0) != 0x80)))  # characters begun before each byte
+        char_starts, char_ends = chars[starts], chars[field_ends]
+    if (char_ends - char_starts > _FIELD_LIMIT).any():
+        raise FatalParseError(f"unreadable {what} file: field larger than field limit ({_FIELD_LIMIT})")
+    if not complete:
+        return None
+    try:
+        if ascii_only:
+            text = str(data, "ascii")
+        else:  # the bytes as read: dropping quotes could join stray bytes into a character
+            text = str(memoryview(buf)[:stop], "utf-8")
+            if drop.size:
+                text = str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise FatalParseError(f"unreadable {what} file: {exc}") from exc
+    fields = _Fields(text, data, starts, field_ends, char_starts, char_ends)
+    lines = line + np.searchsorted(breaks, record_starts)
+    return fields, lines, widths, stop, line + int(np.searchsorted(breaks, stop))
+
+
+def _csv_blocks(source: BinaryIO | bytes | str, header: list[str], what: str):
+    """(fields, lines, widths) per block of a CSV input's records after its header, as ``_tokenize`` gives them.
+
+    The input is read _BLOCK_BYTES at a time; a record cut off by the end of
+    a block is read again with the next. A byte order mark before the
+    header is dropped (not from a str, which is decoded already). A missing
+    header or another one than ``header``, compared unstripped, is fatal.
+    """
+    bom = _BOM
+    if isinstance(source, str):
+        bom = None
+        try:
+            source = source.encode()
+        except UnicodeEncodeError as exc:
+            raise FatalParseError(f"unreadable {what} file: {exc}") from exc
+    read = io.BytesIO(source).read if isinstance(source, bytes) else source.read
+    pending = read(len(_BOM))
+    if pending == bom:
+        pending = b""
+    line, seen_header = 1, False
+    while True:
+        chunk = read(max(_BLOCK_BYTES, len(pending)))
+        buf = pending + chunk
+        block = _tokenize(buf, line, not chunk, what)
+        if block is None:
+            pending = buf
+            continue
+        fields, lines, widths, stop, line = block
+        pending = buf[stop:]
+        if not seen_header and widths.size:
+            got = fields.strings(np.arange(widths[0]))
+            if got != header:
+                raise FatalParseError(f"malformed {what} header: expected {','.join(header)}, got {','.join(got)}")
+            seen_header = True
+            skip = widths[0]
+            fields = replace(fields, starts=fields.starts[skip:], ends=fields.ends[skip:],
+                             char_starts=fields.char_starts[skip:], char_ends=fields.char_ends[skip:])
+            lines, widths = lines[1:], widths[1:]
+        if widths.size:
+            yield fields, lines, widths
+        if not chunk:
+            if not seen_header:
+                raise FatalParseError(f"empty {what} file: missing header")
+            return
+
+
+def _csv_rows(source: BinaryIO | bytes | str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line, fields) per non-blank record after the header of a CSV input (``_csv_blocks``)."""
+    for fields, lines, widths in _csv_blocks(source, header, what):
+        values = fields.strings(slice(None))
+        k = 0
+        for line, width in zip(lines.tolist(), widths.tolist()):
+            if width:
+                yield line, values[k:k + width]
+            k += width
 
 
 def _iso_date(raw: str, what: str) -> date:
@@ -398,40 +638,32 @@ def _timestamp_seconds(raw) -> int:
 
 
 # ---------------------------------------------------------------------------
-# column checks: each takes one field of a chunk as a list of str and
-# returns its values and a mask of those the check could not read
+# column checks: each takes one field of a chunk as (data, first byte, byte
+# length) per value and returns its values and a mask of those it could not
+# read; a byte outside ASCII never passes
 # ---------------------------------------------------------------------------
-
-def _column_bytes(values: Sequence[str], pad: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One field of a chunk as ASCII bytes, each value followed by a 0 byte and the
-    last by ``pad`` more; each value's first byte and length; and which values were
-    blanked because they are not ASCII or hold a NUL."""
-    n = len(values)
-    joined = "\0".join(values)
-    blanked = np.zeros(n, dtype=bool)
-    if not joined.isascii() or joined.count("\0") != n - 1:  # rare: blank those values, read the rest
-        blanked = np.fromiter((not v.isascii() or "\0" in v for v in values), dtype=bool, count=n)
-        joined = "\0".join("" if b else v for v, b in zip(values, blanked.tolist()))
-    data = np.frombuffer((joined + "\0" * (1 + pad)).encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(data == 0)[:n]
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    return data, starts, ends - starts, blanked
-
 
 _POWERS = 10 ** np.arange(_COUNT_DIGITS, dtype=np.int64)
 
 
-def _count_column(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _count_column(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counts of 1 to 15 ASCII digits, ABSENT for an empty field."""
-    data, starts, lengths, unread = _column_bytes(values)
-    digit = data - np.uint8(48)  # a separator wraps round to 208
-    stray = np.flatnonzero((digit > 9) & (data != 0))
-    unread[np.searchsorted(starts, stray, side="right") - 1] = True
-    unread |= lengths > _COUNT_DIGITS
-    place = np.repeat(starts + lengths, lengths + 1) - 1 - np.arange(data.size)  # of each digit, from the right
-    terms = np.where(digit <= 9, digit, 0) * _POWERS[np.clip(place, 0, _COUNT_DIGITS - 1)]
-    counts = np.add.reduceat(terms, starts)
-    counts[lengths == 0] = ABSENT
+    unread = lengths > _COUNT_DIGITS
+    lengths = np.where(unread, 0, lengths)
+    ends = np.cumsum(lengths)  # of each value among the digits of all
+    offsets = ends - lengths
+    total = int(ends[-1]) if ends.size else 0
+    at = np.repeat(starts - offsets, lengths)
+    at += np.arange(total)
+    digit = data[at] - np.uint8(48)  # other bytes wrap round past 9
+    unread[np.searchsorted(ends, np.flatnonzero(digit > 9), side="right")] = True
+    terms = np.repeat(ends - 1, lengths)
+    terms -= np.arange(total)  # each digit's place, from the right
+    terms = _POWERS[terms] * digit
+    counts = np.full(lengths.size, ABSENT, dtype=np.int64)
+    given = np.flatnonzero(lengths)
+    if given.size:
+        counts[given] = np.add.reduceat(terms, offsets[given])
     return counts, unread
 
 
@@ -440,14 +672,15 @@ _TS_OFFSET_DIGITS = [20, 21, 23, 24]
 _TS_PUNCTUATION = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def _timestamp_column(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _timestamp_column(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z`` or ``±hh:mm``."""
-    data, starts, lengths, unreadable = _column_bytes(values, pad=25)
-    codes = data[starts[:, None] + np.arange(25)]
+    if not data.size:  # every value empty
+        return np.zeros(starts.size, dtype=np.int64), np.ones(starts.size, dtype=bool)
+    codes = data.take(starts[:, None] + np.arange(25), mode="clip")  # bytes past a value decide nothing
     digit = codes.astype(np.int64) - 48
 
     def number(*positions):
-        value = np.zeros(len(values), dtype=np.int64)
+        value = np.zeros(starts.size, dtype=np.int64)
         for p in positions:
             value = value * 10 + digit[:, p]
         return value
@@ -458,7 +691,7 @@ def _timestamp_column(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     zulu = (lengths == 20) & (sign == ord("Z"))
     offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (codes[:, 22] == ord(":"))
               & is_digit[:, _TS_OFFSET_DIGITS].all(axis=1) & (offset_hour <= 23) & (offset_minute <= 59))
-    read = ~unreadable & (zulu | offset) & is_digit[:, _TS_DIGITS].all(axis=1)
+    read = (zulu | offset) & is_digit[:, _TS_DIGITS].all(axis=1)
     for p, char in _TS_PUNCTUATION.items():
         read &= codes[:, p] == ord(char)
     year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
@@ -486,64 +719,57 @@ class _ParsedPosts:
         self.post_ids: list[str] = []
         self.rejected: list[tuple[int, str]] = []
 
-    def add(self, lines: Sequence[int], columns: Sequence[Sequence], any_type: bool) -> None:
-        """Check one chunk, a list of values per POSTS_HEADER field, and keep its good rows.
+    def add(self, lines: Sequence[int], fields: _Fields, columns: Sequence[np.ndarray],
+            other: Sequence[dict[int, object]] = ()) -> None:
+        """Check one chunk of rows and keep its good ones.
 
-        CSV values are all str; JSON values (``any_type``) go through the
-        scalar validators unless they are str. A bad row is rejected with
-        the reason of its first failing field, in the order the fields are
-        checked here: id types, missing ids, timestamp, each count, then
-        the component sum.
+        ``columns[j]`` indexes each row's POSTS_HEADER[j] field in
+        ``fields``. ``other[j]`` maps each row whose JSON value there is not
+        a str (its field is empty) to that value. Such values, and those
+        outside the common forms, go through the scalar validators. A bad
+        row is rejected with the reason of its first failing field, in the
+        order the fields are checked here: id types, missing ids, timestamp,
+        each count, then the component sum.
         """
         lines = np.asarray(lines, dtype=np.int64)
         n = lines.size
+        other = other or [{}] * len(POSTS_HEADER)
         errors: dict[int, str] = {}  # row -> reason
 
-        def scalar(raw, values, rows, check):
-            """Send the values at ``rows`` through a scalar validator."""
+        def scalar(j, values, rows, check):
+            """Send the values of field ``j`` at ``rows`` through a scalar validator."""
             for i in rows:
+                raw = other[j][i] if i in other[j] else fields.strings(columns[j][i:i + 1])[0]
                 try:
-                    values[i] = check(raw[i])
+                    values[i] = check(raw)
                 except ValueError as exc:
                     errors.setdefault(i, str(exc))
 
-        def strings(raw):
-            """The str values, others blanked, and the rows of the others."""
-            other = [] if not any_type else [i for i, v in enumerate(raw) if type(v) is not str]
-            if other:
-                raw = list(raw)
-                for i in other:
-                    raw[i] = ""
-            return raw, other
-
         ids = []
-        for what, raw in zip(("page_id", "post_id"), columns[:2]):
-            text, other = strings(raw)
-            values = list(map(str.strip, text))
-            scalar(raw, values, other, lambda v, what=what: _opt_text(v, what))
+        for j, what in enumerate(("page_id", "post_id")):
+            values = list(map(str.strip, fields.strings(columns[j])))
+            scalar(j, values, list(other[j]), lambda v, what=what: _opt_text(v, what))
             ids.append(values)
         for what, values in zip(("page_id", "post_id"), ids):
             if not all(values):
                 for i in np.flatnonzero(~np.fromiter(map(bool, values), dtype=bool, count=n)).tolist():
                     errors.setdefault(i, f"missing {what}")
 
-        text, other = strings(columns[2])
-        seconds, unread = _timestamp_column(text)
-        unread[other] = True
-        scalar(columns[2], seconds, np.flatnonzero(unread).tolist(), _timestamp_seconds)
+        seconds, unread = _timestamp_column(*fields.column(columns[2]))
+        unread[list(other[2])] = True
+        scalar(2, seconds, np.flatnonzero(unread).tolist(), _timestamp_seconds)
 
-        counts = []
-        for what, raw in zip(_COUNT_FIELDS, columns[3:]):
-            text, other = strings(raw)
-            values, unread = _count_column(text)
-            unread[other] = True
+        # the five count fields are read as one column, then checked field by field
+        values, unread = _count_column(*fields.column(np.concatenate(columns[3:])))
+        counts = np.split(values, len(_COUNT_FIELDS))
+        for j, (what, values, unread) in enumerate(zip(_COUNT_FIELDS, counts, np.split(unread, len(_COUNT_FIELDS))), 3):
+            unread[list(other[j])] = True
 
             def count(v, what=what):
                 value = _opt_count(v, what)
                 return ABSENT if value is None else value
 
-            scalar(raw, values, np.flatnonzero(unread).tolist(), count)
-            counts.append(values)
+            scalar(j, values, np.flatnonzero(unread).tolist(), count)
 
         likes, comments, shares, total, followers = counts
         parts = likes + comments + shares
@@ -567,7 +793,7 @@ class _ParsedPosts:
         for column, values in zip(self.columns.values(), (lines, page, seconds, total, likes, comments, shares,
                                                           followers)):
             if end > column.size:
-                column.resize(max(2 * column.size, end), refcheck=False)
+                column.resize(max(column.size + column.size // 4, end), refcheck=False)
             column[start:end] = values[kept]
 
     def finish(self) -> tuple[PostColumns, RejectionReport]:
@@ -580,8 +806,9 @@ class _ParsedPosts:
         # rows whose post_id hashes like another's are compared as strings, in file order
         hashes = np.fromiter(map(hash, post_id), dtype=np.int64, count=post_id.size)
         order = np.argsort(hashes, kind="stable")
+        hashes = hashes[order]
         collide = np.zeros(order.size, dtype=bool)
-        same = hashes[order][1:] == hashes[order][:-1]
+        same = hashes[1:] == hashes[:-1]
         collide[1:] |= same
         collide[:-1] |= same
         seen, repeats = set(), []
@@ -615,63 +842,43 @@ def parse_posts(
     """
     if format not in ("csv", "jsonl"):
         raise FatalParseError(f"unknown posts format {format!r}")
-    with _decoded(stream, "posts") as text:
-        return _read_posts(text, format)
-
-
-def _read_posts(text: io.TextIOBase, format: str) -> tuple[PostColumns, RejectionReport]:
     table = _ParsedPosts()
-    # csv.reader and json make a tracked list or dict per record and none of them is part
-    # of a cycle, so the cyclic collector would only rescan them: it stays off for the read
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if format == "csv":
-            for lines, columns in _csv_blocks(_csv_reader(text, POSTS_HEADER, "posts"), table.rejected):
-                table.add(lines, columns, any_type=False)
-        else:
-            for lines, objects in _chunks(_json_objects(text, table.rejected)):
-                table.add(lines, [[obj.get(name) for obj in objects] for name in POSTS_HEADER], any_type=True)
-    finally:
-        if was_enabled:
-            gc.enable()
+    if format == "csv":
+        width = len(POSTS_HEADER)
+        for fields, lines, widths in _csv_blocks(stream, POSTS_HEADER, "posts"):
+            wrong = np.flatnonzero((widths != width) & (widths != 0))
+            table.rejected += [(line, f"expected {width} fields, got {got}")
+                               for line, got in zip(lines[wrong].tolist(), widths[wrong].tolist())]
+            rows = np.flatnonzero(widths == width)
+            first = (np.cumsum(widths) - widths)[rows]  # each row's first field
+            for lo in range(0, rows.size, _CHUNK_ROWS):
+                part = slice(lo, lo + _CHUNK_ROWS)
+                table.add(lines[rows[part]], fields, [first[part] + j for j in range(width)])
+    else:
+        with _decoded(stream, "posts") as text:
+            _read_json_posts(text, table)
     return table.finish()
 
 
-def _records(reader):
-    """(line, row) per non-blank CSV record, line being the physical line the record starts on.
-
-    A quoted field may span lines, so records and lines can drift apart;
-    ``reader.line_num`` counts lines read so far.
-    """
-    line = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
-
-
-def _csv_blocks(reader, rejected: list[tuple[int, str]]):
-    """(lines, columns) per block of up to _CHUNK_ROWS posts records, each line being where its record starts.
-
-    Blank records are skipped and records of other than 8 fields rejected;
-    ``reader.line_num`` counts the physical lines read so far.
-    """
-    width = len(POSTS_HEADER)
-    lines, rows = [], []
-    line = reader.line_num + 1
-    for row in reader:
-        if len(row) == width:
-            lines.append(line)
-            rows.append(row)
-            if len(rows) == _CHUNK_ROWS:
-                yield lines, list(zip(*rows))
-                lines, rows = [], []
-        elif row:
-            rejected.append((line, f"expected {width} fields, got {len(row)}"))
-        line = reader.line_num + 1
-    if rows:
-        yield lines, list(zip(*rows))
+def _read_json_posts(text: io.TextIOBase, table: _ParsedPosts) -> None:
+    # json makes a tracked dict per record and none of them is part of a cycle,
+    # so the cyclic collector would only rescan them: it stays off for the read
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lines, objects in _chunks(_json_objects(text, table.rejected)):
+            n = len(objects)
+            values = [obj.get(name) for name in POSTS_HEADER for obj in objects]
+            other = [{} for _ in POSTS_HEADER]
+            for i, value in enumerate(values):
+                if type(value) is not str:
+                    other[i // n][i % n] = value
+                    values[i] = ""
+            table.add(lines, _Fields.of(values), [np.arange(j * n, (j + 1) * n) for j in range(len(POSTS_HEADER))],
+                      other)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):
@@ -714,39 +921,38 @@ def parse_pages(
     pages: dict[str, PageMeta] = {}
     duplicates: list[str] = []
     report = RejectionReport()
-    with _decoded(stream, "pages") as text:
-        for line, row in _records(_csv_reader(text, PAGES_HEADER, "pages")):
-            if len(row) != len(PAGES_HEADER):
-                report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
+    for line, row in _csv_rows(stream, PAGES_HEADER, "pages"):
+        if len(row) != len(PAGES_HEADER):
+            report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
+            continue
+        page_id, name, raw_created, raw_score, language = (v.strip() for v in row)
+        if not page_id:
+            report.add(line, "missing page_id")
+            continue
+        if page_id in pages:
+            duplicates.append(page_id)
+            continue
+        try:
+            created = _iso_date(raw_created, "created_at")
+        except ValueError as exc:
+            report.add(line, str(exc))
+            continue
+        score: float | None = None
+        if raw_score:
+            if not _DECIMAL.fullmatch(raw_score):
+                report.add(line, f"newsguard_score is not a number: {raw_score!r}")
                 continue
-            page_id, name, raw_created, raw_score, language = (v.strip() for v in row)
-            if not page_id:
-                report.add(line, "missing page_id")
+            score = float(raw_score)
+            if not 0.0 <= score <= 100.0:
+                report.add(line, f"newsguard_score {score} outside [0,100]")
                 continue
-            if page_id in pages:
-                duplicates.append(page_id)
-                continue
-            try:
-                created = _iso_date(raw_created, "created_at")
-            except ValueError as exc:
-                report.add(line, str(exc))
-                continue
-            score: float | None = None
-            if raw_score:
-                if not _DECIMAL.fullmatch(raw_score):
-                    report.add(line, f"newsguard_score is not a number: {raw_score!r}")
-                    continue
-                score = float(raw_score)
-                if not 0.0 <= score <= 100.0:
-                    report.add(line, f"newsguard_score {score} outside [0,100]")
-                    continue
-            pages[page_id] = PageMeta(
-                page_id=page_id,
-                name=name,
-                created_at=created,
-                newsguard_score=score,
-                language=language or None,
-            )
+        pages[page_id] = PageMeta(
+            page_id=page_id,
+            name=name,
+            created_at=created,
+            newsguard_score=score,
+            language=language or None,
+        )
     if duplicates:
         raise FatalParseError(f"duplicate page_id(s): {sorted(set(duplicates))}")
     return pages, report
@@ -758,8 +964,9 @@ def build_dataset(
     """Join posts against page metadata, rejecting orphans, and sort them.
 
     Orphans are numbered by their position among the posts. Records are
-    first turned into a table. Raises NoUsableDataError when nothing
-    survives filtering.
+    first turned into a table. A table is left as it is, unless it is
+    handed over (``_HandedOver``): that one is sorted in place. Raises
+    NoUsableDataError when nothing survives filtering.
     """
     table = posts if isinstance(posts, PostColumns) else PostColumns.from_records(list(posts))
     known = np.array([page_id in pages for page_id in table.page_ids], dtype=bool)[table.page]

@@ -27,7 +27,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .aggregate import Timescale
-from .ingest import _csv_reader, _decoded, _records, _write_rows, _write_table
+from .ingest import _csv_rows, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -471,22 +471,21 @@ def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
     """A coefficients file as ``write_coefficients_csv`` writes it; each (parameter, timescale) once."""
     coeffs = ModelCoefficients()
     lines: dict[tuple[str, Timescale], int] = {}  # (parameter, timescale) -> line first giving it
-    with _decoded(stream, "coefficients") as text:
-        for line, row in _records(_csv_reader(text, COEFFS_HEADER, "coefficients")):
-            try:
-                if len(row) != len(COEFFS_HEADER):
-                    raise ValueError(f"expected {len(COEFFS_HEADER)} fields, got {len(row)}")
-                parameter, scale, b0, b1, b2 = (v.strip() for v in row)
-                beta2 = _coefficient(b2, "beta2") if parameter in ("mu", "b") and b2 != "" else None
-                reg = ParamRegression(parameter, Timescale.parse(scale), _coefficient(b0, "beta0"),
-                                      _coefficient(b1, "beta1"), beta2, ())
-            except ValueError as exc:
-                raise ValueError(f"coefficients line {line}: {exc}") from exc
-            first = lines.setdefault((reg.parameter, reg.timescale), line)
-            if first != line:
-                raise ValueError(f"coefficients line {line}: {reg.parameter}/{reg.timescale.value} "
-                                 f"already given on line {first}")
-            coeffs.add(reg)
+    for line, row in _csv_rows(stream, COEFFS_HEADER, "coefficients"):
+        try:
+            if len(row) != len(COEFFS_HEADER):
+                raise ValueError(f"expected {len(COEFFS_HEADER)} fields, got {len(row)}")
+            parameter, scale, b0, b1, b2 = (v.strip() for v in row)
+            beta2 = _coefficient(b2, "beta2") if parameter in ("mu", "b") and b2 != "" else None
+            reg = ParamRegression(parameter, Timescale.parse(scale), _coefficient(b0, "beta0"),
+                                  _coefficient(b1, "beta1"), beta2, ())
+        except ValueError as exc:
+            raise ValueError(f"coefficients line {line}: {exc}") from exc
+        first = lines.setdefault((reg.parameter, reg.timescale), line)
+        if first != line:
+            raise ValueError(f"coefficients line {line}: {reg.parameter}/{reg.timescale.value} "
+                             f"already given on line {first}")
+        coeffs.add(reg)
     return coeffs
 
 

@@ -46,10 +46,9 @@ from .ingest import (
     PageMeta,
     PostColumns,
     RejectionReport,
-    _csv_reader,
-    _decoded,
+    _HandedOver,
+    _csv_rows,
     _opt_count,
-    _records,
     _utc_date,
     build_dataset,
     parse_pages,
@@ -108,8 +107,8 @@ def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
     if path is None:
         return tuple(DEFAULT_FOLLOWER_CLASSES)
     scheme = []
-    with open(path, "rb") as fh, _decoded(fh, "size-class") as text:
-        for line, row in _records(_csv_reader(text, ["label", "lower", "upper"], "size-class")):
+    with open(path, "rb") as fh:
+        for line, row in _csv_rows(fh, ["label", "lower", "upper"], "size-class"):
             try:
                 if len(row) != 3:
                     raise ValueError(f"expected label,lower,upper, got {row}")
@@ -151,7 +150,8 @@ def load_dataset(posts_path: Path, pages_path: Path | None) -> tuple[Dataset, li
             raise FatalParseError(f"pages file not found: {pages_path}")
         with open(pages_path, "rb") as fh:
             pages, page_report = parse_pages(fh)
-    dataset, join_report = build_dataset(posts, pages)
+    # nothing else holds the parsed table, so the sort may reorder it in place
+    dataset, join_report = build_dataset(_HandedOver(**vars(posts)), pages)
     reports = (("posts", post_report), ("pages", page_report), ("join", join_report))
     return dataset, [(source, row.line, row.reason) for source, report in reports for row in report.rows]
 

@@ -671,8 +671,9 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert rows("cohort/matches.csv")
 
 
-def test_only_ingest_imports_csv():
-    # ingest reads every CSV input and writes every CSV output
+def test_no_module_imports_csv():
+    # ingest's own tokenizer reads every CSV input, so acceptance does not depend on
+    # the csv module of the Python version; ingest also writes every CSV output
     importers = []
     for path in sorted(Path(pagegrowth.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -684,4 +685,4 @@ def test_only_ingest_imports_csv():
                 continue
             if any(name == "csv" or name.startswith("csv.") for name in names):
                 importers.append(path.name)
-    assert importers == ["ingest.py"]
+    assert importers == []

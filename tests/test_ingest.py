@@ -190,26 +190,28 @@ class TestParsePosts:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_off_for_the_read_and_restored(self, enabled, monkeypatch):
+        # only the JSONL read turns the collector off: json makes a dict per record
         seen = []
 
-        def blocks(*args):
+        def objects(*args):
             seen.append(gc.isenabled())
-            yield from csv_blocks(*args)
+            yield from json_objects(*args)
 
-        csv_blocks = ingest._csv_blocks
-        monkeypatch.setattr(ingest, "_csv_blocks", blocks)
-        fatal = [b"page,time\np1,2020\n", _posts_csv("p1," + "a" * 200_000 + ",2020-01-01T00:00:00Z,,,,5,")]
+        json_objects = ingest._json_objects
+        monkeypatch.setattr(ingest, "_json_objects", objects)
+        good = b'{"page_id": "p1", "post_id": "a", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 6}\n'
+        fatal = [b"\xff\n", good + b"\x80\n"]
         (gc.enable if enabled else gc.disable)()
         try:
-            posts, _ = parse_posts(_posts_csv("p1,a,2020-01-01T00:00:00Z,1,2,3,6,"))
+            posts, _ = parse_posts(good, format="jsonl")
             assert len(posts) == 1 and gc.isenabled() == enabled
             for data in fatal:
-                with pytest.raises(FatalParseError):
-                    parse_posts(data)
+                with pytest.raises(FatalParseError, match="unreadable posts file"):
+                    parse_posts(data, format="jsonl")
                 assert gc.isenabled() == enabled
         finally:
             gc.enable()
-        assert seen == [False, False]  # the good file and the oversized field reached the loop
+        assert seen == [False, False, False]  # each file reached the loop
 
 
 class TestParseTimestamp:

@@ -13,10 +13,12 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -275,6 +277,33 @@ def test_one_long_id_does_not_widen_the_columns():
         tracemalloc.stop()
     assert len(posts) == 2000 and len(report) == 0 and len(posts[7].post_id) == 100_000
     assert peak < 100 * 2**20
+
+
+def test_load_dataset_holds_one_table_at_peak(tmp_path):
+    # the sort reorders the parsed table in place rather than copying it beside the original
+    data = synth.generate(synth.GeneratorConfig(n_pages=40, end=date(2019, 1, 1)), seed=5)
+    with open(tmp_path / "posts.csv", "w") as fh:
+        ingest.write_posts_csv(data.posts, fh)
+    with open(tmp_path / "pages.csv", "w") as fh:
+        ingest.write_pages_csv(data.pages, fh)
+    tracemalloc.start()
+    try:
+        dataset, rejected = pipeline.load_dataset(tmp_path / "posts.csv", tmp_path / "pages.csv")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.columns) == len(data.posts) > 40_000 and rejected == []
+    assert dataset.columns == data.posts.sorted()
+    assert peak < 1.6 * held  # two tables would be twice the one held
+
+
+def test_build_dataset_leaves_the_callers_table_alone():
+    posts = synth.generate(synth.GeneratorConfig(n_pages=3, end=date(2018, 3, 1)), seed=2)
+    table = posts.posts[::-1]
+    before = [getattr(table, f.name).copy() for f in fields(table)[1:]]
+    dataset, _ = ingest.build_dataset(table, posts.pages)
+    assert dataset.columns == posts.posts.sorted()
+    assert all(np.array_equal(getattr(table, f.name), b) for f, b in zip(fields(table)[1:], before))
 
 
 def test_fatal_errors_stay_fatal_in_any_chunk():
