@@ -148,12 +148,10 @@ def _representative(cols, group, n_groups, start, scale, quarter_rule) -> tuple[
     group = group[observed]
     if scale is Timescale.M:  # days from the 15th; ties keep time order
         key = np.abs(cols.seconds[observed] // DAY_S - (start[observed] + 14))
-    elif scale is not Timescale.Q or quarter_rule == "earliest":
-        key = np.zeros(observed.size, dtype=np.int64)
-    elif quarter_rule == "latest":  # the last observed row first
+    elif scale is Timescale.Q and quarter_rule == "latest":  # the last observed row first
         key = -np.arange(observed.size)
     else:
-        raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
+        key = np.zeros(observed.size, dtype=np.int64)
     order = np.lexsort((key, group))
     group, observed = group[order], observed[order]
     wins = np.ones(group.size, dtype=bool)
@@ -167,6 +165,8 @@ def _representative(cols, group, n_groups, start, scale, quarter_rule) -> tuple[
 
 def _aggregate(cols: PostColumns, scale: Timescale, quarter_rule: str) -> dict[str, AggregatedSeries]:
     """The kernel: every page's series from columns sorted by (page, seconds, post_id)."""
+    if quarter_rule not in ("latest", "earliest"):
+        raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
     n = cols.seconds.size
     start, end = _window_bounds(cols.seconds // DAY_S, scale)
     opens = np.ones(n, dtype=bool)  # row opens a new (page, window) group

@@ -13,18 +13,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline, synth
 from .aggregate import Timescale, write_series_csv
-from .cohort import MatchInfeasibleError, write_cohort_summary_csv, write_match_csv
+from .cohort import write_cohort_summary_csv, write_match_csv
 from .growth import DegenerateBinningError, write_growth_samples_csv
-from .ingest import Dataset, FatalParseError, NoUsableDataError, _format_score, _iso_date, _write_table
+from .ingest import Dataset, FatalParseError, _format_score, _iso_date, _write_table
 from .model import (
     DEFAULT_STARTING_FOLLOWERS,
-    SIM_TIMESCALES,
     CollinearCovariatesError,
     ModelCoefficients,
+    check_timescales,
     published_coefficients,
     read_coefficients_csv,
     simulate,
@@ -57,16 +58,17 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+_CHECKS = {"timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim}
+
+
 def _options(args) -> pipeline.Options:
-    """Validate the flags the data commands share."""
-    return pipeline.Options(
-        timescales=_parse_timescales(args.timescales),
-        classes=pipeline.load_classes(args.classes),
-        trim_bounds=_parse_trim(args.trim),
-        trim_rates=args.trim_rates,
-        metric=args.metric,
-        quarter_rule=args.quarter_rule,
-    )
+    """Check the flags the command takes; the fields it takes none for keep their defaults."""
+    given = vars(args)
+    return pipeline.Options(**{
+        f.name: _CHECKS.get(f.name, lambda value: value)(given[f.name])
+        for f in fields(pipeline.Options)
+        if f.name in given
+    })
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -149,6 +151,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_model(args) -> int:
     options = _options(args)
+    check_timescales(options.timescales, "model")
     dataset, out_dir = _load_dataset(args)
     coeffs = ModelCoefficients()
     detail_rows = []
@@ -190,9 +193,7 @@ def cmd_simulate(args) -> int:
     f0_by_tag = _parse_f0(args.f0)
     coeffs = _read_coefficients(args.coefficients)
     scales = _parse_timescales(args.timescales)
-    unsupported = [s.value for s in scales if s not in SIM_TIMESCALES]
-    if unsupported:
-        raise FatalParseError(f"simulate supports W, M, Q timescales, not {', '.join(unsupported)}")
+    check_timescales(scales, "simulate")
     missing = [s.value for s in scales if not coeffs.has_timescale(s)]
     if missing:
         raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")
@@ -272,19 +273,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, timescales_default="D,W,M,Q"):
-    sub.add_argument("--input", help="posts file (.csv or .jsonl)")
-    sub.add_argument("--pages", help="pages metadata CSV")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--timescales", default=timescales_default)
-    sub.add_argument("--classes", help="size-class scheme CSV (label,lower,upper)")
-    sub.add_argument("--trim", default="5,95", help="percentile trim bounds")
-    sub.add_argument("--trim-rates", action="store_true",
-                     help="also trim growth rates inside each bin")
-    sub.add_argument("--metric", default="engagement",
-                     choices=["engagement", "mean_engagement", "followers"])
-    sub.add_argument("--quarter-rule", default="latest", choices=["latest", "earliest"],
-                     dest="quarter_rule")
+# the flags some data commands take besides --input, --pages, --out and --timescales;
+# each one's dest, like that of --timescales, is the Options field _options sets from it
+_DATA_FLAGS = {
+    "--classes": dict(help="size-class scheme CSV (label,lower,upper)"),
+    "--trim": dict(default="5,95", dest="trim_bounds", help="percentile trim bounds"),
+    "--trim-rates": dict(action="store_true", help="also trim growth rates inside each bin"),
+    "--metric": dict(default="engagement", choices=["engagement", "mean_engagement", "followers"]),
+    "--quarter-rule": dict(default="latest", choices=["latest", "earliest"]),
+}
+
+
+def _add_data_command(subparsers, name, help_text, func, flags, timescales="D,W,M,Q"):
+    p = subparsers.add_parser(name, help=help_text)
+    p.add_argument("--input", help="posts file (.csv or .jsonl)")
+    p.add_argument("--pages", help="pages metadata CSV")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--timescales", default=timescales)
+    for flag in flags:
+        p.add_argument(flag, **_DATA_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,17 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser("aggregate", help="roll posts into windowed series")
-    _add_common(p)
-    p.set_defaults(func=cmd_aggregate)
-
-    p = subparsers.add_parser("analyze", help="size-class tests, fits, symmetry checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = subparsers.add_parser("model", help="fit per-bin distributions and regress parameters")
-    _add_common(p, timescales_default="W,M,Q")
-    p.set_defaults(func=cmd_model)
+    _add_data_command(subparsers, "aggregate", "roll posts into windowed series", cmd_aggregate,
+                      ["--quarter-rule"])
+    _add_data_command(subparsers, "analyze", "size-class tests, fits, symmetry checks", cmd_analyze,
+                      list(_DATA_FLAGS))
+    _add_data_command(subparsers, "model", "fit per-bin distributions and regress parameters", cmd_model,
+                      ["--trim", "--metric", "--quarter-rule"], timescales="W,M,Q")
 
     p = subparsers.add_parser("simulate", help="simulate growth trajectories forward")
     p.add_argument("--coefficients", default="builtin-table1",
@@ -318,10 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = subparsers.add_parser("cohort", help="label reliability and build the matched sample")
-    _add_common(p)
+    p = _add_data_command(subparsers, "cohort", "label reliability and build the matched sample", cmd_cohort, [])
     p.add_argument("--matching", default="assignment", choices=["assignment", "greedy"])
-    p.set_defaults(func=cmd_cohort)
 
     p = subparsers.add_parser("synth", help="generate synthetic posts/pages files")
     p.add_argument("--out", required=True)
@@ -343,7 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FatalParseError, NoUsableDataError, FileNotFoundError, MatchInfeasibleError) as exc:
+    except (FatalParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, KeyError) as exc:

@@ -43,6 +43,13 @@ class CollinearCovariatesError(ValueError):
     pass
 
 
+def check_timescales(scales, command: str) -> None:
+    """Refuse, naming them, the timescales outside SIM_TIMESCALES."""
+    unsupported = [s.value for s in scales if s not in SIM_TIMESCALES]
+    if unsupported:
+        raise ValueError(f"{command} supports W, M, Q timescales, not {', '.join(unsupported)}")
+
+
 @dataclass(frozen=True)
 class ParamRegression:
     """Linear map for one distribution parameter at one timescale.
@@ -381,8 +388,7 @@ def simulate(
     """
     if steps < 1 or runs < 1:
         raise ValueError("steps and runs must both be at least 1")
-    if timescale not in SIM_TIMESCALES:
-        raise ValueError(f"simulation supports W, M, Q; got {timescale.value}")
+    check_timescales([timescale], "simulate")
     if not coeffs.has_timescale(timescale):
         raise KeyError(f"coefficient table lacks timescale {timescale.value}")
     if not all(math.isfinite(v) and v > 0 for v in (f0, e0)):
@@ -476,7 +482,7 @@ def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
             if len(row) != len(COEFFS_HEADER):
                 raise ValueError(f"expected {len(COEFFS_HEADER)} fields, got {len(row)}")
             parameter, scale, b0, b1, b2 = (v.strip() for v in row)
-            beta2 = _coefficient(b2, "beta2") if parameter in ("mu", "b") and b2 != "" else None
+            beta2 = None if b2 == "" else _coefficient(b2, "beta2")  # refused for c and k
             reg = ParamRegression(parameter, Timescale.parse(scale), _coefficient(b0, "beta0"),
                                   _coefficient(b1, "beta1"), beta2, ())
         except ValueError as exc:

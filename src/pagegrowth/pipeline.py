@@ -54,7 +54,7 @@ from .ingest import (
     parse_pages,
     parse_posts,
 )
-from .model import SIM_TIMESCALES, ParamRegression, regress_parameters
+from .model import ParamRegression, check_timescales, regress_parameters
 from .stats import (
     DegenerateSampleError,
     FitConvergenceError,
@@ -81,7 +81,12 @@ def _g(value: float) -> str:
 
 @dataclass(frozen=True)
 class Options:
-    """Settings the data commands share; the defaults are the CLI defaults."""
+    """Settings of the data commands; the defaults are the CLI defaults.
+
+    The CLI sets only the fields a command reads: ``aggregate`` timescales and
+    quarter_rule, ``model`` also metric and trim_bounds, ``analyze`` all six,
+    ``cohort`` timescales (none of its outputs depends on quarter_rule).
+    """
 
     timescales: tuple[Timescale, ...] = tuple(Timescale)
     classes: tuple[SizeClass, ...] = tuple(DEFAULT_FOLLOWER_CLASSES)
@@ -115,6 +120,8 @@ def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
                 scheme.append(SizeClass(row[0].strip(), _bound(row[1], "lower"), _bound(row[2], "upper")))
             except ValueError as exc:
                 raise ValueError(f"size-class file line {line}: {exc}") from exc
+    if not scheme:
+        raise ValueError(f"size-class file {path} lists no size class")
     validate_scheme(scheme)
     return tuple(scheme)
 
@@ -353,16 +360,14 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
 
 
 def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel]:
-    """Per-bin distribution fits regressed on log size, per W/M/Q timescale.
+    """Per-bin distribution fits regressed on log size, per timescale (W, M or Q; D is refused).
 
     Laplace (mu, b) on the log growth of the metric in 4x4 quartile bins of
     prior followers and prior engagement; Burr (c, k) on follower gross
     growth in 8 quantile bins of prior followers. Raises
     DegenerateSampleError after the last timescale if nothing was fitted.
     """
-    scales = [s for s in options.timescales if s in SIM_TIMESCALES]
-    if not scales:
-        raise FatalParseError("model works on W, M, Q timescales")
+    check_timescales(options.timescales, "model")
     laplace = _BinnedFits(
         parameters=("mu", "b"),
         covariates=("prior_followers", "prior_engagement"),
@@ -380,7 +385,7 @@ def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel
         fit=lambda members: fit_burr(members.gross_growth),
     )
     fitted = 0
-    for scale in scales:
+    for scale in options.timescales:
         series = aggregate_dataset(dataset, scale, options.quarter_rule)
         regressions = []
         for metric, side in ((options.metric, laplace), ("followers", burr)):

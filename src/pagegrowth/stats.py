@@ -399,20 +399,21 @@ def _tie_term(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(runs.astype(float) ** 3 - runs))
 
 
-# cephes ndtr.c: erf on |x| < 1 (T/U), erfc on 1 <= |x| < 8 (P/Q) and beyond (R/S)
+# cephes ndtr.c: erf on |x| < 1 (T/U), erfc on 1 <= |x| < 8 (P/Q) and beyond (R/S); U, Q and S
+# lead with the 1.0 that cephes' p1evl implies, bit for bit the same since 1.0 * x == x
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = 0.7071067811865476  # the double nearest 1/sqrt(2)
@@ -425,16 +426,9 @@ def _polevl(x: float, coef) -> float:
     return ans
 
 
-def _p1evl(x: float, coef) -> float:  # _polevl with a leading coefficient of 1
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _erf(x: float) -> float:  # |x| < 1; odd in x exactly, as cephes' -erf(-x) for x < 0 is
     z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
 def _erfc(x: float) -> float:  # x >= 0
@@ -444,8 +438,8 @@ def _erfc(x: float) -> float:  # x >= 0
     if z < -_MAXLOG:
         return 0.0
     if x < 8.0:
-        return (math.exp(z) * _polevl(x, _ERFC_P)) / _p1evl(x, _ERFC_Q)
-    return (math.exp(z) * _polevl(x, _ERFC_R)) / _p1evl(x, _ERFC_S)
+        return (math.exp(z) * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
+    return (math.exp(z) * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
 
 
 def _norm_sf(z: float) -> float:
@@ -463,33 +457,32 @@ def _norm_sf(z: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
-def _check_alternative(alternative: str) -> None:
+def _sorted_sample(values) -> np.ndarray | ValueError:
+    """The values as a sorted float array, or the ValueError converting them raised."""
+    try:
+        return np.sort(np.asarray(values, dtype=float).ravel())
+    except ValueError as exc:
+        return exc
+
+
+def _refuse(xs, ys, alternative: str, method: str = "auto") -> None:
+    """Raise the first reason why the test cannot run on two ``_sorted_sample`` results."""
     if alternative not in ("greater", "two-sided"):
         raise ValueError(f"unknown alternative {alternative!r}")
-
-
-def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> TestResult:
-    """Mann-Whitney U test; "greater" means x stochastically greater than y.
-
-    U counts pairs (x_i, y_j) with x_i > y_j (half credit for ties,
-    midranks). The exact route enumerates the null distribution and is
-    taken when the samples are tie-free and n1*n2 <= EXACT_MAX_PRODUCT,
-    or when forced with method="exact"; otherwise the tie-corrected
-    normal approximation with continuity correction applies. An empty
-    sample, or one holding NaN, raises DegenerateSampleError.
-    """
-    _check_alternative(alternative)
     if method not in ("auto", "exact", "normal-approx"):
         raise ValueError(f"unknown method {method!r}")
-    xs = np.sort(np.asarray(x, dtype=float).ravel())
-    ys = np.sort(np.asarray(y, dtype=float).ravel())
+    for sample in (xs, ys):
+        if isinstance(sample, ValueError):
+            raise sample
     if xs.size == 0 or ys.size == 0:
         raise DegenerateSampleError("mann_whitney: empty sample")
     if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # sorting puts NaN last
         raise DegenerateSampleError("mann_whitney: NaN in sample")
-    n1, n2 = xs.size, ys.size
-    u, tie_term = _u_sorted(xs, ys), _tie_term(xs, ys)
 
+
+def _u_test(xs, ys, u: float, tie_term: float, alternative: str, method: str = "auto") -> TestResult:
+    """The test of sorted samples that ``_refuse`` accepts, from their U and tie term."""
+    n1, n2 = xs.size, ys.size
     use_exact = method == "exact" or (method == "auto" and not tie_term and n1 * n2 <= EXACT_MAX_PRODUCT)
     if use_exact and tie_term:
         raise ValueError("exact method is undefined for tied samples")
@@ -499,15 +492,8 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
         u_int = int(round(u))
         p_ge = sum(counts[u_int:]) / total
         p_le = sum(counts[: u_int + 1]) / total
-        if alternative == "greater":
-            p = p_ge
-        else:
-            p = min(1.0, 2.0 * min(p_ge, p_le))
+        p = p_ge if alternative == "greater" else min(1.0, 2.0 * min(p_ge, p_le))
         return TestResult(u, p, alternative, n1, n2, "exact")
-    return _normal_approx(u, tie_term, n1, n2, alternative)
-
-
-def _normal_approx(u: float, tie_term: float, n1: int, n2: int, alternative: str) -> TestResult:
     n = n1 + n2
     mean_u = n1 * n2 / 2.0
     # tie correction for the variance
@@ -522,6 +508,21 @@ def _normal_approx(u: float, tie_term: float, n1: int, n2: int, alternative: str
         z = (abs(u - mean_u) - 0.5) / sd
         p = min(1.0, 2.0 * _norm_sf(z))
     return TestResult(u, min(1.0, max(0.0, p)), alternative, n1, n2, "normal-approx")
+
+
+def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> TestResult:
+    """Mann-Whitney U test; "greater" means x stochastically greater than y.
+
+    U counts pairs (x_i, y_j) with x_i > y_j (half credit for ties,
+    midranks). The exact route enumerates the null distribution and is
+    taken when the samples are tie-free and n1*n2 <= EXACT_MAX_PRODUCT,
+    or when forced with method="exact"; otherwise the tie-corrected
+    normal approximation with continuity correction applies. An empty
+    sample, or one holding NaN, raises DegenerateSampleError.
+    """
+    xs, ys = _sorted_sample(x), _sorted_sample(y)
+    _refuse(xs, ys, alternative, method)
+    return _u_test(xs, ys, _u_sorted(xs, ys), _tie_term(xs, ys), alternative, method)
 
 
 # ---------------------------------------------------------------------------
@@ -552,39 +553,24 @@ def class_test_matrix(
     refuses with a ValueError (an empty class, NaN, an unknown alternative)
     become cells carrying the reason instead of a result.
 
-    Each class is sorted once, and each pair's U and tie term serve all its
-    alternatives. Pairs on the exact route, and pairs the kernel cannot
-    take, go through ``mann_whitney`` itself, so every cell equals its
-    result.
+    Each class is sorted once, and each pair's U and tie term are counted
+    once and serve all its alternatives; every cell equals the result of
+    ``mann_whitney``.
     """
     labels = list(bins)
     if len(labels) < 2:
         raise ValueError("class_test_matrix needs at least 2 bins")
-    ready: dict[str, np.ndarray] = {}  # classes the kernel can take, sorted
-    for label, values in bins.items():
-        try:
-            xs = np.sort(np.asarray(values, dtype=float).ravel())
-        except ValueError:  # mann_whitney raises it again for each pair
-            continue
-        if xs.size and not np.isnan(xs[-1]):
-            ready[label] = xs
+    ready = {label: _sorted_sample(values) for label, values in bins.items()}
     cells: list[MatrixCell] = []
     for i, small in enumerate(labels):
         for large in labels[i + 1 :]:
-            xs, ys = ready.get(small), ready.get(large)
-            pair = None  # (u, tie_term) where the normal route applies
-            if xs is not None and ys is not None:
-                tie_term = _tie_term(xs, ys)
-                if tie_term or xs.size * ys.size > EXACT_MAX_PRODUCT:
-                    pair = _u_sorted(xs, ys), tie_term
+            xs, ys = ready[small], ready[large]
+            pair = None  # (U, tie term), counted for the first alternative that gets that far
             for alt in alternatives:
                 try:
-                    if pair is None:
-                        res = mann_whitney(bins[small], bins[large], alternative=alt)
-                    else:
-                        _check_alternative(alt)
-                        res = _normal_approx(*pair, xs.size, ys.size, alt)
-                    cells.append(MatrixCell(small, large, alt, res))
+                    _refuse(xs, ys, alt)
+                    pair = pair or (_u_sorted(xs, ys), _tie_term(xs, ys))
+                    cells.append(MatrixCell(small, large, alt, _u_test(xs, ys, *pair, alt)))
                 except ValueError as exc:  # degenerate pair: keep the reason
                     cells.append(MatrixCell(small, large, alt, None, error=str(exc)))
     return cells

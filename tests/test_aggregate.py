@@ -205,6 +205,13 @@ class TestAggregateDataset:
             resummed[q.start] = resummed.get(q.start, 0) + entry.engagement
         assert {e.window.start: e.engagement for e in quarterly.entries} == resummed
 
+    @pytest.mark.parametrize("scale", list(Timescale))
+    def test_unknown_quarter_rule_refused_at_every_timescale(self, scale):
+        # it was refused only at Q, where the rule is read
+        ds = self._dataset([_post("a", _utc(2020, 1, 1), 1, followers=10)])
+        with pytest.raises(ValueError, match="unknown quarter_rule 'bogus'"):
+            aggregate_dataset(ds, scale, "bogus")
+
 
 engagement_lists = st.lists(
     st.tuples(

@@ -1,5 +1,6 @@
 """CLI subcommands: formats, exit codes, determinism, pipeline composition."""
 
+import argparse
 import ast
 import csv
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import pagegrowth
-from pagegrowth.cli import main
+from pagegrowth import pipeline
+from pagegrowth.cli import build_parser, main
 from pagegrowth.ingest import PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
 from pagegrowth.model import COEFFS_HEADER
 from pagegrowth.synth import GeneratorConfig, generate, write_files
@@ -157,7 +159,7 @@ _CSV_INPUTS = {
     "pages": (PAGES_HEADER, 'p1,"Outlet\none",2017-01-01,80,en', 'p2,"Two\nlines",someday,,', [],
               ["aggregate", "--input", "{posts}", "--pages", "{file}"]),
     "size-class": (["label", "lower", "upper"], '"small\nones",10,150', '"big\nger",150,', ["big,150,1000"],
-                   ["aggregate", "--input", "{posts}", "--classes", "{file}"]),
+                   ["analyze", "--input", "{posts}", "--classes", "{file}"]),
     "coefficients": (COEFFS_HEADER, 'mu,W,"0.01\n",0,0', 'b,W,"0.2\n",0', ["b,W,0.2,0,0", "c,W,500,0,", "k,W,0.5,0,"],
                      ["simulate", "--coefficients", "{file}", "--timescales", "W", "--runs", "2", "--steps", "2"]),
 }
@@ -210,7 +212,7 @@ def test_bad_class_bound_exit_2_with_line(synth_dir, tmp_path, capsys, row, mess
     classes = tmp_path / "classes.csv"
     classes.write_text(f"label,lower,upper\n{row}\n", encoding="utf-8")
     out = tmp_path / "out"
-    code = main(["aggregate", "--input", str(synth_dir / "posts.csv"), "--classes", str(classes), "--out", str(out)])
+    code = main(["analyze", "--input", str(synth_dir / "posts.csv"), "--classes", str(classes), "--out", str(out)])
     assert code == 2
     assert f"size-class file line 2: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -232,6 +234,98 @@ def test_refused_data_command_leaves_no_out(tmp_path, capsys, synth_dir, argv, m
     assert main([a.format(tmp=tmp_path, synth=synth_dir) for a in argv] + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_year_dir(tmp_path_factory):
+    """60 pages over 2018-2019, enough for model to fit Q (40 are not), plus a post
+    of a page that only --pages refuses, a two-class scheme and a header-only one."""
+    out = tmp_path_factory.mktemp("twoyears")
+    assert main(["synth", "--out", str(out), "--pages-count", "60", "--start", "2018-01-01",
+                 "--end", "2020-01-01", "--posts-per-day", "0.5", "--seed", "2"]) == 0
+    with open(out / "posts.csv", "a") as fh:
+        fh.write("ghost,orphan,2018-03-04T10:00:00Z,1,2,3,6,20000\n")
+    (out / "classes.csv").write_text("label,lower,upper\nsmall,10000,200000\nbig,200000,100000000\n")
+    (out / "no-classes.csv").write_text("label,lower,upper\n")
+    return out
+
+
+# every flag a data command takes besides --input and --out, at a value other than
+# its default (cohort also needs --pages, for the scores)
+_LIVE_FLAGS = {
+    "aggregate": [["--pages", "{data}/pages.csv"], ["--timescales", "W"], ["--quarter-rule", "earliest"]],
+    "analyze": [["--pages", "{data}/pages.csv"], ["--timescales", "W"], ["--classes", "{data}/classes.csv"],
+                ["--trim", "10,90"], ["--trim-rates"], ["--metric", "followers"], ["--quarter-rule", "earliest"]],
+    "model": [["--pages", "{data}/pages.csv"], ["--timescales", "W"], ["--trim", "10,90"],
+              ["--metric", "followers"], ["--quarter-rule", "earliest"]],
+    "cohort": [["--timescales", "W"], ["--matching", "greedy"]],
+}
+
+
+def _flags_taken(command: str) -> set[str]:
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for a in subparsers.choices[command]._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("command", list(_LIVE_FLAGS))
+def test_every_flag_of_a_data_command_is_read(two_year_dir, tmp_path, capsys, command):
+    pages = ["--pages", str(two_year_dir / "pages.csv")] if command == "cohort" else []
+    base = [command, "--input", str(two_year_dir / "posts.csv"), *pages]
+    assert _flags_taken(command) == {"--input", "--out", *pages[:1], *(flag for flag, *_ in _LIVE_FLAGS[command])}
+
+    def run(argv, out):
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    default = run(base, tmp_path / "default")
+    for i, flag in enumerate(_LIVE_FLAGS[command]):
+        assert run([*base, *(a.format(data=two_year_dir) for a in flag)], tmp_path / str(i)) != default, flag
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("aggregate", "--classes"), ("aggregate", "--trim"), ("aggregate", "--trim-rates"), ("aggregate", "--metric"),
+    ("model", "--classes"), ("model", "--trim-rates"),
+    ("cohort", "--classes"), ("cohort", "--trim"), ("cohort", "--trim-rates"), ("cohort", "--metric"),
+    ("cohort", "--quarter-rule"),
+])
+def test_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(tmp_path / "posts.csv"), "--out", str(out), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_refuses_daily_before_writing(synth_dir, tmp_path, capsys):
+    # D was dropped from D,W without a word
+    out = tmp_path / "out"
+    assert main(["model", "--input", str(synth_dir / "posts.csv"), "--timescales", "D,W", "--out", str(out)]) == 2
+    assert "error: model supports W, M, Q timescales, not D\n" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="model supports W, M, Q timescales, not D"):
+        next(pipeline.model(None, pipeline.Options(), print))  # the library's default holds D
+
+
+@pytest.mark.parametrize("argv, writes", [
+    pytest.param(["aggregate", "--input", "{dir}"], False, id="input-dir"),
+    pytest.param(["aggregate", "--input", "{data}/posts.csv", "--pages", "{dir}"], False, id="pages-dir"),
+    pytest.param(["analyze", "--input", "{data}/posts.csv", "--classes", "{dir}"], False, id="classes-dir"),
+    pytest.param(["simulate", "--coefficients", "{dir}"], False, id="coefficients-dir"),
+    pytest.param(["synth", "--model", "{dir}"], False, id="synth-model-dir"),
+    pytest.param(["aggregate", "--input", "{data}/posts.csv"], True, id="aggregate-out-file"),
+    pytest.param(["simulate", "--runs", "2", "--steps", "2"], True, id="simulate-out-file"),
+    pytest.param(["synth", "--pages-count", "2", "--end", "2018-03-01"], True, id="synth-out-file"),
+])
+def test_os_error_exit_2(synth_dir, tmp_path, capsys, argv, writes):
+    # each ended in a traceback; --out names an existing file where the command gets as far as writing
+    out = tmp_path / "out"
+    if writes:
+        out.write_text("kept\n")
+    assert main([a.format(dir=tmp_path, data=synth_dir) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert out.read_text() == "kept\n" if writes else not out.exists()
 
 
 class TestAggregateCmd:
@@ -272,20 +366,6 @@ class TestAggregateCmd:
         code = main(["aggregate", "--input", str(bad), "--out", str(tmp_path)])
         assert code == 2
 
-    def test_short_classes_row_exit_2(self, synth_dir, tmp_path, capsys):
-        classes = tmp_path / "classes.csv"
-        classes.write_text("label,lower,upper\nbig,100\n")
-        code = main(
-            [
-                "aggregate",
-                "--input", str(synth_dir / "posts.csv"),
-                "--classes", str(classes),
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 2
-        assert "size-class file line 2" in capsys.readouterr().err
-
     def test_duplicate_class_label_exit_2(self, synth_dir, tmp_path, capsys):
         # two bands under one label used to be merged into one bin
         classes = tmp_path / "classes.csv"
@@ -317,6 +397,29 @@ class TestAggregateCmd:
 
 
 class TestAnalyzeCmd:
+    def test_short_classes_row_exit_2(self, synth_dir, tmp_path, capsys):
+        classes = tmp_path / "classes.csv"
+        classes.write_text("label,lower,upper\nbig,100\n")
+        code = main(
+            [
+                "analyze",
+                "--input", str(synth_dir / "posts.csv"),
+                "--classes", str(classes),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "size-class file line 2" in capsys.readouterr().err
+
+    def test_header_only_classes_exit_2(self, two_year_dir, tmp_path, capsys):
+        # the empty scheme once ran and wrote no class matrix
+        out = tmp_path / "out"
+        classes = two_year_dir / "no-classes.csv"
+        code = main(["analyze", "--input", str(two_year_dir / "posts.csv"), "--classes", str(classes), "--out", str(out)])
+        assert code == 2
+        assert f"error: size-class file {classes} lists no size class" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_written(self, synth_dir, tmp_path):
         code = main(
             [

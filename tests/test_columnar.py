@@ -8,6 +8,7 @@ included, on random pages around awkward dates: before 1970 and after
 2038, ISO week 53 and year ends, Feb 29.
 """
 
+import dataclasses
 import io
 import math
 import random
@@ -20,6 +21,7 @@ from pagegrowth import growth, pipeline
 from pagegrowth.aggregate import SeriesEntry, Timescale, Window, aggregate_dataset, aggregate_engagement
 from pagegrowth.growth import METRICS, GrowthSample, SkipReport, growth_samples, pooled_growth_samples
 from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
+from pagegrowth.model import SIM_TIMESCALES
 from pagegrowth.synth import GeneratorConfig, generate
 
 ANCHORS = [
@@ -250,5 +252,6 @@ def test_commands_build_no_sample_objects(monkeypatch):
         growth.write_growth_samples_csv(result.samples, io.StringIO())
     assert sum(len(result.samples) for result in analyses) > 1000
     assert all(result.matrices and result.fit_rows for result in analyses)
-    assert sum(len(result.regressions) for result in pipeline.model(dataset, options, warnings.append)) > 0
+    fitted = pipeline.model(dataset, dataclasses.replace(options, timescales=SIM_TIMESCALES), warnings.append)
+    assert sum(len(result.regressions) for result in fitted) > 0
     assert len(list(pipeline.cohort(dataset, options, warnings.append).tests)) == len(Timescale)

@@ -161,6 +161,14 @@ class TestPublishedCoefficients:
                 assert other.beta2 == pytest.approx(reg.beta2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("beta2", ["junk", "0", "1.5"])
+    def test_beta2_of_a_burr_shape_refused(self, beta2):
+        # a c or k row has no beta2; one given was read and dropped
+        text = f"parameter,timescale,beta0,beta1,beta2\nmu,W,0.01,0,0\nc,W,400,0,{beta2}\n"
+        with pytest.raises(ValueError, match="^coefficients line 3: "):
+            read_coefficients_csv(text)
+
+
 class TestEvaluation:
     def test_constant_when_size_terms_zero(self):
         coeffs = gibrat_null_coefficients(mu0=0.12, b0=0.4, c0=300.0, k0=0.2)

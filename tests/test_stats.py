@@ -578,6 +578,19 @@ class TestMannWhitneyKernel:
             else:
                 assert cell.error is None and result_bits(cell.result) == result_bits(ref)
 
+    def test_matrix_refusals_equal_mann_whitney(self):
+        # every refusal, in mann_whitney's order: arguments, conversion, empty, NaN
+        bins = {"text": ["x"], "empty": [], "nan": [1.0, math.nan], "ok": [1.0, 2.0], "more": [3.0, 5.0]}
+        cells = class_test_matrix(bins, alternatives=("greater", "bogus"))
+        assert len(cells) == 20 and sum(c.error is None for c in cells) == 1
+        for cell in cells:
+            try:
+                ref = mann_whitney(bins[cell.row], bins[cell.col], alternative=cell.alternative)
+            except ValueError as exc:
+                assert (cell.result, cell.error) == (None, str(exc))
+            else:
+                assert cell.error is None and result_bits(cell.result) == result_bits(ref)
+
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([(20, 20), (16, 25), (1, 400), (1, 401), (401, 1), (21, 20)]),
