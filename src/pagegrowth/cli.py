@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline, synth
@@ -58,17 +57,17 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-_CHECKS = {"timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim}
+_CHECKS = {
+    "timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim,
+    "start": lambda text: _iso_date(text, "--start"), "end": lambda text: _iso_date(text, "--end"),
+    "coefficients": lambda m: synth.gibrat_null_coefficients() if m == "gibrat-null" else _read_coefficients(m),
+}
 
 
-def _options(args) -> pipeline.Options:
-    """Check the flags the command takes; the fields it takes none for keep their defaults."""
+def _options(args) -> dict:
+    """The settings given, each checked, in the order the parser defines them; the library defaults the rest."""
     given = vars(args)
-    return pipeline.Options(**{
-        f.name: _CHECKS.get(f.name, lambda value: value)(given[f.name])
-        for f in fields(pipeline.Options)
-        if f.name in given
-    })
+    return {name: _CHECKS.get(name, lambda value: value)(given[name]) for name in args.settings if name in given}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -94,9 +93,9 @@ def _load_dataset(args) -> tuple[Dataset, Path]:
 
 
 def cmd_aggregate(args) -> int:
-    options = _options(args)
+    settings = _options(args)
     dataset, out_dir = _load_dataset(args)
-    for scale, series in pipeline.aggregate(dataset, options):
+    for scale, series in pipeline.aggregate(dataset, **settings):
         path = out_dir / f"series_{scale.value}.csv"
         with open(path, "w", newline="") as fh:
             write_series_csv(series, fh)
@@ -126,10 +125,10 @@ def _print_matrix(block: pipeline.MatrixBlock, scale: Timescale) -> None:
 
 
 def cmd_analyze(args) -> int:
-    options = _options(args)
+    settings = _options(args)
     dataset, out_dir = _load_dataset(args)
     matrix_rows, fit_rows, balance_rows = [], [], []
-    for result in pipeline.analyze(dataset, options, _warn):
+    for result in pipeline.analyze(dataset, _warn, **settings):
         scale = result.scale.value
         with open(out_dir / f"growth_samples_{scale}.csv", "w", newline="") as fh:
             write_growth_samples_csv(result.samples, fh)
@@ -139,8 +138,8 @@ def cmd_analyze(args) -> int:
                 _print_matrix(block, result.scale)
         fit_rows += result.fit_rows
         if result.balance is not None:
-            b = result.balance
-            balance_rows.append([options.metric, scale, b.n1, format(b.u_statistic, ".10g"), format(b.p_value, ".10g")])
+            b, metric = result.balance, result.samples.metric
+            balance_rows.append([metric, scale, b.n1, format(b.u_statistic, ".10g"), format(b.p_value, ".10g")])
             print(f"\n[detailed balance | {scale}] p = {format_p(b.p_value)}")
     _write_csv(out_dir / "matrices.csv", pipeline.MATRIX_HEADER, matrix_rows)
     _write_csv(out_dir / "fits.csv", pipeline.FITS_HEADER, fit_rows)
@@ -150,12 +149,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_model(args) -> int:
-    options = _options(args)
-    check_timescales(options.timescales, "model")
+    settings = _options(args)
+    check_timescales(settings.get("timescales", ()), "model")
     dataset, out_dir = _load_dataset(args)
     coeffs = ModelCoefficients()
     detail_rows = []
-    for result in pipeline.model(dataset, options, _warn):
+    for result in pipeline.model(dataset, _warn, **settings):
         for reg in result.regressions:
             coeffs.add(reg)
         detail_rows += result.detail_rows
@@ -224,11 +223,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    options = _options(args)
+    settings = _options(args)
     if not args.pages:
         raise FatalParseError("cohort requires --pages with newsguard scores")
     dataset, out_dir = _load_dataset(args)
-    result = pipeline.cohort(dataset, options, _warn, args.matching)
+    result = pipeline.cohort(dataset, _warn, **settings)
     match = result.match
     print(f"matched {len(match.pairs)} pairs ({match.method}), total distance {match.total_distance:.4f}")
 
@@ -256,44 +255,43 @@ def cmd_cohort(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    coeffs = synth.gibrat_null_coefficients() if args.model == "gibrat-null" else _read_coefficients(args.model)
-    config = synth.GeneratorConfig(
-        n_pages=args.pages_count,
-        start=_iso_date(args.start, "--start"),
-        end=_iso_date(args.end, "--end"),
-        posts_per_day=args.posts_per_day,
-        coefficients=coeffs,
-        questionable_fraction=args.questionable_frac,
-    )
-    result = synth.generate(config, args.seed)
-    paths = synth.write_files(result, out_dir)
+    result = synth.generate(synth.GeneratorConfig(**_options(args)), args.seed)
+    paths = synth.write_files(result, Path(args.out))
     print(f"wrote {paths['posts']} ({len(result.posts)} posts), "
           f"{paths['pages']} ({len(result.pages)} pages)")
     return EXIT_OK
 
 
-# the flags some data commands take besides --input, --pages, --out and --timescales;
-# each one's dest, like that of --timescales, is the Options field _options sets from it
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # numpy takes non-negative integer seeds only
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_settings(p, flags: dict[str, dict]) -> None:
+    """Add setting flags without a default; ``_options`` passes on their dests in this order."""
+    p.set_defaults(settings=[p.add_argument(flag, default=argparse.SUPPRESS, **kw).dest for flag, kw in flags.items()])
+
+
+# the settings data commands take; each one's dest is a keyword of the command's pipeline call
 _DATA_FLAGS = {
+    "--timescales": {},
     "--classes": dict(help="size-class scheme CSV (label,lower,upper)"),
-    "--trim": dict(default="5,95", dest="trim_bounds", help="percentile trim bounds"),
+    "--trim": dict(dest="trim_bounds", help="percentile trim bounds"),
     "--trim-rates": dict(action="store_true", help="also trim growth rates inside each bin"),
-    "--metric": dict(default="engagement", choices=["engagement", "mean_engagement", "followers"]),
-    "--quarter-rule": dict(default="latest", choices=["latest", "earliest"]),
+    "--metric": dict(choices=["engagement", "mean_engagement", "followers"]),
+    "--quarter-rule": dict(choices=["latest", "earliest"]),
+    "--matching": dict(choices=["assignment", "greedy"]),
 }
 
 
-def _add_data_command(subparsers, name, help_text, func, flags, timescales="D,W,M,Q"):
+def _add_data_command(subparsers, name, help_text, func, flags):
     p = subparsers.add_parser(name, help=help_text)
     p.add_argument("--input", help="posts file (.csv or .jsonl)")
     p.add_argument("--pages", help="pages metadata CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--timescales", default=timescales)
-    for flag in flags:
-        p.add_argument(flag, **_DATA_FLAGS[flag])
+    _add_settings(p, {flag: _DATA_FLAGS[flag] for flag in ("--timescales", *flags)})
     p.set_defaults(func=func)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_command(subparsers, "aggregate", "roll posts into windowed series", cmd_aggregate,
                       ["--quarter-rule"])
     _add_data_command(subparsers, "analyze", "size-class tests, fits, symmetry checks", cmd_analyze,
-                      list(_DATA_FLAGS))
+                      ["--classes", "--trim", "--trim-rates", "--metric", "--quarter-rule"])
     _add_data_command(subparsers, "model", "fit per-bin distributions and regress parameters", cmd_model,
-                      ["--trim", "--metric", "--quarter-rule"], timescales="W,M,Q")
+                      ["--trim", "--metric", "--quarter-rule"])
 
     p = subparsers.add_parser("simulate", help="simulate growth trajectories forward")
     p.add_argument("--coefficients", default="builtin-table1",
@@ -318,23 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=float, default=10_000.0)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = _add_data_command(subparsers, "cohort", "label reliability and build the matched sample", cmd_cohort, [])
-    p.add_argument("--matching", default="assignment", choices=["assignment", "greedy"])
+    _add_data_command(subparsers, "cohort", "label reliability and build the matched sample", cmd_cohort,
+                      ["--matching"])
 
+    # each setting's dest is a GeneratorConfig field
     p = subparsers.add_parser("synth", help="generate synthetic posts/pages files")
     p.add_argument("--out", required=True)
-    p.add_argument("--pages-count", type=int, default=50, dest="pages_count")
-    p.add_argument("--start", default="2018-01-01")
-    p.add_argument("--end", default="2020-01-01")
-    p.add_argument("--posts-per-day", type=float, default=3.0, dest="posts_per_day")
-    p.add_argument("--model", default="gibrat-null",
-                   help="'gibrat-null', 'builtin-table1', or a coefficients CSV path")
-    p.add_argument("--questionable-frac", type=float, default=0.2, dest="questionable_frac")
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, {
+        "--pages-count": dict(type=int, dest="n_pages", metavar="PAGES_COUNT"),
+        "--start": {}, "--end": {},
+        "--posts-per-day": dict(type=float),
+        "--model": dict(dest="coefficients", metavar="MODEL",
+                        help="'gibrat-null', 'builtin-table1', or a coefficients CSV path"),
+        "--questionable-frac": dict(type=float, dest="questionable_fraction", metavar="QUESTIONABLE_FRAC"),
+    })
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)
 
     return parser

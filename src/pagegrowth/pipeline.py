@@ -7,6 +7,8 @@ writes each result out before asking for the next never holds more than
 one timescale. ``cohort`` matches the cohorts up front and yields its
 per-timescale tests the same way. Tables come back as rows in the format
 of the output files; warnings go to the ``warn`` callback as they arise.
+Each call takes the settings it reads as keyword-only arguments, whose
+defaults are the only ones: the CLI passes on just the flags given.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .ingest import (
     parse_pages,
     parse_posts,
 )
-from .model import ParamRegression, check_timescales, regress_parameters
+from .model import SIM_TIMESCALES, ParamRegression, check_timescales, regress_parameters
 from .stats import (
     DegenerateSampleError,
     FitConvergenceError,
@@ -79,23 +81,6 @@ def _g(value: float) -> str:
     return format(value, ".10g")
 
 
-@dataclass(frozen=True)
-class Options:
-    """Settings of the data commands; the defaults are the CLI defaults.
-
-    The CLI sets only the fields a command reads: ``aggregate`` timescales and
-    quarter_rule, ``model`` also metric and trim_bounds, ``analyze`` all six,
-    ``cohort`` timescales (none of its outputs depends on quarter_rule).
-    """
-
-    timescales: tuple[Timescale, ...] = tuple(Timescale)
-    classes: tuple[SizeClass, ...] = tuple(DEFAULT_FOLLOWER_CLASSES)
-    metric: str = "engagement"  # growth metric analyzed and modelled
-    trim_bounds: tuple[float, float] = (5.0, 95.0)  # percentile band
-    trim_rates: bool = False  # also trim growth rates inside each bin
-    quarter_rule: str = "latest"  # follower point of a quarter
-
-
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -107,10 +92,8 @@ def _bound(raw: str, what: str) -> int:
     return value
 
 
-def load_classes(path: str | Path | None) -> tuple[SizeClass, ...]:
-    """Size-class scheme from a ``label,lower,upper`` CSV; the default one without a file."""
-    if path is None:
-        return tuple(DEFAULT_FOLLOWER_CLASSES)
+def load_classes(path: str | Path) -> tuple[SizeClass, ...]:
+    """Size-class scheme from a ``label,lower,upper`` CSV."""
     scheme = []
     with open(path, "rb") as fh:
         for line, row in _csv_rows(fh, ["label", "lower", "upper"], "size-class"):
@@ -167,10 +150,11 @@ def load_dataset(posts_path: Path, pages_path: Path | None) -> tuple[Dataset, li
 # aggregate
 # ---------------------------------------------------------------------------
 
-def aggregate(dataset: Dataset, options: Options) -> Iterator[tuple[Timescale, dict[str, AggregatedSeries]]]:
+def aggregate(dataset: Dataset, *, timescales: tuple[Timescale, ...] = tuple(Timescale),
+              quarter_rule: str = "latest") -> Iterator[tuple[Timescale, dict[str, AggregatedSeries]]]:
     """Each timescale's per-page series, one timescale at a time."""
-    for scale in options.timescales:
-        yield scale, aggregate_dataset(dataset, scale, options.quarter_rule)
+    for scale in timescales:
+        yield scale, aggregate_dataset(dataset, scale, quarter_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +190,10 @@ class ScaleAnalysis:
     balance: TestResult | None  # time-reversal symmetry of the samples
 
 
-def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAnalysis]:
+def analyze(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = tuple(Timescale),
+            classes: tuple[SizeClass, ...] = tuple(DEFAULT_FOLLOWER_CLASSES), metric: str = "engagement",
+            trim_bounds: tuple[float, float] = (5.0, 95.0), trim_rates: bool = False,
+            quarter_rule: str = "latest") -> Iterator[ScaleAnalysis]:
     """Size-class test matrices, distribution fits and symmetry check per timescale.
 
     Matrices: growth of the metric, of mean engagement and of followers by
@@ -214,27 +201,26 @@ def analyze(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleAna
     quartile. Fits: Laplace on the log growth of the metric, Burr on
     follower gross growth, pooled and per class.
     """
-    for scale in options.timescales:
-        yield _analyze_scale(aggregate_dataset(dataset, scale, options.quarter_rule), scale, options, warn)
+    for scale in timescales:
+        series = aggregate_dataset(dataset, scale, quarter_rule)
+        yield _analyze_scale(series, scale, classes, metric, trim_bounds, trim_rates, warn)
 
 
-def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> ScaleAnalysis:
-    metric = options.metric
-
+def _analyze_scale(series, scale: Timescale, classes, metric, trim_bounds, trim_rates, warn: Warn) -> ScaleAnalysis:
     def block(name: str, size_by: str, tables: dict[str, GrowthSamples]) -> MatrixBlock:
         groups = {label: t.log_growth for label, t in tables.items()}
-        # with --trim-rates each group is first cut to the percentile band
-        if options.trim_rates:
+        # with trim_rates each group is first cut to the percentile band
+        if trim_rates:
             for label, v in groups.items():
                 if 0 < v.size < TRIM_MIN_SAMPLES:
                     warn(f"warning: trim {name}/{size_by}/{label}/{scale.value}: only {v.size} values "
                          f"(< {TRIM_MIN_SAMPLES}); passing through")
-            groups = {label: v[trim_mask(v, *options.trim_bounds)] for label, v in groups.items()}
+            groups = {label: v[trim_mask(v, *trim_bounds)] for label, v in groups.items()}
         return MatrixBlock(name, size_by, class_test_matrix(groups))
 
     # each sample set, and its follower classes, computed once
     samples = {m: pooled_growth_samples(series, m)[0] for m in dict.fromkeys((metric, "mean_engagement", "followers"))}
-    bins = {m: class_bins(s, options.classes) for m, s in samples.items()}
+    bins = {m: class_bins(s, classes) for m, s in samples.items()}
     matrices = []
     for name, by_class in bins.items():
         if len(by_class) < 2:
@@ -255,7 +241,7 @@ def _analyze_scale(series, scale: Timescale, options: Options, warn: Warn) -> Sc
 
     # variant: engagement quartile bins
     try:
-        quartiles = engagement_quartile_bins(samples[metric], *options.trim_bounds)
+        quartiles = engagement_quartile_bins(samples[metric], *trim_bounds)
         matrices.append(block(metric, "engagement_quartile", quartiles))
     except ValueError as exc:
         warn(f"warning: quartile bins at {scale.value}: {exc}")
@@ -359,7 +345,9 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
     return out
 
 
-def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel]:
+def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = SIM_TIMESCALES,
+          metric: str = "engagement", trim_bounds: tuple[float, float] = (5.0, 95.0),
+          quarter_rule: str = "latest") -> Iterator[ScaleModel]:
     """Per-bin distribution fits regressed on log size, per timescale (W, M or Q; D is refused).
 
     Laplace (mu, b) on the log growth of the metric in 4x4 quartile bins of
@@ -367,7 +355,7 @@ def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel
     growth in 8 quantile bins of prior followers. Raises
     DegenerateSampleError after the last timescale if nothing was fitted.
     """
-    check_timescales(options.timescales, "model")
+    check_timescales(timescales, "model")
     laplace = _BinnedFits(
         parameters=("mu", "b"),
         covariates=("prior_followers", "prior_engagement"),
@@ -385,12 +373,12 @@ def model(dataset: Dataset, options: Options, warn: Warn) -> Iterator[ScaleModel
         fit=lambda members: fit_burr(members.gross_growth),
     )
     fitted = 0
-    for scale in options.timescales:
-        series = aggregate_dataset(dataset, scale, options.quarter_rule)
+    for scale in timescales:
+        series = aggregate_dataset(dataset, scale, quarter_rule)
         regressions = []
-        for metric, side in ((options.metric, laplace), ("followers", burr)):
-            samples, _ = pooled_growth_samples(series, metric)
-            regressions += _binned_regressions(samples, side, scale, options.trim_bounds, warn)
+        for name, side in ((metric, laplace), ("followers", burr)):
+            samples, _ = pooled_growth_samples(series, name)
+            regressions += _binned_regressions(samples, side, scale, trim_bounds, warn)
         fitted += len(regressions)
         yield ScaleModel(scale, [r for r, _ in regressions], [_detail_row(r, n) for r, n in regressions])
     if not fitted:
@@ -411,7 +399,8 @@ class Cohort:
     tests: Iterator[tuple[Timescale, dict[str, TestResult]]]
 
 
-def cohort(dataset: Dataset, options: Options, warn: Warn, matching: str = "assignment") -> Cohort:
+def cohort(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = tuple(Timescale),
+           matching: str = "assignment") -> Cohort:
     """Label pages, match each questionable page to a reliable one on weekly
     features, and set up the one-sided reliable > questionable tests.
 
@@ -423,10 +412,8 @@ def cohort(dataset: Dataset, options: Options, warn: Warn, matching: str = "assi
         warn(f"unscored pages excluded: {len(unscored)}")
     questionable_ids = [l.page_id for l in labels if l.label == "questionable"]
     reliable_ids = [l.page_id for l in labels if l.label == "reliable"]
-    if not questionable_ids or not reliable_ids:
-        raise DegenerateSampleError("need both questionable and reliable pages")
 
-    weekly = aggregate_dataset(dataset, Timescale.W, options.quarter_rule)
+    weekly = aggregate_dataset(dataset, Timescale.W)
     end = dataset.end_date
     raw: dict[str, tuple[float, float]] = {}
     unobserved = 0
@@ -442,12 +429,14 @@ def cohort(dataset: Dataset, options: Options, warn: Warn, matching: str = "assi
     standardized = standardize_features(raw)
     q_vecs = {i: standardized[i] for i in questionable_ids if i in standardized}
     r_vecs = {i: standardized[i] for i in reliable_ids if i in standardized}
+    if not q_vecs or not r_vecs:
+        raise DegenerateSampleError("need both questionable and reliable pages with follower observations")
     result = (greedy_match if matching == "greedy" else match_cohorts)(q_vecs, r_vecs)
     matched_ids = [r for _, r in result.pairs]
 
     def tests():
-        for scale in options.timescales:
-            series = weekly if scale is Timescale.W else aggregate_dataset(dataset, scale, options.quarter_rule)
+        for scale in timescales:
+            series = weekly if scale is Timescale.W else aggregate_dataset(dataset, scale)
             q_series = {i: series[i] for i in q_vecs if i in series}
             r_series = {i: series[i] for i in matched_ids if i in series}
             try:

@@ -84,6 +84,8 @@ class GeneratorConfig:
             raise ValueError(f"posts_per_day must be finite and positive, got {self.posts_per_day!r}")
         if not 0 <= self.questionable_fraction <= 1:  # NaN fails too
             raise ValueError(f"questionable_fraction must lie in [0, 1], got {self.questionable_fraction!r}")
+        if self.coefficients is not None and not self.coefficients.has_timescale(Timescale.W):
+            raise ValueError("coefficient table lacks timescale W")  # the law steps weekly
 
 
 @dataclass

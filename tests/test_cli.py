@@ -3,6 +3,8 @@
 import argparse
 import ast
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 
 import pagegrowth
 from pagegrowth import pipeline
+from pagegrowth.aggregate import Timescale
 from pagegrowth.cli import build_parser, main
 from pagegrowth.ingest import PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
 from pagegrowth.model import COEFFS_HEADER
@@ -262,9 +265,37 @@ _LIVE_FLAGS = {
 }
 
 
-def _flags_taken(command: str) -> set[str]:
+def _actions(command: str) -> list[argparse.Action]:
     (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag for a in subparsers.choices[command]._actions for flag in a.option_strings} - {"-h", "--help"}
+    return subparsers.choices[command]._actions
+
+
+def _flags_taken(command: str) -> set[str]:
+    return {flag for a in _actions(command) for flag in a.option_strings} - {"-h", "--help"}
+
+
+_LIBRARY_CALLS = {"aggregate": pipeline.aggregate, "analyze": pipeline.analyze, "model": pipeline.model,
+                  "cohort": pipeline.cohort}
+
+
+@pytest.mark.parametrize("command", [*_LIBRARY_CALLS, "synth"])
+def test_setting_flags_are_the_library_keywords_without_a_default(command):
+    # a flag not given leaves its setting to the library: the CLI holds no copy of a default
+    settings = [a for a in _actions(command) if a.dest not in {"help", "input", "pages", "out", "seed"}]
+    if command == "synth":
+        assert {a.dest for a in settings} <= {f.name for f in dataclasses.fields(GeneratorConfig)}
+    else:
+        params = inspect.signature(_LIBRARY_CALLS[command]).parameters.values()
+        assert {a.dest for a in settings} == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+    assert [a.default for a in settings] == [argparse.SUPPRESS] * len(settings)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "analyze", "model", "simulate", "cohort", "synth"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: pagegrowth {command} ")
 
 
 @pytest.mark.parametrize("command", list(_LIVE_FLAGS))
@@ -305,7 +336,31 @@ def test_model_refuses_daily_before_writing(synth_dir, tmp_path, capsys):
     assert "error: model supports W, M, Q timescales, not D\n" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ValueError, match="model supports W, M, Q timescales, not D"):
-        next(pipeline.model(None, pipeline.Options(), print))  # the library's default holds D
+        next(pipeline.model(None, print, timescales=(Timescale.D, Timescale.W)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["synth", "--model", "{tmp}/monthly.csv"], "error: coefficient table lacks timescale W\n",
+                 id="synth-model-without-weekly-rows"),
+    pytest.param(["synth", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'\n",
+                 id="synth-negative-seed"),
+    pytest.param(["simulate", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'\n",
+                 id="simulate-negative-seed"),
+    pytest.param(["synth", "--model", "{tmp}/missing.csv", "--start", "2018-13-01"],
+                 "error: unparsable --start '2018-13-01'\n", id="settings-checked-in-parser-order"),
+])
+def test_refusal_names_what_it_refuses(tmp_path, capsys, argv, message):
+    # they exited 2 with a KeyError repr and with numpy's message, which names no flag
+    (tmp_path / "monthly.csv").write_text("parameter,timescale,beta0,beta1,beta2\n"
+                                          "mu,M,0.01,0,0\nb,M,0.2,0,0\nc,M,500,0,\nk,M,0.5,0,\n")
+    out = tmp_path / "out"
+    try:
+        code = main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+    except SystemExit as exc:  # a flag argparse refuses
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, writes", [
@@ -690,6 +745,44 @@ class TestCohortCmd:
             ]
         )
         assert code == 0
+
+
+def _relabel(src: Path, dst: Path, reliable: int, blank: str | None) -> None:
+    """src's corpus in dst with its first `reliable` pages scored reliable and the rest
+    questionable; the posts of the pages labelled `blank` lose their follower counts."""
+    dst.mkdir()
+    with open(src / "pages.csv", newline="") as fh:
+        pages = list(csv.reader(fh))
+    for i, row in enumerate(pages[1:]):
+        row[3] = "80" if i < reliable else "30"
+    blanked = {row[0] for i, row in enumerate(pages[1:]) if blank == ("reliable" if i < reliable else "questionable")}
+    with open(src / "posts.csv", newline="") as fh:
+        posts = list(csv.reader(fh))
+    for row in posts[1:]:
+        if row[0] in blanked:
+            row[7] = ""
+    for name, rows in (("pages.csv", pages), ("posts.csv", posts)):
+        with open(dst / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize("reliable, blank, code, message", [
+    pytest.param(0, None, 3, "numerical error: need both questionable and reliable pages", id="no-reliable-page"),
+    pytest.param(12, "questionable", 3, "numerical error: need both questionable and reliable pages with follower "
+                 "observations", id="no-questionable-observed"),
+    pytest.param(12, "reliable", 3, "numerical error: need both questionable and reliable pages with follower "
+                 "observations", id="no-reliable-observed"),
+    pytest.param(1, None, 2, "error: reliable pool (1) smaller than questionable cohort (23)", id="pool-smaller"),
+])
+def test_cohort_exit_code_names_an_empty_cohort(synth_dir, tmp_path, capsys, reliable, blank, code, message):
+    # an empty cohort is a degenerate sample however it came about; a non-empty
+    # pool too small to match is a refused configuration
+    _relabel(synth_dir, tmp_path / "data", reliable, blank)
+    out = tmp_path / "out"
+    argv = ["cohort", "--input", str(tmp_path / "data/posts.csv"), "--pages", str(tmp_path / "data/pages.csv")]
+    assert main([*argv, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "matches.csv").exists()
 
 
 class TestModelCmd:

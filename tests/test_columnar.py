@@ -8,7 +8,6 @@ included, on random pages around awkward dates: before 1970 and after
 2038, ISO week 53 and year ends, Feb 29.
 """
 
-import dataclasses
 import io
 import math
 import random
@@ -246,12 +245,13 @@ def test_commands_build_no_sample_objects(monkeypatch):
         raise AssertionError("a GrowthSample was built")
 
     monkeypatch.setattr(growth, "GrowthSample", no_rows)
-    options, warnings = pipeline.Options(), []
-    analyses = list(pipeline.analyze(dataset, options, warnings.append))
+    warnings = []
+    analyses = list(pipeline.analyze(dataset, warnings.append))
     for result in analyses:
         growth.write_growth_samples_csv(result.samples, io.StringIO())
     assert sum(len(result.samples) for result in analyses) > 1000
     assert all(result.matrices and result.fit_rows for result in analyses)
-    fitted = pipeline.model(dataset, dataclasses.replace(options, timescales=SIM_TIMESCALES), warnings.append)
+    fitted = list(pipeline.model(dataset, warnings.append))  # the library's default timescales are W, M, Q
+    assert [result.scale for result in fitted] == list(SIM_TIMESCALES)
     assert sum(len(result.regressions) for result in fitted) > 0
-    assert len(list(pipeline.cohort(dataset, options, warnings.append).tests)) == len(Timescale)
+    assert len(list(pipeline.cohort(dataset, warnings.append).tests)) == len(Timescale)

@@ -260,7 +260,7 @@ def test_data_commands_build_no_post_records(monkeypatch, tmp_path, with_pages):
         return
     pages = CORPUS / "pages.csv" if with_pages else None
     dataset, rejected = pipeline.load_dataset(CORPUS / "posts.csv", pages)
-    series = dict(pipeline.aggregate(dataset, pipeline.Options()))
+    series = dict(pipeline.aggregate(dataset))
     assert len(dataset.columns) > 7000 and rejected
     assert sum(len(s) for s in series[Timescale.W].values()) > 500
 
