@@ -12,8 +12,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
+
+# Commands run with one OpenBLAS thread, set before the first import below
+# loads numpy. The worker pool numpy's OpenBLAS otherwise starts at load took
+# about 70 ms of a command's 0.15-0.21 s start-up (two threads, x86-64), and no
+# command uses it: the only BLAS calls are model's least-squares fits on at
+# most 20x3 matrices. A value the user set wins, and importing the library
+# without this module leaves the environment as it is.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline, synth
 from .aggregate import Timescale, write_series_csv
@@ -47,11 +56,37 @@ def _parse_timescales(text: str) -> tuple[Timescale, ...]:
     return tuple(dict.fromkeys(scales))
 
 
+def _ascii_number(kind: type):
+    """An argparse type reading ``kind`` (int or float) as ``model._coefficient`` reads a number."""
+    what = "an integer" if kind is int else "a number"
+
+    def read(text: str):
+        if text.isascii() and "_" not in text:  # int() and float() alone also read 1_0 and non-ASCII digits
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return read
+
+
+_integer, _number = _ascii_number(int), _ascii_number(float)
+
+
+def _list_number(text: str, flag: str) -> float:
+    """One number of a comma-separated flag, read after parsing, so the refusal names the flag itself."""
+    try:
+        return _number(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{flag} {exc}") from None
+
+
 def _parse_trim(text: str) -> tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"trim bounds must look like '5,95', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = (_list_number(part, "--trim") for part in parts)
     if not 0 <= lo < hi <= 100:
         raise ValueError(f"trim bounds out of order: {text!r}")
     return lo, hi
@@ -168,7 +203,7 @@ def cmd_model(args) -> int:
 
 def _parse_f0(text: str) -> dict[int, float]:
     """--f0 values keyed by the integer part that tags their output files."""
-    values = [float(v) for v in text.split(",") if v.strip()]
+    values = [_list_number(v.strip(), "--f0") for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError("--f0 lists no starting follower count")
     by_tag: dict[int, float] = {}
@@ -197,7 +232,7 @@ def cmd_simulate(args) -> int:
     if missing:
         raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")
     runs = {  # every pair runs, and so passes its checks, before any file is written
-        (scale, f0_tag): simulate(coeffs, scale, f0, float(args.e0), args.steps, args.runs, args.seed)
+        (scale, f0_tag): simulate(coeffs, scale, f0, args.e0, args.steps, args.runs, args.seed)
         for scale in scales
         for f0_tag, f0 in f0_by_tag.items()
     }
@@ -313,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'builtin-table1' or a coefficients CSV path")
     p.add_argument("--timescales", default="W,M,Q")
     p.add_argument("--f0", default=",".join(str(v) for v in DEFAULT_STARTING_FOLLOWERS))
-    p.add_argument("--e0", type=float, default=10_000.0)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--e0", type=_number, default=10_000.0)
+    p.add_argument("--steps", type=_integer, default=20)
+    p.add_argument("--runs", type=_integer, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -327,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("synth", help="generate synthetic posts/pages files")
     p.add_argument("--out", required=True)
     _add_settings(p, {
-        "--pages-count": dict(type=int, dest="n_pages", metavar="PAGES_COUNT"),
+        "--pages-count": dict(type=_integer, dest="n_pages", metavar="PAGES_COUNT"),
         "--start": {}, "--end": {},
-        "--posts-per-day": dict(type=float),
+        "--posts-per-day": dict(type=_number),
         "--model": dict(dest="coefficients", metavar="MODEL",
                         help="'gibrat-null', 'builtin-table1', or a coefficients CSV path"),
-        "--questionable-frac": dict(type=float, dest="questionable_fraction", metavar="QUESTIONABLE_FRAC"),
+        "--questionable-frac": dict(type=_number, dest="questionable_fraction", metavar="QUESTIONABLE_FRAC"),
     })
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)

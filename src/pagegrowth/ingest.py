@@ -357,7 +357,7 @@ class _Fields:
     @classmethod
     def of(cls, values: Sequence[str]) -> "_Fields":
         """The values, in order, as fields of their concatenation."""
-        encoded = [v.encode("utf-8", "surrogatepass") for v in values]  # a JSON string may hold a lone surrogate
+        encoded = [v.encode("utf-8") for v in values]
         char_ends, ends = (np.cumsum([len(v) for v in x], dtype=np.int64) for x in (values, encoded))
         return cls("".join(values), np.frombuffer(b"".join(encoded), dtype=np.uint8),
                    np.concatenate(([0], ends))[:-1], ends, np.concatenate(([0], char_ends))[:-1], char_ends)
@@ -881,8 +881,12 @@ def _read_json_posts(text: io.TextIOBase, table: _ParsedPosts) -> None:
             gc.enable()
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # UTF-8 cannot encode one, so no output could hold it
+
+
 def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):
-    """(line, object) per JSON object line with only known fields; other non-blank lines are rejected."""
+    """(line, object) per JSON object line with only known fields and valid Unicode text;
+    other non-blank lines are rejected."""
     for line, raw in enumerate(text, start=1):
         if not raw.strip():
             continue
@@ -898,6 +902,11 @@ def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):
         if unknown:
             rejected.append((line, f"unknown fields: {sorted(unknown)}"))
             continue
+        if "\\u" in raw or not raw.isascii():  # a lone surrogate comes from a \u escape or from str input
+            bad = [name for name in POSTS_HEADER if isinstance(obj.get(name), str) and _SURROGATE.search(obj[name])]
+            if bad:
+                rejected.append((line, f"{bad[0]} is not valid Unicode (lone surrogate)"))
+                continue
         yield line, obj
 
 

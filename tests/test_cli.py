@@ -229,6 +229,8 @@ def test_bad_class_bound_exit_2_with_line(synth_dir, tmp_path, capsys, row, mess
     pytest.param(["cohort", "--input", "{tmp}/rejected.csv"], "cohort requires --pages", id="cohort-no-pages"),
     pytest.param(["cohort", "--input", "{synth}/posts.csv", "--pages", "{tmp}/missing.csv"], "pages file not found",
                  id="missing-pages"),
+    pytest.param(["analyze", "--input", "{synth}/posts.csv", "--trim", "5,9_5"], "error: --trim must be a number, got '9_5'",
+                 id="trim-underscore"),
 ])
 def test_refused_data_command_leaves_no_out(tmp_path, capsys, synth_dir, argv, message):
     (tmp_path / "header.csv").write_text("page_id,post_id\n")
@@ -348,6 +350,17 @@ def test_model_refuses_daily_before_writing(synth_dir, tmp_path, capsys):
                  id="simulate-negative-seed"),
     pytest.param(["synth", "--model", "{tmp}/missing.csv", "--start", "2018-13-01"],
                  "error: unparsable --start '2018-13-01'\n", id="settings-checked-in-parser-order"),
+    # int() and float() read 1_0 as 10 and the Arabic-Indic ٣ as 3, and refused abc naming no flag
+    *(pytest.param([command, flag, value], f"argument {flag}: must be {kind}, got {value!r}\n",
+                   id=f"{command}{flag}={value}")
+      for command, flag, kind in [
+          ("simulate", "--e0", "a number"), ("simulate", "--steps", "an integer"), ("simulate", "--runs", "an integer"),
+          ("synth", "--pages-count", "an integer"), ("synth", "--posts-per-day", "a number"),
+          ("synth", "--questionable-frac", "a number"),
+      ]
+      for value in ("1_0", "٣", "abc")),
+    pytest.param(["simulate", "--steps", "2.5"], "argument --steps: must be an integer, got '2.5'\n",
+                 id="simulate--steps=2.5"),
 ])
 def test_refusal_names_what_it_refuses(tmp_path, capsys, argv, message):
     # they exited 2 with a KeyError repr and with numpy's message, which names no flag
@@ -449,6 +462,25 @@ class TestAggregateCmd:
         assert (tmp_path / "one" / "series_M.csv").read_bytes() == (
             tmp_path / "two" / "series_M.csv"
         ).read_bytes()
+
+    def test_jsonl_lone_surrogate_rows_rejected(self, synth_dir, tmp_path, capsys):
+        # aggregate exited 2 on writing series_D.csv, naming no file or line, and left it behind
+        with open(synth_dir / "posts.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0]["page_id"] = "p\ud800"
+        rows[1]["post_id"] += "\udfff"
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("".join(json.dumps(row) + "\n" for row in rows))  # escaped: the file is ASCII
+        out = tmp_path / "out"
+        assert main(["aggregate", "--input", str(posts), "--out", str(out)]) == 0
+        with open(out / "rejections.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                ["posts", "1", "page_id is not valid Unicode (lone surrogate)"],
+                ["posts", "2", "post_id is not valid Unicode (lone surrogate)"],
+            ]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rejections.csv", *(f"series_{scale}.csv" for scale in "DMQW")
+        ]
 
 
 class TestAnalyzeCmd:
@@ -618,6 +650,8 @@ class TestSimulateCmd:
         pytest.param(["--e0", "nan"], "finite and positive", id="e0=nan"),
         pytest.param(["--steps", "0"], "at least 1", id="steps=0"),
         pytest.param(["--runs", "0"], "at least 1", id="runs=0"),
+        *(pytest.param(["--f0", f0], f"error: --f0 must be a number, got {bad!r}", id=f0)
+          for f0, bad in [("1_0", "1_0"), ("25000,٣", "٣"), ("abc", "abc")]),
     ])
     def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -882,3 +916,40 @@ def test_no_module_imports_csv():
             if any(name == "csv" or name.startswith("csv.") for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+# Runs in a fresh interpreter: imports the module named in argv[1] and prints
+# OPENBLAS_NUM_THREADS as it stood when numpy was first imported.
+_BLAS_PIN_SCRIPT = """
+import importlib, json, os, sys
+
+seen = []
+
+class FirstNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, FirstNumpyImport())
+importlib.import_module(sys.argv[1])
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    pytest.param("pagegrowth.cli", None, "1", id="cli-pins-one-thread"),
+    pytest.param("pagegrowth.cli", "2", "2", id="cli-keeps-the-users-value"),
+    pytest.param("pagegrowth.pipeline", None, None, id="library-leaves-it-unset"),
+])
+def test_blas_thread_pin_precedes_numpy(module, preset, expected):
+    # numpy's OpenBLAS sizes its thread pool when it loads; a later setting does nothing
+    src = str(Path(pagegrowth.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PIN_SCRIPT, module],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [expected]

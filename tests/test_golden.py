@@ -33,6 +33,12 @@ exactly these six differ. The comparison stays exact, and when one of the six
 differs its message names the level pinned under and the level observed.
 ``test_fits_agree_below_x86_v4`` checks that the two levels give the same fits
 and coefficients within ``tests.test_stats.BURR_FIT_REL``.
+
+The runs above share this process, which loads numpy before the CLI and so
+keeps OpenBLAS's default thread pool. A command starts with one OpenBLAS
+thread instead, so ``test_model_outputs_unchanged_under_one_blas_thread``
+runs the two ``model`` runs, the only BLAS users, in a fresh interpreter
+that starts as a command does, against the same digests.
 """
 
 from __future__ import annotations
@@ -258,6 +264,42 @@ def test_fits_agree_below_x86_v4(tmp_path):
             assert len(here) == len(below) > 1
             for a, b in zip(here, below):
                 _assert_cells_close(a, b, BURR_FIT_REL)
+
+
+# runs each argv given as a JSON list after importing the CLI before numpy, as a command starts
+_ONE_THREAD_SCRIPT = """
+import json, os, sys
+assert "numpy" not in sys.modules
+from pagegrowth.cli import main
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_model_outputs_unchanged_under_one_blas_thread(tmp_path):
+    """The golden ``model`` runs in a fresh interpreter where the CLI starts
+    OpenBLAS with one thread: their least-squares fits are the only BLAS calls,
+    and their outputs keep the pinned digests (this test module imports numpy
+    before the CLI, so the other golden runs keep numpy's default pool)."""
+    shutil.copytree(CORPUS, tmp_path / "data")
+    names = ("model", "model-flags")
+    argvs = [[*(arg.format(tmp=tmp_path) for arg in t), "--out", str(tmp_path / "runs" / name)]
+             for name, t in RUNS if name in names]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(GOLDEN.read_text())
+    for name in names:
+        for file in ("coefficients.csv", "regression_details.csv"):
+            digest = f"{name}/{file}"
+            assert _sha((tmp_path / "runs" / digest).read_bytes()) == expected[digest], (
+                f"{digest} pinned under {expected[PINNED_UNDER]}, observed under {simd_level()}")
 
 
 if __name__ == "__main__":

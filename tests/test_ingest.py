@@ -150,6 +150,22 @@ class TestParsePosts:
             (2, "post_id is not a string: ['b']"),
         ]
 
+    def test_jsonl_lone_surrogate_quarantined(self):
+        # json reads "\ud800" as a lone surrogate, which no UTF-8 output can hold
+        lines = rb"""{"page_id": "p\ud800", "post_id": "a", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+{"page_id": "p1", "post_id": "b\udfff", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+{"page_id": "p1", "post_id": "c\ud83d\ude00", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7}
+"""
+        posts, report = parse_posts(lines, format="jsonl")
+        assert [p.post_id for p in posts] == ["c\U0001f600"]  # an escaped pair is one character
+        assert [(r.line, r.reason) for r in report.rows] == [
+            (1, "page_id is not valid Unicode (lone surrogate)"),
+            (2, "post_id is not valid Unicode (lone surrogate)"),
+        ]
+        # text input can hold one unescaped
+        _, report = parse_posts('{"page_id": "p\udc80", "post_id": "d"}\n', format="jsonl")
+        assert [(r.line, r.reason) for r in report.rows] == [(1, "page_id is not valid Unicode (lone surrogate)")]
+
     def test_utf8_bom_before_header(self):
         data = b"\xef\xbb\xbf" + _posts_csv("p1,a,2020-01-01T00:00:00Z,1,2,3,6,")
         for source in (data, io.BytesIO(data)):
