@@ -213,8 +213,8 @@ def write_series_csv(series_map: dict[str, AggregatedSeries], stream) -> None:
         np.concatenate([getattr(s, name) for _, s in items] or [np.zeros(0, dtype=np.int64)])
         for name in ("start", "engagement", "post_count", "followers", "observed")
     )
-    _write_rows(stream, SERIES_HEADER, heads.size, "{},{},{},{:.10g},{},{}\n".format, lambda part: (
-        heads[part],
+    _write_rows(stream, SERIES_HEADER, heads.size, "%s,%s,%s,%.10g,%s,%s\n", lambda part: (
+        heads[part].tolist(),
         np.datetime_as_string(start[part].astype("datetime64[D]"), unit="D").tolist(),
         engagement[part].tolist(),
         (engagement[part] / count[part]).tolist(),

@@ -182,8 +182,50 @@ def trim_mask(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size < TRIM_MIN_SAMPLES:
         return np.ones(arr.size, dtype=bool)
-    lo, hi = np.percentile(arr, [lo_pct, hi_pct])
+    lo, hi = _percentiles(arr, [lo_pct, hi_pct])
     return (arr >= lo) & (arr <= hi)
+
+
+# np.percentile, np.median and np.unique load numpy.ma (through np.unique's
+# masked-array check), which costs a command about 13 ms; these three stand in for them
+
+def _percentiles(values: np.ndarray, pcts) -> np.ndarray:
+    """``np.percentile(values, pcts)`` of a non-empty float array, bit for bit.
+
+    numpy's "linear" method: the values are partitioned at the same indices
+    as numpy partitions them, so even tied -0.0 and 0.0 land alike, and each
+    percentile is numpy's lerp of its two neighbours, ``b - (b - a) * (1 - t)``
+    from ``t >= 0.5`` on. A NaN among the values makes every percentile NaN.
+    """
+    q = np.true_divide(pcts, 100)
+    if not ((q >= 0) & (q <= 1)).all():
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = values.size
+    virtual = (n - 1) * q
+    top = virtual >= n - 1  # past the last index: both neighbours are the last value
+    lower = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    upper = np.where(top, -1, lower + 1)
+    part = np.partition(values, sorted({0, -1, *lower.tolist(), *upper.tolist()}))
+    if np.isnan(part[-1]):
+        return np.full(q.shape, part[-1])
+    t = virtual - lower
+    a, b = part[lower], part[upper]
+    diff = b - a
+    result = a + diff * t
+    np.subtract(b, diff * (1 - t), out=result, where=t >= 0.5)
+    return result
+
+
+def _median(ordered: np.ndarray) -> float:
+    """``np.median`` of the values a non-empty NaN-free sorted array holds, bit for bit:
+    the middle value or the two middle ones, summed from 0.0 as ``np.mean`` sums, over their count."""
+    m = ordered.size // 2
+    return 0.0 + ordered[m] if ordered.size % 2 else (0.0 + ordered[m - 1] + ordered[m]) / 2
+
+
+def _distinct(ordered: np.ndarray) -> int:
+    """How many distinct values a NaN-free sorted array holds: ``np.unique(ordered).size``."""
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def validate_scheme(scheme: list[SizeClass]) -> None:
@@ -229,12 +271,12 @@ def engagement_quartile_bins(
     priors = samples.prior_engagement.astype(float)
     mask = trim_mask(priors, lo_pct, hi_pct)
     kept, kept_priors = samples[mask], priors[mask]
-    if np.unique(kept_priors).size < 4:
+    if _distinct(np.sort(kept_priors)) < 4:
         raise DegenerateBinningError(
             "degenerate binning: fewer than 4 distinct prior_engagement values"
         )
     # bin index = number of quartiles strictly below the value
-    index = np.searchsorted(np.percentile(kept_priors, [25.0, 50.0, 75.0]), kept_priors, side="left")
+    index = np.searchsorted(_percentiles(kept_priors, [25.0, 50.0, 75.0]), kept_priors, side="left")
     return {f"Q{q + 1}": kept[index == q] for q in range(4)}
 
 
@@ -249,9 +291,10 @@ def split_class_by_median(class_samples: GrowthSamples) -> tuple[GrowthSamples, 
     if not class_samples.observed.all():
         raise ValueError("split_class_by_median requires prior_followers on all samples")
     priors = class_samples.prior_followers.astype(float)
-    if np.unique(priors).size < 2:
+    ordered = np.sort(priors)
+    if _distinct(ordered) < 2:
         raise DegenerateBinningError("all prior_followers values are equal")
-    lower = priors < np.median(priors)
+    lower = priors < _median(ordered)
     return class_samples[lower], class_samples[~lower]
 
 
@@ -261,8 +304,9 @@ GROWTH_HEADER = ["page_id", "timescale", "window_start", "metric", "gross_growth
 
 def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
     scale = samples.timescale.value if samples.timescale else ""  # a Timescale and a METRICS name need no quotes
-    row = f"{{}},{scale},{{}},{samples.metric},{{:.12g}},{{:.12g}},{{}},{{}}\n".format
-    _write_rows(stream, GROWTH_HEADER, len(samples), row, lambda part: (
+    # both are constants of the row template, which would read a % in them as a conversion
+    template = "%s,{},%s,{},%.12g,%.12g,%s,%s\n".format(*(text.replace("%", "%%") for text in (scale, samples.metric)))
+    _write_rows(stream, GROWTH_HEADER, len(samples), template, lambda part: (
         _texts(samples.page_id[part]),
         np.datetime_as_string(samples.start[part].astype("datetime64[D]"), unit="D").tolist(),
         samples.gross_growth[part].tolist(),

@@ -53,7 +53,13 @@ Every CSV table the package writes goes through ``_write_rows``, a block
 of rows at a time: LF line ends, an empty field for an absent count,
 quotes round text that holds a comma, a quote, CR or LF (``_quoted``), and
 timestamps through ``datetime64`` with zero-padded years, so every value
-the parsers accept reads back unchanged.
+the parsers accept reads back unchanged. A table names a ``%`` format for
+one row, and each block is written with one ``%`` of that format repeated
+over the block's values, with no call per row or per value. Text is only
+ever a value, never part of the format. The output is what ``format()``
+and ``str()`` give: CPython formats a float for ``%.12g`` and for
+``format(x, ".12g")`` with the same routine and precision, ``%s`` is
+``str()``, and ``%d`` of an int writes its ``str()`` digits.
 """
 
 from __future__ import annotations
@@ -1004,35 +1010,48 @@ def _texts(values: Sequence[str]) -> list[str]:
     return list(values) if _NEEDS_QUOTES.search("".join(values)) is None else list(map(_quoted, values))
 
 
-def _counts(values: np.ndarray, present: np.ndarray) -> list[str]:
-    """A column of counts as text, empty where not ``present``."""
-    return [str(v) if p else "" for v, p in zip(values.tolist(), present.tolist())]
+def _counts(values: np.ndarray, present: np.ndarray) -> list:
+    """A column of counts for a ``%s`` field: the ints as they are, ``""`` where not ``present``."""
+    column = values.tolist()
+    for i in np.flatnonzero(~present).tolist():
+        column[i] = ""
+    return column
 
 
-def _write_rows(stream, header: Sequence[str], n: int, row, columns) -> None:
-    """Write a CSV table: the header, then ``row(*values)`` for each of its ``n`` rows.
+def _write_rows(stream, header: Sequence[str], n: int, template: str, columns) -> None:
+    """Write a CSV table: the header, then its ``n`` rows, each as the ``%`` format ``template`` gives it.
 
-    ``columns(part)`` formats the rows in the slice ``part``, one sequence per
-    field, so no more than _CHUNK_ROWS rows are held as text at a time;
-    ``row`` joins one row's fields and ends the line, as a format string's ``format`` does.
+    ``columns(part)`` gives the rows in the slice ``part``, one sequence per
+    field, so no more than _CHUNK_ROWS rows are held at a time. A chunk of
+    ``k`` rows is written with one ``(template * k) % values``, its columns
+    interleaved row by row; text is only ever a value, never part of the
+    template. A chunk with another number of columns than ``template`` has
+    conversions, or a column of another length, raises ValueError.
     """
+    width = template.replace("%%", "").count("%")
     stream.write(",".join(map(_quoted, header)) + "\n")
     for lo in range(0, n, _CHUNK_ROWS):
-        stream.write("".join(map(row, *columns(slice(lo, lo + _CHUNK_ROWS)))))
+        k = min(n - lo, _CHUNK_ROWS)
+        chunk = columns(slice(lo, lo + k))
+        if len(chunk) != width:
+            raise ValueError(f"{len(chunk)} columns for a row template of {width} fields")
+        flat = [None] * (k * width)
+        for j, column in enumerate(chunk):
+            flat[j::width] = column  # ValueError unless the column holds k values
+        stream.write((template * k) % tuple(flat))
 
 
 def _write_table(stream, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """A small table given as rows of text and numbers; a number is written as ``str`` gives it."""
-    _write_rows(stream, header, len(rows),
-                lambda values: ",".join(_quoted(v) if isinstance(v, str) else str(v) for v in values) + "\n",
-                lambda part: [rows[part]])
+    _write_rows(stream, header, len(rows), ",".join(["%s"] * len(header)) + "\n", lambda part: [
+        [_quoted(v) if isinstance(v, str) else v for v in column] for column in zip(*rows[part], strict=True)])
 
 
 def write_posts_csv(posts: PostColumns, stream) -> None:
     """Serialize a table of posts in the canonical CSV format; ``parse_posts`` reads back an equal table."""
     page_ids = np.array([_quoted(p) for p in posts.page_ids], dtype=object)
-    _write_rows(stream, POSTS_HEADER, len(posts), "{},{},{},{},{},{},{},{}\n".format, lambda part: (
-        page_ids[posts.page[part]],
+    _write_rows(stream, POSTS_HEADER, len(posts), "%s,%s,%s,%s,%s,%s,%d,%s\n", lambda part: (
+        page_ids[posts.page[part]].tolist(),
         _texts(posts.post_id[part]),
         np.datetime_as_string(posts.seconds[part].astype("datetime64[s]"), unit="s", timezone="UTC").tolist(),
         *(_counts(c[part], c[part] != ABSENT) for c in (posts.likes, posts.comments, posts.shares)),

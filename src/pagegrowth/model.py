@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import BinaryIO
 
 import numpy as np
@@ -504,7 +504,7 @@ def write_trajectories_csv(trajectories: list[Trajectory], stream) -> None:
     step = np.concatenate([np.arange(n) for n in sizes] or [np.zeros(0, dtype=np.int64)])
     followers, engagement = (np.concatenate([getattr(t, name) for t in trajectories] or [np.zeros(0)])
                              for name in ("followers", "engagement"))
-    _write_rows(stream, TRAJECTORY_HEADER, step.size, "{},{},{:.12g},{:.12g}\n".format, lambda part: (
+    _write_rows(stream, TRAJECTORY_HEADER, step.size, "%s,%s,%.12g,%.12g\n", lambda part: (
         run[part].tolist(), step[part].tolist(), followers[part].tolist(), engagement[part].tolist()))
 
 
@@ -512,5 +512,5 @@ SUMMARY_HEADER = [f.name for f in fields(StepSummary)]
 
 
 def write_summary_csv(summaries: list[StepSummary], stream) -> None:
-    rows = [[s.step, *(format(v, ".12g") for v in astuple(s)[1:])] for s in summaries]
-    _write_table(stream, SUMMARY_HEADER, rows)
+    _write_rows(stream, SUMMARY_HEADER, len(summaries), "%s" + ",%.12g" * (len(SUMMARY_HEADER) - 1) + "\n",
+                lambda part: [[getattr(s, name) for s in summaries[part]] for name in SUMMARY_HEADER])

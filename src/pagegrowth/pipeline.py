@@ -35,6 +35,7 @@ from .growth import (
     TRIM_MIN_SAMPLES,
     GrowthSamples,
     SizeClass,
+    _percentiles,
     class_bins,
     engagement_quartile_bins,
     pooled_growth_samples,
@@ -322,10 +323,10 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
         return []
     qs = np.linspace(0, 100, side.n_bins + 1)[1:-1]
     # bin index = number of quantile edges strictly below the value
-    index = [np.searchsorted(np.percentile(col, qs), col, side="left") for col in columns]
+    index = [np.searchsorted(_percentiles(col, qs), col, side="left") for col in columns]
     codes = np.ravel_multi_index(index, (side.n_bins,) * len(columns))
     fits = []
-    for code in np.unique(codes):
+    for code in np.flatnonzero(np.bincount(codes)):  # each bin holding a sample, in order
         rows = np.flatnonzero(codes == code)
         if rows.size < side.min_members:
             continue

@@ -165,7 +165,9 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
     sizes = [columns[0].size for columns in drawn]
     names = list(pages)
     page_ids, page = _page_codes(names, np.repeat(np.arange(config.n_pages), sizes))
-    post_id = np.array([f"{name}-{j:06d}" for name, n in zip(names, sizes) for j in range(n)], dtype=object)
+    # "<page>-000000" onward, one % per page; synth's page ids hold no LF, which splits the ids
+    ids = "".join((name.replace("%", "%%") + "-%06d\n") * n % tuple(range(n)) for name, n in zip(names, sizes))
+    post_id = np.array(ids.split("\n")[:-1], dtype=object)
     posts = PostColumns(page_ids, page, post_id, *(np.concatenate(column) for column in zip(*drawn)))
 
     truth = {

@@ -302,6 +302,36 @@ def test_model_outputs_unchanged_under_one_blas_thread(tmp_path):
                 f"{digest} pinned under {expected[PINNED_UNDER]}, observed under {simd_level()}")
 
 
+# runs each argv given as a JSON list in a fresh interpreter, then prints whether numpy.ma was loaded
+_NO_MA_SCRIPT = """
+import json, sys
+from pagegrowth.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_analyze_and_model_do_not_load_numpy_ma(tmp_path):
+    """The golden ``analyze`` and ``model`` runs in a fresh interpreter: their
+    percentiles, medians and distinct counts do not load ``numpy.ma``, which
+    numpy's own ``np.percentile``, ``np.median`` and ``np.unique`` import."""
+    (tmp_path / "classes.csv").write_text(CLASSES)
+    shutil.copytree(CORPUS, tmp_path / "data")
+    names = ("analyze", "model", "analyze-flags", "model-flags")
+    argvs = [[*(arg.format(tmp=tmp_path) for arg in t), "--out", str(tmp_path / "runs" / name)]
+             for name, t in RUNS if name in names]
+    assert len(argvs) == len(names)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MA_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False", "numpy.ma was imported"
+
+
 if __name__ == "__main__":
     import tempfile
 

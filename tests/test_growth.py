@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagegrowth import ingest
@@ -21,6 +21,9 @@ from pagegrowth.growth import (
     GrowthSample,
     GrowthSamples,
     SizeClass,
+    _distinct,
+    _median,
+    _percentiles,
     class_bins,
     engagement_quartile_bins,
     growth_samples,
@@ -29,7 +32,14 @@ from pagegrowth.growth import (
     write_growth_samples_csv,
 )
 from pagegrowth.ingest import EPOCH_ORDINAL, POSTS_HEADER, PostColumns, PostRecord, write_posts_csv
-from pagegrowth.model import TRAJECTORY_HEADER, Trajectory, write_trajectories_csv
+from pagegrowth.model import (
+    SUMMARY_HEADER,
+    TRAJECTORY_HEADER,
+    StepSummary,
+    Trajectory,
+    write_summary_csv,
+    write_trajectories_csv,
+)
 
 
 def _series(weekly_engagement, followers=None, start=date(2021, 1, 4)):
@@ -247,8 +257,9 @@ def test_telescoping_property(values):
 
 
 # the column writers against csv.writer, one row at a time; each row ends in
-# CRLF and then LF replaces it, so that CR is quoted as _quoted quotes it
-TEXT = st.text(st.sampled_from(list('ab,"\r\n {}é')), max_size=6)
+# CRLF and then LF replaces it, so that CR is quoted as _quoted quotes it.
+# Text holds % conversions, so a row template that took text in would not write it back.
+TEXT = st.lists(st.sampled_from([*'ab,"\r\n {}é%', "%s", "%%", "%(x)d"]), max_size=6).map("".join)
 COUNT = st.integers(0, 2**53 - 1)
 OPTIONAL_COUNT = st.one_of(st.none(), COUNT)
 ORDINAL = st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal())
@@ -305,7 +316,8 @@ def _series_case(draw):
 
 @st.composite
 def _growth_case(draw):
-    scale, metric = draw(st.sampled_from(list(Timescale))), draw(st.sampled_from(METRICS))
+    # a metric is a constant of the row template; one holding % must come out as it is
+    scale, metric = draw(st.sampled_from(list(Timescale))), draw(st.sampled_from([*METRICS, "50%", "%s%%"]))
     rows = draw(st.lists(st.tuples(TEXT, ORDINAL, POSITIVE, OPTIONAL_COUNT, COUNT), max_size=30))
     samples = GrowthSamples.from_rows([
         GrowthSample(p, scale, date.fromordinal(day), metric, g, math.log(g), e, f) for p, day, g, f, e in rows
@@ -326,8 +338,26 @@ def _trajectories_case(draw):
     return write_trajectories_csv, trajectories, TRAJECTORY_HEADER, expected
 
 
+@st.composite
+def _summary_case(draw):
+    values = st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 5e-324])
+    rows = draw(st.lists(st.tuples(st.integers(0, 10**6), *[values] * (len(SUMMARY_HEADER) - 1)), max_size=30))
+    expected = [[step, *(format(v, ".12g") for v in floats)] for step, *floats in rows]
+    return write_summary_csv, [StepSummary(*row) for row in rows], SUMMARY_HEADER, expected
+
+
+@st.composite
+def _table_case(draw):
+    value = TEXT | COUNT | st.integers(-(10**30), 10**30) | st.floats()
+    width = draw(st.integers(2, 5))  # csv.writer quotes a lone empty field; every table has two columns or more
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=30))
+    expected = [[v if isinstance(v, str) else str(v) for v in row] for row in rows]
+    return (lambda table, out: ingest._write_table(out, header, table)), rows, header, expected
+
+
 WRITER_CASES = {"posts": _posts_case(), "series": _series_case(), "growth": _growth_case(),
-                "trajectories": _trajectories_case()}
+                "trajectories": _trajectories_case(), "summary": _summary_case(), "table": _table_case()}
 
 
 @pytest.mark.parametrize("writer", list(WRITER_CASES))
@@ -339,3 +369,55 @@ def test_samples_csv_is_what_a_row_writer_gives(writer, data, chunk):
     with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
         write(table, out)
     assert out.getvalue() == "".join(map(_row_line, [header, *rows]))
+
+
+@pytest.mark.parametrize("columns", [
+    lambda part: [["a"] * (part.stop - part.start)],  # one column for a template of two fields
+    lambda part: [["a"] * (part.stop - part.start)] * 4,  # four columns for two
+    lambda part: [["a"] * (part.stop - part.start), ["b"]],  # a column one value short
+])
+def test_write_rows_refuses_columns_that_do_not_fit_the_template(columns):
+    with pytest.raises(ValueError):
+        ingest._write_rows(io.StringIO(), ["x", "y"], 2, "%s,%s\n", columns)
+
+
+PERCENTILES = st.sampled_from([[5.0, 95.0], [25.0, 50.0, 75.0], [0.0, 100.0]]) | st.integers(2, 12).map(
+    lambda n: np.linspace(0, 100, n + 1)[1:-1]) | st.lists(st.floats(0, 100), min_size=1, max_size=4)
+# ties, equal values and both zeros; inf, NaN and extremes for the percentiles
+TIED = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0]) | st.floats(-1e6, 1e6)
+SMALL = [[1.0], [2.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [7.0] * 9]
+
+
+@given(values=st.lists(TIED | st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324]), min_size=1,
+                       max_size=40), pcts=PERCENTILES)
+@settings(max_examples=500, deadline=None)
+@example(values=SMALL[0], pcts=[5.0, 95.0])
+@example(values=SMALL[1], pcts=np.linspace(0, 100, 11)[1:-1])
+@example(values=SMALL[2], pcts=[0.0, 50.0, 100.0])
+@example(values=SMALL[3], pcts=[5.0, 95.0])
+@example(values=SMALL[4], pcts=np.linspace(0, 100, 5)[1:-1])
+@example(values=SMALL[5], pcts=[5.0, 95.0])
+def test_percentiles_are_numpys_bit_for_bit(values, pcts):
+    arr = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _percentiles(arr, pcts).tobytes() == np.percentile(arr, pcts).tobytes()
+
+
+@given(values=st.lists(TIED, min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+@example(values=SMALL[0])
+@example(values=SMALL[1])
+@example(values=SMALL[2])
+@example(values=SMALL[3])
+@example(values=SMALL[4])
+@example(values=SMALL[5])
+def test_median_and_distinct_count_are_numpys(values):
+    arr = np.array(values)
+    ordered = np.sort(arr)
+    assert np.float64(_median(ordered)).tobytes() == np.median(arr).tobytes()
+    assert _distinct(ordered) == np.unique(arr).size
+
+
+def test_percentiles_out_of_range_refused():
+    with pytest.raises(ValueError):
+        _percentiles(np.arange(3.0), [5.0, 101.0])
