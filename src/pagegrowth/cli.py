@@ -24,11 +24,11 @@ from pathlib import Path
 # without this module leaves the environment as it is.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import pipeline, synth
+from . import pipeline, rules, synth
 from .aggregate import Timescale, write_series_csv
 from .cohort import write_cohort_summary_csv, write_match_csv
 from .growth import DegenerateBinningError, write_growth_samples_csv
-from .ingest import Dataset, FatalParseError, _format_score, _iso_date, _write_table
+from .ingest import Dataset, FatalParseError, _format_score, _write_table
 from .model import (
     DEFAULT_STARTING_FOLLOWERS,
     CollinearCovariatesError,
@@ -56,30 +56,25 @@ def _parse_timescales(text: str) -> tuple[Timescale, ...]:
     return tuple(dict.fromkeys(scales))
 
 
-def _ascii_number(kind: type):
-    """An argparse type reading ``kind`` (int or float) as ``model._coefficient`` reads a number."""
-    what = "an integer" if kind is int else "a number"
+def _flag(rule):
+    """An argparse type reading a flag by ``rules.integer`` or ``rules.number``."""
+    must = "a non-negative integer" if rule is rules.integer else "a number"
 
     def read(text: str):
-        if text.isascii() and "_" not in text:  # int() and float() alone also read 1_0 and non-ASCII digits
-            try:
-                return kind(text)
-            except ValueError:
-                pass
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        try:
+            return rule(text, "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}") from None
 
     return read
-
-
-_integer, _number = _ascii_number(int), _ascii_number(float)
 
 
 def _list_number(text: str, flag: str) -> float:
     """One number of a comma-separated flag, read after parsing, so the refusal names the flag itself."""
     try:
-        return _number(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{flag} {exc}") from None
+        return rules.number(text, flag)
+    except ValueError:
+        raise ValueError(f"{flag} must be a number, got {text!r}") from None
 
 
 def _parse_trim(text: str) -> tuple[float, float]:
@@ -94,7 +89,7 @@ def _parse_trim(text: str) -> tuple[float, float]:
 
 _CHECKS = {
     "timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim,
-    "start": lambda text: _iso_date(text, "--start"), "end": lambda text: _iso_date(text, "--end"),
+    "start": lambda text: rules.date(text, "--start"), "end": lambda text: rules.date(text, "--end"),
     "coefficients": lambda m: synth.gibrat_null_coefficients() if m == "gibrat-null" else _read_coefficients(m),
 }
 
@@ -297,12 +292,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):  # numpy takes non-negative integer seeds only
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
 def _add_settings(p, flags: dict[str, dict]) -> None:
     """Add setting flags without a default; ``_options`` passes on their dests in this order."""
     p.set_defaults(settings=[p.add_argument(flag, default=argparse.SUPPRESS, **kw).dest for flag, kw in flags.items()])
@@ -348,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'builtin-table1' or a coefficients CSV path")
     p.add_argument("--timescales", default="W,M,Q")
     p.add_argument("--f0", default=",".join(str(v) for v in DEFAULT_STARTING_FOLLOWERS))
-    p.add_argument("--e0", type=_number, default=10_000.0)
-    p.add_argument("--steps", type=_integer, default=20)
-    p.add_argument("--runs", type=_integer, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--e0", type=_flag(rules.number), default=10_000.0)
+    p.add_argument("--steps", type=_flag(rules.integer), default=20)
+    p.add_argument("--runs", type=_flag(rules.integer), default=1000)
+    p.add_argument("--seed", type=_flag(rules.integer), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -362,14 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("synth", help="generate synthetic posts/pages files")
     p.add_argument("--out", required=True)
     _add_settings(p, {
-        "--pages-count": dict(type=_integer, dest="n_pages", metavar="PAGES_COUNT"),
+        "--pages-count": dict(type=_flag(rules.integer), dest="n_pages", metavar="PAGES_COUNT"),
         "--start": {}, "--end": {},
-        "--posts-per-day": dict(type=_number),
+        "--posts-per-day": dict(type=_flag(rules.number)),
         "--model": dict(dest="coefficients", metavar="MODEL",
                         help="'gibrat-null', 'builtin-table1', or a coefficients CSV path"),
-        "--questionable-frac": dict(type=_number, dest="questionable_fraction", metavar="QUESTIONABLE_FRAC"),
+        "--questionable-frac": dict(type=_flag(rules.number), dest="questionable_fraction",
+                                    metavar="QUESTIONABLE_FRAC"),
     })
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_flag(rules.integer), default=0)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -26,14 +26,13 @@ the kind of file). NUL is an ordinary character. Blank records are
 skipped, fields are stripped, and a row is numbered by the physical line
 it starts on, since a quoted field may span lines.
 
-Timestamps must be RFC 3339 date-times (section 5.6) with an explicit
-offset; they are normalized to UTC at second precision on ingest. Dates
-(``created_at``) are ``YYYY-MM-DD``; counts and size-class bounds are ASCII
-digits up to ``MAX_COUNT``; betas are ASCII ``float()`` numbers. Posts and
-pages rows that fail validation are quarantined into a rejection report;
-only the structural problems above, duplicate page ids and nothing left
-after filtering are fatal. A bad size-class or coefficients row is an
-error naming its line, since a partial scheme or table is of no use.
+Each field's text passes its rule in ``rules``: timestamps, dates
+(``created_at``), counts and size-class bounds (up to ``MAX_COUNT``),
+scores, betas and each JSONL line. Posts and pages rows that fail
+validation are quarantined into a rejection report; only the structural
+problems above, duplicate page ids and nothing left after filtering are
+fatal. A bad size-class or coefficients row is an error naming its line,
+since a partial scheme or table is of no use.
 
 Posts are parsed straight into one table, ``PostColumns``: an array per
 field, no object per post. The tokenizer finds the records and fields of
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import gc
 import io
-import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -74,6 +72,8 @@ from datetime import date, datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import rules
 
 POSTS_HEADER = [
     "page_id",
@@ -94,13 +94,6 @@ DAY_S = 86_400
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 EPOCH_ORDINAL = EPOCH.date().toordinal()
 _SECOND = timedelta(seconds=1)
-# RFC 3339 section 5.6 date-time; "T" and "Z" may be lower case
-_DATE_TIME = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
-                        r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
-_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# ASCII decimal, optional sign and exponent: every format(x, "g") output for
-# x in [0, 100], but not float()'s "6_0", non-ASCII digits, "nan" or "inf"
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 _CHUNK_ROWS = 1 << 12  # rows converted to columns at a time
 _COUNT_DIGITS = 15  # the longest count the column check reads; longer ones go through _opt_count
@@ -554,9 +547,9 @@ def _csv_blocks(source: BinaryIO | bytes | str, header: list[str], what: str):
 
 
 def _csv_rows(source: BinaryIO | bytes | str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
-    """(line, fields) per non-blank record after the header of a CSV input (``_csv_blocks``)."""
+    """(line, stripped fields) per non-blank record after the header of a CSV input (``_csv_blocks``)."""
     for fields, lines, widths in _csv_blocks(source, header, what):
-        values = fields.strings(slice(None))
+        values = list(map(str.strip, fields.strings(slice(None))))
         k = 0
         for line, width in zip(lines.tolist(), widths.tolist()):
             if width:
@@ -564,36 +557,9 @@ def _csv_rows(source: BinaryIO | bytes | str, header: list[str], what: str) -> I
             k += width
 
 
-def _iso_date(raw: str, what: str) -> date:
-    """A YYYY-MM-DD date; fromisoformat alone also reads 20190101 and 2019-W01-1 from Python 3.11 on."""
-    try:
-        if _DATE.fullmatch(raw):
-            return date.fromisoformat(raw)
-    except ValueError:  # the form is right but the day does not exist, such as 2019-02-30
-        pass
-    raise ValueError(f"unparsable {what} {raw!r}")
-
-
 def parse_timestamp(raw: str) -> datetime:
-    """RFC 3339 date-time with explicit offset, normalized to UTC, truncated to seconds.
-
-    Only the section 5.6 grammar passes; ``fromisoformat`` then checks the
-    field ranges on a canonical form that every Python version reads alike.
-    The fraction is dropped first: offsets are whole minutes, so truncating
-    before or after the shift to UTC gives the same second.
-    """
-    match = _DATE_TIME.fullmatch(raw.strip())
-    if match is None:
-        raise ValueError(f"unparsable timestamp {raw!r}")
-    day, clock, offset = match.groups()
-    try:
-        ts = datetime.fromisoformat(f"{day}T{clock}{'+00:00' if offset in ('Z', 'z') else offset or ''}")
-        utc = ts.astimezone(timezone.utc) if ts.tzinfo else None
-    except (ValueError, OverflowError) as exc:  # OverflowError: the UTC instant leaves years 1-9999
-        raise ValueError(f"unparsable timestamp {raw!r}") from exc
-    if utc is None:
-        raise ValueError(f"timestamp {raw!r} lacks a UTC offset")
-    return utc
+    """RFC 3339 date-time with explicit offset, normalized to UTC, truncated to seconds."""
+    return rules.timestamp(raw)
 
 
 def _opt_count(raw, what: str) -> int | None:
@@ -604,19 +570,8 @@ def _opt_count(raw, what: str) -> int | None:
         raw = raw.strip()
         if raw == "":
             return None
-        if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() and raw[1:].strip("0"):
-            raise ValueError(f"{what} is negative")
-        if not (raw.isascii() and raw.isdigit()):  # int() also reads +5, -0, 5_000 and non-ASCII digits
-            raise ValueError(f"{what} is not an integer: {raw!r}")
-        try:
-            value = int(raw)
-        except ValueError:  # more digits than int() converts
-            raise ValueError(f"{what} is not an integer: {raw!r}")
-    elif isinstance(raw, bool):
-        raise ValueError(f"{what} is not an integer: {raw!r}")
-    elif isinstance(raw, int):
-        value = raw
-    elif isinstance(raw, float) and raw.is_integer():
+        value = rules.integer(raw, what)
+    elif type(raw) is int or (type(raw) is float and raw.is_integer()):  # not a bool
         value = int(raw)
     else:
         raise ValueError(f"{what} is not an integer: {raw!r}")
@@ -887,33 +842,16 @@ def _read_json_posts(text: io.TextIOBase, table: _ParsedPosts) -> None:
             gc.enable()
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")  # UTF-8 cannot encode one, so no output could hold it
-
-
 def _json_objects(text: io.TextIOBase, rejected: list[tuple[int, str]]):
-    """(line, object) per JSON object line with only known fields and valid Unicode text;
-    other non-blank lines are rejected."""
+    """(line, object) per line ``rules.json_object`` accepts; other non-blank lines are rejected."""
     for line, raw in enumerate(text, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except (ValueError, RecursionError):  # also integers past int()'s digit limit, deep nesting
-            rejected.append((line, "invalid JSON"))
-            continue
-        if not isinstance(obj, dict):
-            rejected.append((line, "not a JSON object"))
-            continue
-        unknown = set(obj) - set(POSTS_HEADER)
-        if unknown:
-            rejected.append((line, f"unknown fields: {sorted(unknown)}"))
-            continue
-        if "\\u" in raw or not raw.isascii():  # a lone surrogate comes from a \u escape or from str input
-            bad = [name for name in POSTS_HEADER if isinstance(obj.get(name), str) and _SURROGATE.search(obj[name])]
-            if bad:
-                rejected.append((line, f"{bad[0]} is not valid Unicode (lone surrogate)"))
-                continue
-        yield line, obj
+        if raw.strip():
+            try:
+                obj = rules.json_object(raw, POSTS_HEADER)
+            except ValueError as exc:
+                rejected.append((line, str(exc)))
+            else:
+                yield line, obj
 
 
 def _chunks(items):
@@ -929,45 +867,28 @@ def _chunks(items):
         yield lines, values
 
 
-def parse_pages(
-    stream: BinaryIO | bytes | str,
-) -> tuple[dict[str, PageMeta], RejectionReport]:
+def parse_pages(stream: BinaryIO | bytes | str) -> tuple[dict[str, PageMeta], RejectionReport]:
     """Parse a pages CSV into page_id -> PageMeta. Duplicate ids are fatal."""
     pages: dict[str, PageMeta] = {}
     duplicates: list[str] = []
     report = RejectionReport()
     for line, row in _csv_rows(stream, PAGES_HEADER, "pages"):
-        if len(row) != len(PAGES_HEADER):
-            report.add(line, f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
-            continue
-        page_id, name, raw_created, raw_score, language = (v.strip() for v in row)
-        if not page_id:
-            report.add(line, "missing page_id")
-            continue
-        if page_id in pages:
-            duplicates.append(page_id)
-            continue
         try:
-            created = _iso_date(raw_created, "created_at")
+            if len(row) != len(PAGES_HEADER):
+                raise ValueError(f"expected {len(PAGES_HEADER)} fields, got {len(row)}")
+            page_id, name, raw_created, raw_score, language = row
+            if not page_id:
+                raise ValueError("missing page_id")
+            if page_id in pages:
+                duplicates.append(page_id)
+                continue
+            created = rules.date(raw_created, "created_at")
+            score = rules.number(raw_score, "newsguard_score") if raw_score else None
+            if score is not None and not 0.0 <= score <= 100.0:
+                raise ValueError(f"newsguard_score {score} outside [0,100]")
+            pages[page_id] = PageMeta(page_id, name, created, score, language or None)
         except ValueError as exc:
             report.add(line, str(exc))
-            continue
-        score: float | None = None
-        if raw_score:
-            if not _DECIMAL.fullmatch(raw_score):
-                report.add(line, f"newsguard_score is not a number: {raw_score!r}")
-                continue
-            score = float(raw_score)
-            if not 0.0 <= score <= 100.0:
-                report.add(line, f"newsguard_score {score} outside [0,100]")
-                continue
-        pages[page_id] = PageMeta(
-            page_id=page_id,
-            name=name,
-            created_at=created,
-            newsguard_score=score,
-            language=language or None,
-        )
     if duplicates:
         raise FatalParseError(f"duplicate page_id(s): {sorted(set(duplicates))}")
     return pages, report

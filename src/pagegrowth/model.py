@@ -26,6 +26,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import rules
 from .aggregate import Timescale
 from .ingest import _csv_rows, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
@@ -464,15 +465,6 @@ def write_coefficients_csv(coeffs: ModelCoefficients, stream) -> None:
     _write_table(stream, COEFFS_HEADER, rows)
 
 
-def _coefficient(raw: str, name: str) -> float:
-    try:
-        if raw.isascii() and "_" not in raw:  # float() alone also reads 1_0 and non-ASCII digits
-            return float(raw)
-    except ValueError:
-        pass
-    raise ValueError(f"{name} is not a number: {raw!r}")
-
-
 def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
     """A coefficients file as ``write_coefficients_csv`` writes it; each (parameter, timescale) once."""
     coeffs = ModelCoefficients()
@@ -481,10 +473,10 @@ def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
         try:
             if len(row) != len(COEFFS_HEADER):
                 raise ValueError(f"expected {len(COEFFS_HEADER)} fields, got {len(row)}")
-            parameter, scale, b0, b1, b2 = (v.strip() for v in row)
-            beta2 = None if b2 == "" else _coefficient(b2, "beta2")  # refused for c and k
-            reg = ParamRegression(parameter, Timescale.parse(scale), _coefficient(b0, "beta0"),
-                                  _coefficient(b1, "beta1"), beta2, ())
+            parameter, scale, b0, b1, b2 = row
+            beta2 = None if b2 == "" else rules.number(b2, "beta2")  # refused for c and k
+            reg = ParamRegression(parameter, Timescale.parse(scale), rules.number(b0, "beta0"),
+                                  rules.number(b1, "beta1"), beta2, ())
         except ValueError as exc:
             raise ValueError(f"coefficients line {line}: {exc}") from exc
         first = lines.setdefault((reg.parameter, reg.timescale), line)

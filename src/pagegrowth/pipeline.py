@@ -101,7 +101,7 @@ def load_classes(path: str | Path) -> tuple[SizeClass, ...]:
             try:
                 if len(row) != 3:
                     raise ValueError(f"expected label,lower,upper, got {row}")
-                scheme.append(SizeClass(row[0].strip(), _bound(row[1], "lower"), _bound(row[2], "upper")))
+                scheme.append(SizeClass(row[0], _bound(row[1], "lower"), _bound(row[2], "upper")))
             except ValueError as exc:
                 raise ValueError(f"size-class file line {line}: {exc}") from exc
     if not scheme:

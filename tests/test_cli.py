@@ -80,13 +80,19 @@ class TestSynth:
     @pytest.mark.parametrize("flag, value, message", [
         pytest.param("--questionable-frac", "2", "questionable_fraction must lie in [0, 1]", id="frac=2"),
         pytest.param("--questionable-frac", "-1", "questionable_fraction must lie in [0, 1]", id="frac=-1"),
-        pytest.param("--questionable-frac", "nan", "questionable_fraction must lie in [0, 1]", id="frac=nan"),
-        pytest.param("--posts-per-day", "nan", "posts_per_day must be finite and positive", id="rate=nan"),
-        pytest.param("--posts-per-day", "inf", "posts_per_day must be finite and positive", id="rate=inf"),
+        # nan is refused by the number grammar when the flag is parsed; 1e999 reads as inf
+        pytest.param("--questionable-frac", "nan", "argument --questionable-frac: must be a number, got 'nan'",
+                     id="frac=nan"),
+        pytest.param("--posts-per-day", "nan", "argument --posts-per-day: must be a number, got 'nan'", id="rate=nan"),
+        pytest.param("--posts-per-day", "1e999", "posts_per_day must be finite and positive", id="rate=inf"),
     ])
     def test_numeric_flags_checked_before_writing(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "out"
-        assert main(["synth", "--out", str(out), "--pages-count", "2", flag, value]) == 2
+        try:
+            code = main(["synth", "--out", str(out), "--pages-count", "2", flag, value])
+        except SystemExit as exc:  # a flag argparse refuses
+            code = exc.code
+        assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -103,9 +109,13 @@ class TestSynth:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad, message", [
+    pytest.param("nan", "coefficients line 2: beta0 is not a number: 'nan'", id="nan"),  # the number grammar
+    pytest.param("1e999", "mu/W beta0 is not finite: inf", id="inf"),
+    pytest.param("-1e999", "mu/W beta0 is not finite: -inf", id="-inf"),
+])
 @pytest.mark.parametrize("command", ["synth", "simulate"])
-def test_non_finite_coefficients_exit_2_before_writing(tmp_path, capsys, command, bad):
+def test_non_finite_coefficients_exit_2_before_writing(tmp_path, capsys, command, bad, message):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text(
         "parameter,timescale,beta0,beta1,beta2\n"
@@ -120,7 +130,7 @@ def test_non_finite_coefficients_exit_2_before_writing(tmp_path, capsys, command
     else:
         argv = ["simulate", "--coefficients", str(coeffs), "--timescales", "W", "--runs", "2", "--steps", "2"]
     assert main([*argv, "--out", str(out)]) == 2
-    assert f"mu/W beta0 is not finite: {float(bad)!r}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,17 +360,19 @@ def test_model_refuses_daily_before_writing(synth_dir, tmp_path, capsys):
                  id="simulate-negative-seed"),
     pytest.param(["synth", "--model", "{tmp}/missing.csv", "--start", "2018-13-01"],
                  "error: unparsable --start '2018-13-01'\n", id="settings-checked-in-parser-order"),
-    # int() and float() read 1_0 as 10 and the Arabic-Indic ٣ as 3, and refused abc naming no flag
+    # int() and float() read 1_0 as 10 and the Arabic-Indic ٣ as 3, and refused abc naming no flag; int()
+    # read +5 and " 5", float() read " 5" and inf, and -3 steps were refused only by simulate
     *(pytest.param([command, flag, value], f"argument {flag}: must be {kind}, got {value!r}\n",
                    id=f"{command}{flag}={value}")
-      for command, flag, kind in [
-          ("simulate", "--e0", "a number"), ("simulate", "--steps", "an integer"), ("simulate", "--runs", "an integer"),
-          ("synth", "--pages-count", "an integer"), ("synth", "--posts-per-day", "a number"),
-          ("synth", "--questionable-frac", "a number"),
+      for command, flag, kind, values in [
+          ("simulate", "--e0", "a number", [" 5"]), ("simulate", "--steps", "a non-negative integer", ["2.5", "-3"]),
+          ("simulate", "--runs", "a non-negative integer", ["+5", " 5"]),
+          ("synth", "--pages-count", "a non-negative integer", ["+3"]),
+          ("synth", "--posts-per-day", "a number", ["inf"]), ("synth", "--questionable-frac", "a number", []),
       ]
-      for value in ("1_0", "٣", "abc")),
-    pytest.param(["simulate", "--steps", "2.5"], "argument --steps: must be an integer, got '2.5'\n",
-                 id="simulate--steps=2.5"),
+      for value in ("1_0", "٣", "abc", *values)),
+    pytest.param(["analyze", "--trim", "5,nan"], "error: --trim must be a number, got 'nan'\n",
+                 id="analyze--trim=5,nan"),
 ])
 def test_refusal_names_what_it_refuses(tmp_path, capsys, argv, message):
     # they exited 2 with a KeyError repr and with numpy's message, which names no flag
@@ -647,7 +659,7 @@ class TestSimulateCmd:
         *(pytest.param(["--f0", f0], "--f0", id=f0) for f0 in ["25000,25000.5", ",", "inf", "nan", "25000,0",
                                                                 "25000,-3"]),
         pytest.param(["--e0", "-5"], "finite and positive", id="e0=-5"),
-        pytest.param(["--e0", "nan"], "finite and positive", id="e0=nan"),
+        pytest.param(["--e0", "nan"], "argument --e0: must be a number, got 'nan'", id="e0=nan"),
         pytest.param(["--steps", "0"], "at least 1", id="steps=0"),
         pytest.param(["--runs", "0"], "at least 1", id="runs=0"),
         *(pytest.param(["--f0", f0], f"error: --f0 must be a number, got {bad!r}", id=f0)
@@ -655,7 +667,10 @@ class TestSimulateCmd:
     ])
     def test_bad_f0_list_exits_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
-        code = main(["simulate", "--runs", "2", "--steps", "1", *flags, "--out", str(out)])
+        try:
+            code = main(["simulate", "--runs", "2", "--steps", "1", *flags, "--out", str(out)])
+        except SystemExit as exc:  # a flag argparse refuses
+            code = exc.code
         assert code == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
@@ -671,7 +686,7 @@ class TestSimulateCmd:
             "summary_W_25000.csv", "trajectories_W_25000.csv"
         ]
 
-    @pytest.mark.parametrize("e0", ["inf", "0"])
+    @pytest.mark.parametrize("e0", [pytest.param("1e999", id="inf"), "0"])  # 1e999 reads as inf
     def test_bad_e0_exits_2_without_numpy_warning(self, tmp_path, capsys, e0):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

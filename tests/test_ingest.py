@@ -312,6 +312,18 @@ class TestStrictFields:
         posts, report = parse_posts(lines, format="jsonl")
         assert len(posts) == 1 and [(r.line, r.reason) for r in report.rows] == [(2, "invalid JSON")]
 
+    @pytest.mark.parametrize("depth, reason", [
+        (2, "likes is not an integer: []"),
+        # json reads 1,100 levels on Python 3.12 and 3.13 but not on 3.10 and 3.11, and how deep it
+        # reads on those depends on the caller's stack: past 100 levels a line is invalid everywhere
+        (101, "invalid JSON"), (1_100, "invalid JSON"), (5_000, "invalid JSON"),
+    ])
+    def test_json_nesting_past_100_levels_is_invalid(self, depth, reason):
+        row = b'{"page_id": "p1", "post_id": "%s", "timestamp": "2020-01-01T00:00:00Z", "total_interactions": 7'
+        lines = row % b"a" + b"}\n" + row % b"b" + b', "likes": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}\n"
+        posts, report = parse_posts(lines, format="jsonl")
+        assert len(posts) == 1 and [(r.line, r.reason) for r in report.rows] == [(2, reason)]
+
 
 class TestParsePages:
     def test_utf8_bom_before_header(self):

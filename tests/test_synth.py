@@ -7,6 +7,8 @@ step gives on that page's documented stream.
 """
 
 import io
+import math
+import re
 from datetime import date
 
 import numpy as np
@@ -84,3 +86,13 @@ def test_state_beyond_a_count_is_refused():
                              coefficients=gibrat_null_coefficients(mu0=50.0))
     with pytest.raises(ValueError, match="finite and at most"):
         generate(config, seed=0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("posts_per_day", "posts_per_day must be finite and positive, got nan"),
+    ("questionable_fraction", "questionable_fraction must lie in [0, 1], got nan"),
+])
+def test_nan_settings_refused(field, message):
+    # the CLI's number grammar refuses nan before a GeneratorConfig is made; the library refuses it too
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GeneratorConfig(**{field: math.nan})
