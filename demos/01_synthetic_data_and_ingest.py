@@ -47,5 +47,6 @@ p1,Example Outlet,2012-06-01,72.5,en
 """
 pages, _ = parse_pages(pages_csv.encode())
 dataset, join_report = build_dataset(posts, pages)
-print(f"\ndataset: {len(dataset.columns)} posts for {len(dataset.pages)} page(s), "
+cells = dataset.cells  # one cell per (page, day) with posts: all that calendar aggregation reads
+print(f"\ndataset: {cells.post_count.sum()} posts in {len(cells)} (page, day) cells for {len(dataset.pages)} page(s), "
       f"ends {dataset.end_date}")

@@ -14,12 +14,13 @@ window:
 * Q - value on the latest observed date of the quarter (switchable to
   earliest via ``quarter_rule``).
 
-One kernel does the work on a dataset's columns. Window keys are day
-numbers since 1970-01-01: the day is seconds // 86400, the ISO week
+Every window is a union of whole days, so one kernel, ``_windows``, rolls
+(page, day) cells (``ingest.DayCells``) up to windows and is the one home of
+these rules. Window keys are day numbers since 1970-01-01: the ISO week
 starts at day - (day + 3) % 7 (1970-01-01 was a Thursday), months and
-quarters come from ``datetime64[M]``. Posts sorted by (page, time) form
-contiguous groups per window; engagement is a ``np.add.reduceat`` over
-them, and each follower rule is a sort key whose first observed row wins.
+quarters come from ``datetime64[M]``. Cells sorted by (page, day) form
+contiguous groups per window; sums are ``np.add.reduceat`` over them, and
+each follower rule is a sort key whose first observed cell wins.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import DAY_S, EPOCH_ORDINAL, Dataset, PostColumns, PostRecord, _counts, _quoted, _write_rows
+from .ingest import (EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
+                     _quoted, _write_rows)
 
 
 class Timescale(Enum):
@@ -59,10 +61,6 @@ class Window:
     def __post_init__(self):
         if self.start >= self.end:
             raise ValueError(f"window start {self.start} not before end {self.end}")
-
-
-def _day_date(day: int) -> date:
-    return date.fromordinal(EPOCH_ORDINAL + day)
 
 
 def _window_bounds(days: np.ndarray, scale: Timescale) -> tuple[np.ndarray, np.ndarray]:
@@ -137,50 +135,36 @@ class AggregatedSeries:
         return int(self.engagement.sum())
 
 
-def _representative(cols, group, n_groups, start, scale, quarter_rule) -> tuple[np.ndarray, np.ndarray]:
-    """Follower value per group and whether one was observed.
-
-    ``group`` numbers the window of each row of ``cols`` and ``start`` is
-    its first day. The first observed row of each group under the rule's
-    sort key wins.
-    """
-    observed = np.flatnonzero(cols.has_followers)
-    group = group[observed]
-    if scale is Timescale.M:  # days from the 15th; ties keep time order
-        key = np.abs(cols.seconds[observed] // DAY_S - (start[observed] + 14))
-    elif scale is Timescale.Q and quarter_rule == "latest":  # the last observed row first
-        key = -np.arange(observed.size)
-    else:
-        key = np.zeros(observed.size, dtype=np.int64)
-    order = np.lexsort((key, group))
-    group, observed = group[order], observed[order]
-    wins = np.ones(group.size, dtype=bool)
-    wins[1:] = group[1:] != group[:-1]
-    followers = np.zeros(n_groups, dtype=np.int64)
-    has = np.zeros(n_groups, dtype=bool)
-    followers[group[wins]] = cols.followers[observed[wins]]
-    has[group[wins]] = True
-    return followers, has
-
-
-def _aggregate(cols: PostColumns, scale: Timescale, quarter_rule: str) -> dict[str, AggregatedSeries]:
-    """The kernel: every page's series from columns sorted by (page, seconds, post_id)."""
+def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> dict[str, AggregatedSeries]:
+    """The kernel: every page's series at ``scale`` from its cells."""
     if quarter_rule not in ("latest", "earliest"):
         raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
-    n = cols.seconds.size
-    start, end = _window_bounds(cols.seconds // DAY_S, scale)
-    opens = np.ones(n, dtype=bool)  # row opens a new (page, window) group
-    opens[1:] = (cols.page[1:] != cols.page[:-1]) | (start[1:] != start[:-1])
+    start, end = _window_bounds(cells.day, scale)
+    opens = np.ones(len(cells), dtype=bool)  # the cell opens a new (page, window) group
+    opens[1:] = (cells.page[1:] != cells.page[:-1]) | (start[1:] != start[:-1])
     first = np.flatnonzero(opens)
     group = np.cumsum(opens) - 1
-    followers, observed = _representative(cols, group, first.size, start, scale, quarter_rule)
-    engagement = np.add.reduceat(cols.total, first)
-    count = np.diff(np.append(first, n))
-    columns = (start[first], end[first], engagement, count, followers, observed)
-    cuts = np.searchsorted(cols.page[first], np.arange(len(cols.page_ids) + 1)).tolist()
+    latest = scale is Timescale.Q and quarter_rule == "latest"
+    seen = np.flatnonzero(cells.observed)
+    if scale is Timescale.M:  # days from the 15th; ties keep the earlier day
+        key = np.abs(cells.day[seen] - (start[seen] + 14))
+    elif latest:  # the last observed cell first
+        key = -seen
+    else:  # the first observed cell
+        key = np.zeros(seen.size, dtype=np.int64)
+    seen = seen[np.lexsort((key, group[seen]))]
+    wins = np.ones(seen.size, dtype=bool)
+    wins[1:] = group[seen[1:]] != group[seen[:-1]]
+    seen = seen[wins]
+    followers, observed = np.zeros(first.size, dtype=np.int64), np.zeros(first.size, dtype=bool)
+    followers[group[seen]] = (cells.last if latest else cells.first)[seen]
+    observed[group[seen]] = True
+    columns = (start[first], end[first], np.add.reduceat(cells.engagement, first),
+               np.add.reduceat(cells.post_count, first), followers, observed)
+    cuts = np.searchsorted(cells.page[first], np.arange(len(cells.page_ids) + 1)).tolist()
     return {
         page_id: AggregatedSeries(page_id, scale, *(c[lo:hi] for c in columns))
-        for page_id, lo, hi in zip(cols.page_ids, cuts, cuts[1:])
+        for page_id, lo, hi in zip(cells.page_ids, cuts, cuts[1:])
     }
 
 
@@ -188,18 +172,17 @@ def aggregate_engagement(
     posts: Sequence[PostRecord], scale: Timescale, quarter_rule: str = "latest"
 ) -> AggregatedSeries:
     """Roll one page's posts (in any order) into a windowed series."""
-    cols = PostColumns.from_records(posts).sorted()
-    if len(cols.page_ids) > 1:
+    table = PostColumns.from_records(posts)
+    if len(table.page_ids) > 1:
         raise ValueError("aggregate_engagement expects posts from a single page")
-    if not cols.page_ids:
-        empty = np.zeros(0, dtype=np.int64)
-        return AggregatedSeries("", scale, empty, empty, empty, empty, empty, empty.astype(bool))
-    return _aggregate(cols, scale, quarter_rule)[cols.page_ids[0]]
+    if not table.page_ids:
+        return AggregatedSeries("", scale, *np.zeros((5, 0), dtype=np.int64), np.zeros(0, dtype=bool))
+    return _windows(_day_cells(table, np.arange(len(table))), scale, quarter_rule)[table.page_ids[0]]
 
 
 def aggregate_dataset(ds: Dataset, scale: Timescale, quarter_rule: str = "latest") -> dict[str, AggregatedSeries]:
     """Aggregate every page independently; pages without posts are absent."""
-    return _aggregate(ds.columns, scale, quarter_rule)
+    return _windows(ds.cells, scale, quarter_rule)
 
 
 SERIES_HEADER = ["page_id", "timescale", "window_start", "engagement", "mean_engagement", "post_count", "followers"]

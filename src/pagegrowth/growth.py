@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL, _counts, _texts, _write_rows
+from .ingest import EPOCH_ORDINAL, _counts, _day_date, _texts, _write_rows
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -72,9 +72,9 @@ class GrowthSamples:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             followers = int(self.prior_followers[key]) if self.observed[key] else None
-            day = date.fromordinal(EPOCH_ORDINAL + int(self.start[key]))
-            return GrowthSample(self.page_id[key], self.timescale, day, self.metric, float(self.gross_growth[key]),
-                                float(self.log_growth[key]), int(self.prior_engagement[key]), followers)
+            return GrowthSample(self.page_id[key], self.timescale, _day_date(int(self.start[key])), self.metric,
+                                float(self.gross_growth[key]), float(self.log_growth[key]),
+                                int(self.prior_engagement[key]), followers)
         return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)[2:]})  # the columns
 
     @classmethod

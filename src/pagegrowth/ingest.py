@@ -42,9 +42,10 @@ of rows is checked as a whole column on those bytes against its common
 form (ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or
 ``±hh:mm``), and only the values outside it go through the scalar
 validators (``_opt_text``, ``_opt_count``, ``parse_timestamp``); ids are
-sliced from the block's text, decoded once. A ``Dataset`` holds that
-table, joined and sorted, with the page metadata; ``PostRecord`` is the
-row view, built only on request.
+sliced from the block's text, decoded once; ``PostRecord`` is the row
+view, built only on request. ``build_dataset`` reduces the joined table to
+one cell per (page, UTC day) (``DayCells``), which is all a ``Dataset``
+holds besides the page metadata.
 
 Output format
 -------------
@@ -160,8 +161,9 @@ def _epoch_seconds(ts: datetime) -> int:
     return (ts - EPOCH) // _SECOND
 
 
-def _utc_date(seconds: int) -> date:
-    return date.fromordinal(EPOCH_ORDINAL + seconds // DAY_S)
+def _day_date(day: int) -> date:
+    """The date of a day number, counted from 1970-01-01."""
+    return date.fromordinal(EPOCH_ORDINAL + day)
 
 
 def _page_codes(names: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -178,15 +180,23 @@ def _sum_exceeds(values: np.ndarray, limit: int) -> bool:
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum()) > limit
 
 
+def _same_rows(self, other) -> bool:
+    """Tables of one kind are equal when they hold the same rows in the same order."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return self.page_ids == other.page_ids and all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[1:]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PostColumns:
     """Posts as parallel arrays, one element per post.
 
     ``page`` indexes ``page_ids``, the sorted ids of the pages that have
     posts here; ``seconds`` counts from 1970-01-01T00:00:00Z; an optional
-    count is ``ABSENT`` where the row does not give it. An int index builds
-    that row as a ``PostRecord``; a mask or index array selects a sub-table.
-    ``parse_posts`` gives the rows in file order, a ``Dataset`` sorted.
+    count is ``ABSENT`` where the row does not give it. An index builds that
+    row as a ``PostRecord``.
     """
 
     page_ids: list[str]
@@ -202,28 +212,14 @@ class PostColumns:
     def __len__(self) -> int:
         return self.seconds.size
 
-    def __eq__(self, other) -> bool:
-        """Tables are equal when they hold the same rows in the same order."""
-        if not isinstance(other, PostColumns):
-            return NotImplemented
-        return self.page_ids == other.page_ids and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[1:]
-        )
+    __eq__ = _same_rows
 
-    @property
-    def has_followers(self) -> np.ndarray:
-        return self.followers != ABSENT
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            optional = (self.likes, self.comments, self.shares, self.followers)
-            likes, comments, shares, followers = (None if c[key] == ABSENT else int(c[key]) for c in optional)
-            return PostRecord(self.page_ids[self.page[key]], self.post_id[key],
-                              EPOCH + timedelta(seconds=int(self.seconds[key])), int(self.total[key]),
-                              likes, comments, shares, followers)
-        columns = {f.name: getattr(self, f.name)[key] for f in fields(self)[1:]}
-        page_ids, columns["page"] = _page_codes(self.page_ids, columns["page"])
-        return replace(self, page_ids=page_ids, **columns)
+    def __getitem__(self, key: int) -> PostRecord:
+        optional = (self.likes, self.comments, self.shares, self.followers)
+        likes, comments, shares, followers = (None if c[key] == ABSENT else int(c[key]) for c in optional)
+        return PostRecord(self.page_ids[self.page[key]], self.post_id[key],
+                          EPOCH + timedelta(seconds=int(self.seconds[key])), int(self.total[key]),
+                          likes, comments, shares, followers)
 
     @classmethod
     def from_records(cls, posts: Sequence[PostRecord]) -> "PostColumns":
@@ -246,17 +242,12 @@ class PostColumns:
             followers=counts(p.followers_at_posting for p in posts),
         )
 
-    def sorted(self, rows: np.ndarray | None = None) -> "PostColumns":
-        """The table, or only its ``rows``, sorted by (page_id, seconds, post_id), the order
-        calendar aggregation needs.
+    def _sort_order(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` sorted by (page_id, seconds, post_id), the order ``_day_cells`` reads them in.
 
-        Raises FatalParseError when the totals sum past MAX_COUNT, so that
+        Raises FatalParseError when their totals sum past MAX_COUNT, so that
         every window sum stays exact in int64 and float64.
         """
-        return self[self._sort_order(np.arange(len(self)) if rows is None else rows)]
-
-    def _sort_order(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` in the order ``sorted`` gives them."""
         if _sum_exceeds(self.total[rows], MAX_COUNT):
             raise FatalParseError(f"total_interactions sum to more than {MAX_COUNT}")
         page, seconds = self.page[rows], self.seconds[rows]
@@ -270,40 +261,65 @@ class PostColumns:
         return rows[order]
 
 
-class _HandedOver(PostColumns):
-    """A table that its one holder hands to ``build_dataset``, which may reorder it in place."""
+@dataclass(frozen=True, eq=False)
+class DayCells:
+    """Posts as one cell per (page, UTC day) with posts, sorted by (page_id, day): ``page`` indexes
+    ``page_ids`` and ``day`` counts from 1970-01-01. A cell holds its posts' total_interactions summed, their
+    number, and the followers of its first and last observed post in (seconds, post_id) order (0 unless ``observed``).
+    """
 
-    def sorted(self, rows: np.ndarray | None = None) -> PostColumns:
-        """``PostColumns.sorted`` without a second table: each column is permuted in
-        place, one at a time, and the sorted rows are kept as a prefix view of it."""
-        order = self._sort_order(np.arange(len(self)) if rows is None else rows)
-        columns = {}
-        for f in fields(self)[1:]:
-            column = getattr(self, f.name)
-            column[: order.size] = column[order]
-            columns[f.name] = column[: order.size]
-        page_ids, columns["page"] = _page_codes(self.page_ids, columns["page"])
-        return PostColumns(page_ids, **columns)
+    page_ids: list[str]
+    page: np.ndarray
+    day: np.ndarray
+    engagement: np.ndarray
+    post_count: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    observed: np.ndarray
+
+    def __len__(self) -> int:
+        return self.day.size
+
+    __eq__ = _same_rows
+
+
+def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:
+    """The cells of ``posts``'s ``rows``, built in ``_sort_order``, one gathered column at a time."""
+    order = posts._sort_order(rows)
+    page, day = posts.page[order], posts.seconds[order] // DAY_S
+    opens = np.ones(order.size, dtype=bool)  # the row opens a new (page, day) cell
+    opens[1:] = (page[1:] != page[:-1]) | (day[1:] != day[:-1])
+    starts = np.flatnonzero(opens)
+    page_ids, page = _page_codes(posts.page_ids, page[starts])
+    day = day[starts]
+    engagement = np.add.reduceat(posts.total[order], starts)
+    count = np.diff(np.append(starts, order.size))
+    followers = posts.followers[order]
+    del order  # a post-length column fewer while the follower columns are built
+    seen = np.flatnonzero(followers != ABSENT)
+    cell = np.cumsum(opens)[seen]
+    cell -= 1
+    head, tail = np.ones((2, cell.size), dtype=bool)  # the cell's first observed row, and its last
+    head[1:] = tail[:-1] = cell[1:] != cell[:-1]
+    first, last = np.zeros((2, starts.size), dtype=np.int64)
+    first[cell[head]] = followers[seen[head]]
+    last[cell[tail]] = followers[seen[tail]]
+    observed = np.zeros(starts.size, dtype=bool)
+    observed[cell] = True
+    return DayCells(page_ids, page, day, engagement, count, first, last, observed)
 
 
 @dataclass
 class Dataset:
-    """Validated posts as one table sorted by (page_id, timestamp, post_id), and page metadata."""
+    """Validated posts as (page, day) cells, and page metadata."""
 
-    columns: PostColumns
+    cells: DayCells
     pages: dict[str, PageMeta]
-
-    @property
-    def posts(self) -> list[PostRecord]:
-        """The posts as records, built on each request."""
-        return list(self.columns)
 
     @property
     def end_date(self) -> date:
         """Last posting date in the dataset (used as the lifespan anchor)."""
-        if not self.columns.seconds.size:
-            raise NoUsableDataError("no usable data")
-        return _utc_date(int(self.columns.seconds.max()))
+        return _day_date(int(self.cells.day.max()))
 
 
 def _text_lines(stream: BinaryIO | bytes | str) -> io.TextIOBase:
@@ -897,11 +913,10 @@ def parse_pages(stream: BinaryIO | bytes | str) -> tuple[dict[str, PageMeta], Re
 def build_dataset(
     posts: PostColumns | Iterable[PostRecord], pages: dict[str, PageMeta]
 ) -> tuple[Dataset, RejectionReport]:
-    """Join posts against page metadata, rejecting orphans, and sort them.
+    """Join posts against page metadata, rejecting orphans, and reduce them to (page, day) cells.
 
     Orphans are numbered by their position among the posts. Records are
-    first turned into a table. A table is left as it is, unless it is
-    handed over (``_HandedOver``): that one is sorted in place. Raises
+    first turned into a table; a table is left as it is. Raises
     NoUsableDataError when nothing survives filtering.
     """
     table = posts if isinstance(posts, PostColumns) else PostColumns.from_records(list(posts))
@@ -911,7 +926,7 @@ def build_dataset(
                               for i, p in zip(orphans.tolist(), table.page[orphans].tolist())])
     if orphans.size == len(table):
         raise NoUsableDataError("no usable data")
-    return Dataset(columns=table.sorted(np.flatnonzero(known)), pages=dict(pages)), report
+    return Dataset(_day_cells(table, np.flatnonzero(known)), dict(pages)), report
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,15 @@ from .growth import (
     validate_scheme,
 )
 from .ingest import (
+    DAY_S,
     Dataset,
     FatalParseError,
     PageMeta,
     PostColumns,
     RejectionReport,
-    _HandedOver,
     _csv_rows,
+    _day_date,
     _opt_count,
-    _utc_date,
     build_dataset,
     parse_pages,
     parse_posts,
@@ -118,7 +118,7 @@ def _stub_pages(posts: PostColumns) -> dict[str, PageMeta]:
     pages: dict[str, PageMeta] = {}
     for code, seconds in zip(posts.page[first].tolist(), posts.seconds[first].tolist()):
         page_id = posts.page_ids[code]
-        pages[page_id] = PageMeta(page_id=page_id, name=page_id, created_at=_utc_date(seconds))
+        pages[page_id] = PageMeta(page_id=page_id, name=page_id, created_at=_day_date(seconds // DAY_S))
     return pages
 
 
@@ -141,8 +141,7 @@ def load_dataset(posts_path: Path, pages_path: Path | None) -> tuple[Dataset, li
             raise FatalParseError(f"pages file not found: {pages_path}")
         with open(pages_path, "rb") as fh:
             pages, page_report = parse_pages(fh)
-    # nothing else holds the parsed table, so the sort may reorder it in place
-    dataset, join_report = build_dataset(_HandedOver(**vars(posts)), pages)
+    dataset, join_report = build_dataset(posts, pages)
     reports = (("posts", post_report), ("pages", page_report), ("join", join_report))
     return dataset, [(source, row.line, row.reason) for source, report in reports for row in report.rows]
 

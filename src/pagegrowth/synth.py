@@ -80,6 +80,9 @@ class GeneratorConfig:
             raise ValueError("generator needs at least one page")
         if self.start >= self.end:
             raise ValueError("generator date range is empty")
+        # created_at reaches 1,499 days before start, and posts fill the ISO week of each Monday before end
+        if self.start < date(5, 2, 8) or self.end > date(9999, 12, 27):
+            raise ValueError(f"generator dates must lie from 0005-02-08 to 9999-12-27, got {self.start} to {self.end}")
         if not (math.isfinite(self.posts_per_day) and self.posts_per_day > 0):
             raise ValueError(f"posts_per_day must be finite and positive, got {self.posts_per_day!r}")
         if not 0 <= self.questionable_fraction <= 1:  # NaN fails too

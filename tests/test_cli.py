@@ -96,6 +96,14 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("start, end", [("0001-01-01", "0001-02-01"), ("9999-12-20", "9999-12-31")])
+    def test_dates_outside_years_1_to_9999_exit_2(self, tmp_path, capsys, start, end):
+        # once exit 3 (a created_at before year 1), once exit 0 with posts dated in year 10000
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--pages-count", "2", "--start", start, "--end", end]) == 2
+        assert "generator dates must lie from 0005-02-08 to 9999-12-27" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--start", "--end"])
     @pytest.mark.parametrize("value", ["20180101", "2018-W10-1"])
     def test_date_flags_take_only_yyyy_mm_dd(self, tmp_path, capsys, flag, value):

@@ -202,6 +202,23 @@ def test_same_second_posts_go_by_post_id():
     assert aggregate_engagement(posts, Timescale.Q, "latest").entries[0].followers == 3
 
 
+def test_a_day_observed_twice_then_not_gives_each_rule_its_observation():
+    # June 14: observed at 08:00 and 20:00, then a post without followers at 23:00
+    day = [_post("a", _utc(2021, 6, 14, 8), 140), _post("b", _utc(2021, 6, 14, 20), 141),
+           _post("c", _utc(2021, 6, 14, 23), None, total=5)]
+    for scale in (Timescale.D, Timescale.W, Timescale.M):
+        assert [e.followers for e in aggregate_engagement(day, scale).entries] == [140]
+    assert aggregate_engagement(day, Timescale.Q, "earliest").entries[0].followers == 140
+    assert aggregate_engagement(day, Timescale.Q, "latest").entries[0].followers == 141
+    # June 16 is as near the 15th, June 17 farther: the month keeps June 14's first observation
+    month = day + [_post("d", _utc(2021, 6, 16, 1), 160), _post("e", _utc(2021, 6, 17), 170)]
+    (entry,) = aggregate_engagement(month, Timescale.M).entries
+    assert (entry.followers, entry.engagement, entry.post_count) == (140, 9, 5)
+    for scale in Timescale:
+        for quarter_rule in ("latest", "earliest"):
+            check_against_oracle(month, scale, quarter_rule)
+
+
 def test_gaps_break_adjacency_and_skips_are_counted():
     days = [_utc(2020, 12, 28), _utc(2021, 1, 4), _utc(2021, 1, 18), _utc(2021, 1, 25)]
     posts = [_post(str(i), ts, f, total=t) for i, (ts, f, t) in enumerate(zip(days, [10, None, 30, 40], [5, 0, 7, 9]))]

@@ -372,7 +372,7 @@ class TestBuildDataset:
 
     def test_known_pages_kept(self):
         ds, report = build_dataset(self._posts("p1", "p1", "p1"), self._pages("p1"))
-        assert len(ds.posts) == 3 and len(report) == 0
+        assert len(ds.cells) == 3 and ds.cells.post_count.tolist() == [1, 1, 1] and len(report) == 0
 
     def test_unknown_page_rejected_then_fatal_when_empty(self):
         with pytest.raises(NoUsableDataError):
@@ -381,8 +381,8 @@ class TestBuildDataset:
     def test_sorted_output(self):
         posts = list(reversed(self._posts("p2", "p1", "p1")))
         ds, _ = build_dataset(posts, self._pages("p1", "p2"))
-        keys = [(p.page_id, p.timestamp) for p in ds.posts]
-        assert keys == sorted(keys)
+        keys = [(ds.cells.page_ids[p], d) for p, d in zip(ds.cells.page.tolist(), ds.cells.day.tolist())]
+        assert keys == sorted(keys) == [("p1", 18263), ("p1", 18264), ("p2", 18262)]  # 2020-01-02, -03 and -01
 
     def test_interaction_sum_beyond_float_precision_fatal(self):
         posts = self._posts("p1", "p1")
@@ -391,27 +391,34 @@ class TestBuildDataset:
             build_dataset(posts, self._pages("p1"))
 
     def test_columns_follow_the_sorted_posts(self):
-        posts = self._posts("p2", "p1", "p1")
-        posts.append(PostRecord("p1", "p1-0b", datetime(2020, 1, 2, tzinfo=timezone.utc), 7, followers_at_posting=9))
+        # 2020-01-02 of p1: observed at 00:00 (by post_id, before p1-1) and 12:00, then unobserved at 18:00
+        day = datetime(2020, 1, 2, tzinfo=timezone.utc)
+        posts = self._posts("p2", "p1", "p1") + [
+            PostRecord("p1", "p1-1c", day.replace(hour=18), 2),
+            PostRecord("p1", "p1-1b", day.replace(hour=12), 3, followers_at_posting=11),
+            PostRecord("p1", "p1-0b", day, 7, followers_at_posting=9),
+        ]
         ds, _ = build_dataset(list(reversed(posts)), self._pages("p1", "p2"))
-        cols = ds.columns
-        assert [p.post_id for p in ds.posts] == ["p1-0b", "p1-1", "p1-2", "p2-0"]
-        assert [cols.page_ids[i] for i in cols.page.tolist()] == [p.page_id for p in ds.posts]
-        assert cols.seconds.tolist() == [int(p.timestamp.timestamp()) for p in ds.posts]
-        assert cols.total.tolist() == [7, 5, 5, 5]
-        assert cols.has_followers.tolist() == [True, False, False, False]
-        assert cols.followers[cols.has_followers].tolist() == [9]
+        cells = ds.cells
+        assert cells.page_ids == ["p1", "p2"] and cells.page.tolist() == [0, 0, 1]
+        assert cells.day.tolist() == [18263, 18264, 18262]
+        assert cells.engagement.tolist() == [17, 5, 5] and cells.post_count.tolist() == [4, 1, 1]
+        assert cells.observed.tolist() == [True, False, False]
+        assert cells.first.tolist() == [9, 0, 0] and cells.last.tolist() == [11, 0, 0]
         assert ds.end_date == date(2020, 1, 3)
-        assert ds.posts == [cols[i] for i in range(len(cols))]
-        assert ds.posts[0] == posts[-1]
 
     def test_datasets_compare_by_their_rows_and_pages(self):
         posts = self._posts("p2", "p1", "p1")
         ds, _ = build_dataset(posts, self._pages("p1", "p2"))
         assert ds == build_dataset(list(reversed(posts)), self._pages("p1", "p2"))[0]
         assert ds != build_dataset(posts, self._pages("p1", "p2", "p3"))[0]
-        posts[0] = PostRecord(posts[0].page_id, posts[0].post_id, posts[0].timestamp, 6)
-        assert ds != build_dataset(posts, self._pages("p1", "p2"))[0]
+        # a post later in its day: the cells, and so the datasets, are the same
+        later = PostRecord("p2", "p2-0", posts[0].timestamp.replace(hour=23), 5)
+        assert ds == build_dataset([later, *posts[1:]], self._pages("p1", "p2"))[0]
+        for changed in (PostRecord("p2", "p2-0", posts[0].timestamp, 6),
+                        PostRecord("p2", "p2-0", posts[0].timestamp, 5, followers_at_posting=0),
+                        PostRecord("p1", "p2-0", posts[0].timestamp, 5)):
+            assert ds != build_dataset([changed, *posts[1:]], self._pages("p1", "p2"))[0]
         assert ds != build_dataset(posts[:2], self._pages("p1", "p2"))[0]
 
     def test_tables_with_the_same_pages_differ_by_row_page(self):

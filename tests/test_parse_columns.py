@@ -261,7 +261,7 @@ def test_data_commands_build_no_post_records(monkeypatch, tmp_path, with_pages):
     pages = CORPUS / "pages.csv" if with_pages else None
     dataset, rejected = pipeline.load_dataset(CORPUS / "posts.csv", pages)
     series = dict(pipeline.aggregate(dataset))
-    assert len(dataset.columns) > 7000 and rejected
+    assert dataset.cells.post_count.sum() > 7000 and rejected
     assert sum(len(s) for s in series[Timescale.W].values()) > 500
 
 
@@ -279,30 +279,44 @@ def test_one_long_id_does_not_widen_the_columns():
     assert peak < 100 * 2**20
 
 
+def _traced(call):
+    """What ``call()`` returns, and the memory it leaves held and its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return call(), *tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_dataset_holds_one_table_at_peak(tmp_path):
-    # the sort reorders the parsed table in place rather than copying it beside the original
+    # the cells are built from the parsed table's sort order a column at a time, never
+    # beside a sorted copy of the table, and the table is let go once they are built
     data = synth.generate(synth.GeneratorConfig(n_pages=40, end=date(2019, 1, 1)), seed=5)
     with open(tmp_path / "posts.csv", "w") as fh:
         ingest.write_posts_csv(data.posts, fh)
     with open(tmp_path / "pages.csv", "w") as fh:
         ingest.write_pages_csv(data.pages, fh)
-    tracemalloc.start()
-    try:
-        dataset, rejected = pipeline.load_dataset(tmp_path / "posts.csv", tmp_path / "pages.csv")
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(dataset.columns) == len(data.posts) > 40_000 and rejected == []
-    assert dataset.columns == data.posts.sorted()
-    assert peak < 1.6 * held  # two tables would be twice the one held
+
+    def parse():
+        with open(tmp_path / "posts.csv", "rb") as fh:  # streamed, as load_dataset reads it
+            return parse_posts(fh)
+
+    (posts, _), table, parse_peak = _traced(parse)
+    (dataset, rejected), held, peak = _traced(
+        lambda: pipeline.load_dataset(tmp_path / "posts.csv", tmp_path / "pages.csv"))
+    assert len(posts) == len(data.posts) > 40_000 and len(dataset.cells) > 14_000 and rejected == []
+    assert dataset == ingest.build_dataset(data.posts, data.pages)[0]
+    assert peak <= 1.05 * parse_peak
+    assert held <= table / 4
 
 
 def test_build_dataset_leaves_the_callers_table_alone():
     posts = synth.generate(synth.GeneratorConfig(n_pages=3, end=date(2018, 3, 1)), seed=2)
-    table = posts.posts[::-1]
+    table = ingest.PostColumns(posts.posts.page_ids, *(getattr(posts.posts, f.name)[::-1]
+                                                      for f in fields(posts.posts)[1:]))
     before = [getattr(table, f.name).copy() for f in fields(table)[1:]]
     dataset, _ = ingest.build_dataset(table, posts.pages)
-    assert dataset.columns == posts.posts.sorted()
+    assert dataset == ingest.build_dataset(posts.posts, posts.pages)[0]
     assert all(np.array_equal(getattr(table, f.name), b) for f, b in zip(fields(table)[1:], before))
 
 

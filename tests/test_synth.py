@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pagegrowth.aggregate import Timescale, window_of
-from pagegrowth.ingest import write_pages_csv
+from pagegrowth.ingest import parse_pages, parse_posts, write_pages_csv, write_posts_csv
 from pagegrowth.model import _open_uniforms, _step, published_coefficients
 from pagegrowth.synth import GeneratorConfig, gibrat_null_coefficients, generate
 
@@ -86,6 +86,29 @@ def test_state_beyond_a_count_is_refused():
                              coefficients=gibrat_null_coefficients(mu0=50.0))
     with pytest.raises(ValueError, match="finite and at most"):
         generate(config, seed=0)
+
+
+@pytest.mark.parametrize("start, end", [
+    pytest.param(date(1, 1, 1), date(1, 2, 1), id="year-1"),  # created_at would fall before year 1
+    pytest.param(date(5, 2, 7), date(5, 3, 1), id="day-before-first-start"),
+    pytest.param(date(9999, 12, 20), date(9999, 12, 31), id="year-9999"),  # the last week would run into 10000
+    pytest.param(date(9999, 12, 1), date(9999, 12, 28), id="day-after-last-end"),
+])
+def test_dates_outside_years_1_to_9999_refused(start, end):
+    with pytest.raises(ValueError, match="generator dates must lie from 0005-02-08 to 9999-12-27"):
+        GeneratorConfig(start=start, end=end)
+
+
+@pytest.mark.parametrize("start, end", [(date(5, 2, 8), date(5, 4, 1)), (date(9999, 11, 1), date(9999, 12, 27))])
+def test_dates_at_the_bounds_stay_readable(start, end):
+    result = generate(GeneratorConfig(n_pages=3, start=start, end=end), seed=1)
+    posts, pages = io.StringIO(), io.StringIO()
+    write_posts_csv(result.posts, posts)
+    write_pages_csv(result.pages, pages)
+    parsed, rejected = parse_posts(posts.getvalue().encode())
+    assert parsed == result.posts and len(parsed) > 0 and len(rejected) == 0
+    parsed, rejected = parse_pages(pages.getvalue().encode())
+    assert parsed == result.pages and len(rejected) == 0
 
 
 @pytest.mark.parametrize("field, message", [
