@@ -1,6 +1,6 @@
 """Command-line front end: aggregate, analyze, model, simulate, cohort, synth.
 
-Each command maps its flags onto a library call (the data commands onto
+Each command maps its flags onto a library call (all but ``synth`` onto
 ``pipeline``), writes the files and prints the console report. Only
 ``synth`` and ``simulate`` draw random numbers, from their --seed flag;
 identical inputs and seed produce byte-identical outputs. Exit codes: 0
@@ -30,13 +30,11 @@ from .cohort import write_cohort_summary_csv, write_match_csv
 from .growth import DegenerateBinningError, write_growth_samples_csv
 from .ingest import Dataset, FatalParseError, _format_score, _write_table
 from .model import (
-    DEFAULT_STARTING_FOLLOWERS,
     CollinearCovariatesError,
     ModelCoefficients,
     check_timescales,
     published_coefficients,
     read_coefficients_csv,
-    simulate,
     summarize_trajectories,
     write_coefficients_csv,
     write_summary_csv,
@@ -87,10 +85,26 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_f0(text: str) -> tuple[float, ...]:
+    """--f0 values, no two sharing the integer part that tags their output files."""
+    values = [_list_number(v.strip(), "--f0") for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError("--f0 lists no starting follower count")
+    by_tag: dict[int, float] = {}
+    for f0 in values:
+        if not (math.isfinite(f0) and f0 > 0):
+            raise ValueError(f"--f0 value {f0!r} is not finite and positive")
+        if int(f0) in by_tag:
+            raise ValueError(f"--f0 values {by_tag[int(f0)]!r} and {f0!r} share the file tag {int(f0)}")
+        by_tag[int(f0)] = f0
+    return tuple(by_tag.values())
+
+
+_TABLES = {"gibrat-null": synth.gibrat_null_coefficients, "builtin-table1": published_coefficients}
 _CHECKS = {
-    "timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim,
+    "timescales": _parse_timescales, "classes": pipeline.load_classes, "trim_bounds": _parse_trim, "f0": _parse_f0,
     "start": lambda text: rules.date(text, "--start"), "end": lambda text: rules.date(text, "--end"),
-    "coefficients": lambda m: synth.gibrat_null_coefficients() if m == "gibrat-null" else _read_coefficients(m),
+    "coefficients": lambda spec: _TABLES[spec]() if spec in _TABLES else read_coefficients_csv(Path(spec).read_bytes()),
 }
 
 
@@ -196,47 +210,14 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _parse_f0(text: str) -> dict[int, float]:
-    """--f0 values keyed by the integer part that tags their output files."""
-    values = [_list_number(v.strip(), "--f0") for v in text.split(",") if v.strip()]
-    if not values:
-        raise ValueError("--f0 lists no starting follower count")
-    by_tag: dict[int, float] = {}
-    for f0 in values:
-        if not (math.isfinite(f0) and f0 > 0):
-            raise ValueError(f"--f0 value {f0!r} is not finite and positive")
-        if int(f0) in by_tag:
-            raise ValueError(f"--f0 values {by_tag[int(f0)]!r} and {f0!r} share the file tag {int(f0)}")
-        by_tag[int(f0)] = f0
-    return by_tag
-
-
-def _read_coefficients(spec: str) -> ModelCoefficients:
-    if spec == "builtin-table1":
-        return published_coefficients()
-    with open(spec, "rb") as fh:
-        return read_coefficients_csv(fh)
-
-
 def cmd_simulate(args) -> int:
-    f0_by_tag = _parse_f0(args.f0)
-    coeffs = _read_coefficients(args.coefficients)
-    scales = _parse_timescales(args.timescales)
-    check_timescales(scales, "simulate")
-    missing = [s.value for s in scales if not coeffs.has_timescale(s)]
-    if missing:
-        raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")
-    runs = {  # every pair runs, and so passes its checks, before any file is written
-        (scale, f0_tag): simulate(coeffs, scale, f0, args.e0, args.steps, args.runs, args.seed)
-        for scale in scales
-        for f0_tag, f0 in f0_by_tag.items()
-    }
+    runs = pipeline.simulate(**_options(args))  # every pair runs, and so passes its checks, before any write
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clamp_total = 0
-    for (scale, f0_tag), trajectories in runs.items():
+    for (scale, f0), trajectories in runs.items():
         clamp_total += sum(t.clamps.total for t in trajectories)
-        tag = f"{scale.value}_{f0_tag}"
+        tag = f"{scale.value}_{int(f0)}"
         with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
             write_trajectories_csv(trajectories, fh)
         with open(out_dir / f"summary_{tag}.csv", "w", newline="") as fh:
@@ -244,7 +225,7 @@ def cmd_simulate(args) -> int:
         final_f = sum(t.followers[-1] for t in trajectories) / len(trajectories)
         final_e = sum(t.engagement[-1] for t in trajectories) / len(trajectories)
         print(
-            f"{scale.value} f0={f0_tag}: mean final followers {final_f:.0f}, "
+            f"{scale.value} f0={int(f0)}: mean final followers {final_f:.0f}, "
             f"mean final engagement {final_e:.0f}"
         )
     if clamp_total:
@@ -332,15 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_command(subparsers, "model", "fit per-bin distributions and regress parameters", cmd_model,
                       ["--trim", "--metric", "--quarter-rule"])
 
+    # each setting's dest is a keyword of pipeline.simulate
     p = subparsers.add_parser("simulate", help="simulate growth trajectories forward")
-    p.add_argument("--coefficients", default="builtin-table1",
-                   help="'builtin-table1' or a coefficients CSV path")
-    p.add_argument("--timescales", default="W,M,Q")
-    p.add_argument("--f0", default=",".join(str(v) for v in DEFAULT_STARTING_FOLLOWERS))
-    p.add_argument("--e0", type=_flag(rules.number), default=10_000.0)
-    p.add_argument("--steps", type=_flag(rules.integer), default=20)
-    p.add_argument("--runs", type=_flag(rules.integer), default=1000)
-    p.add_argument("--seed", type=_flag(rules.integer), default=0)
+    _add_settings(p, {
+        "--f0": {}, "--coefficients": dict(help="'builtin-table1', 'gibrat-null', or a coefficients CSV path"),
+        "--timescales": {}, "--e0": dict(type=_flag(rules.number)), "--steps": dict(type=_flag(rules.integer)),
+        "--runs": dict(type=_flag(rules.integer)), "--seed": dict(type=_flag(rules.integer)),
+    })
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -370,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FatalParseError, OSError) as exc:
+    except (FatalParseError, OSError, MemoryError) as exc:  # MemoryError: a size no host can allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, KeyError) as exc:

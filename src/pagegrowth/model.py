@@ -37,8 +37,6 @@ SIM_TIMESCALES = (Timescale.W, Timescale.M, Timescale.Q)
 B_FLOOR = 1e-6
 CK_FLOOR = 1e-3
 
-DEFAULT_STARTING_FOLLOWERS = (25_000, 250_000, 1_000_000)
-
 
 class CollinearCovariatesError(ValueError):
     pass

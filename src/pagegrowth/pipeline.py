@@ -1,14 +1,16 @@
-"""The data commands as library calls: load, aggregate, analyze, model, cohort.
+"""Every command but synth as a library call: load, aggregate, analyze, model, cohort, simulate.
 
 ``load_dataset`` reads and joins the input files. ``aggregate``,
 ``analyze`` and ``model`` are generators that aggregate one timescale,
 yield its results and only then go on to the next, so a caller that
 writes each result out before asking for the next never holds more than
 one timescale. ``cohort`` matches the cohorts up front and yields its
-per-timescale tests the same way. Tables come back as rows in the format
-of the output files; warnings go to the ``warn`` callback as they arise.
-Each call takes the settings it reads as keyword-only arguments, whose
-defaults are the only ones: the CLI passes on just the flags given.
+per-timescale tests the same way. ``simulate`` checks every timescale,
+then runs every (timescale, f0) pair before it returns. Tables come back
+as rows in the format of the output files; warnings go to the ``warn``
+callback as they arise. Each call takes the settings it reads as
+keyword-only arguments, whose defaults are the only ones: the CLI passes
+on just the flags given.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model as _model  # ``model`` here is the command; calls go through the module
 from .aggregate import AggregatedSeries, Timescale, aggregate_dataset
 from .cohort import (
     MatchResult,
@@ -57,7 +60,7 @@ from .ingest import (
     parse_pages,
     parse_posts,
 )
-from .model import SIM_TIMESCALES, ParamRegression, check_timescales, regress_parameters
+from .model import SIM_TIMESCALES, ModelCoefficients, ParamRegression, Trajectory, check_timescales, regress_parameters
 from .stats import (
     DegenerateSampleError,
     FitConvergenceError,
@@ -383,6 +386,26 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
         yield ScaleModel(scale, [r for r, _ in regressions], [_detail_row(r, n) for r, n in regressions])
     if not fitted:
         raise DegenerateSampleError("no parameter regressions could be fitted")
+
+
+# ---------------------------------------------------------------------------
+# simulate
+# ---------------------------------------------------------------------------
+
+def simulate(*, coefficients: ModelCoefficients | None = None, timescales: tuple[Timescale, ...] = SIM_TIMESCALES,
+             f0: tuple[float, ...] = (25_000, 250_000, 1_000_000), e0: float = 10_000.0, steps: int = 20,
+             runs: int = 1000, seed: int = 0) -> dict[tuple[Timescale, float], list[Trajectory]]:
+    """``model.simulate``'s runs of each (timescale, f0) pair, keyed by the pair, timescale by timescale.
+
+    ``None`` means the built-in table. A timescale other than W, M and Q is
+    refused by name, then every timescale the table lacks, before any pair runs.
+    """
+    coeffs = _model.published_coefficients() if coefficients is None else coefficients
+    check_timescales(timescales, "simulate")
+    missing = [s.value for s in timescales if not coeffs.has_timescale(s)]
+    if missing:
+        raise FatalParseError(f"coefficient table lacks timescale {', '.join(missing)}")
+    return {(scale, v): _model.simulate(coeffs, scale, v, e0, steps, runs, seed) for scale in timescales for v in f0}
 
 
 # ---------------------------------------------------------------------------

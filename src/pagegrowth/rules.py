@@ -24,13 +24,25 @@ _RFC3339 = re.compile(rf"({_YMD.pattern})[Tt]([0-9]{{2}}:[0-9]{{2}}:[0-9]{{2}})(
                       r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
 _LONE_HALF = re.compile("[\ud800-\udfff]")  # UTF-8 cannot encode one, so no output could hold it
 MAX_DEPTH = 100  # the deepest a JSONL line may nest arrays and objects
+MAX_DIGITS = 4_300  # CPython's default int digit limit, held whatever limit the interpreter has
+_DIGIT_RUN = re.compile("[0-9]{641}")  # the shortest run of digits an int digit limit can refuse
+
+
+def _int(text: str) -> int:
+    """ASCII digits, after an optional "-", as an int; int() reads 640 at a time, which no digit limit refuses."""
+    digits, value = text.lstrip("-"), 0
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    for i in range(0, len(digits), 640):
+        value = value * 10 ** len(digits[i:i + 640]) + int(digits[i:i + 640])
+    return -value if text[:1] == "-" else value
 
 
 def integer(raw: str, what: str) -> int:
     if raw.isascii() and raw.isdigit():
         try:
-            return int(raw)
-        except ValueError:  # more digits than int() converts
+            return _int(raw)
+        except ValueError:  # more than MAX_DIGITS digits
             pass
     elif raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() and raw[1:].strip("0"):
         raise ValueError(f"{what} is negative")
@@ -74,7 +86,7 @@ def json_object(raw: str, names: list[str]) -> dict:
     MAX_DEPTH is invalid JSON, as deep nesting json refuses is: how deep json reads depends on the Python
     version and on the caller's stack, so the depth is measured after, without recursion."""
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw, parse_int=_int) if _DIGIT_RUN.search(raw) else json.loads(raw)
     except (ValueError, RecursionError):
         raise ValueError("invalid JSON") from None
     if raw.count("[") + raw.count("{") > MAX_DEPTH:  # each level opens with a bracket

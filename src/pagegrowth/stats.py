@@ -613,9 +613,9 @@ def detailed_balance_check(samples) -> TestResult:
     return TestResult(u, p, "two-sided", n, n, "normal-approx")
 
 
-def format_p(p: float, floor: float = 1e-4) -> str:
-    """Display convention for report tables: values below the floor print
+def format_p(p: float) -> str:
+    """Display convention for report tables: values below 1e-4 print
     as "<0.0001"; machine outputs keep full precision elsewhere."""
-    if p < floor:
-        return f"<{floor:g}"
+    if p < 1e-4:
+        return "<0.0001"
     return format(p, ".4f")

@@ -73,7 +73,6 @@ class GeneratorConfig:
     followers_range: tuple[float, float] = (12_000.0, 4_000_000.0)
     engagement_range: tuple[float, float] = (1_000.0, 50_000.0)
     questionable_fraction: float = 0.2
-    unscored_fraction: float = 0.0
 
     def __post_init__(self):
         if self.n_pages < 1:
@@ -137,12 +136,11 @@ def generate(config: GeneratorConfig, seed: int) -> SynthResult:
         sequence = np.random.SeedSequence((seed, index))
         rng = np.random.default_rng(sequence)
         page_id = f"page{index:04d}"
-        score = None
-        if rng.random() >= config.unscored_fraction:
-            if rng.random() < config.questionable_fraction:
-                score = round(float(rng.uniform(5.0, 59.5)), 1)
-            else:
-                score = round(float(rng.uniform(60.0, 100.0)), 1)
+        rng.random()  # once drawn to leave some pages unscored; kept so every seed's pages stay the same
+        if rng.random() < config.questionable_fraction:
+            score = round(float(rng.uniform(5.0, 59.5)), 1)
+        else:
+            score = round(float(rng.uniform(60.0, 100.0)), 1)
         created = config.start - timedelta(days=int(rng.integers(30, 1500)))
         pages[page_id] = PageMeta(
             page_id=page_id,

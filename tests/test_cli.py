@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 import pagegrowth
-from pagegrowth import pipeline
+from pagegrowth import model, pipeline
 from pagegrowth.aggregate import Timescale
 from pagegrowth.cli import build_parser, main
 from pagegrowth.ingest import PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
-from pagegrowth.model import COEFFS_HEADER
+from pagegrowth.model import COEFFS_HEADER, published_coefficients
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
 
@@ -295,13 +295,15 @@ def _flags_taken(command: str) -> set[str]:
 
 
 _LIBRARY_CALLS = {"aggregate": pipeline.aggregate, "analyze": pipeline.analyze, "model": pipeline.model,
-                  "cohort": pipeline.cohort}
+                  "cohort": pipeline.cohort, "simulate": pipeline.simulate}
 
 
 @pytest.mark.parametrize("command", [*_LIBRARY_CALLS, "synth"])
 def test_setting_flags_are_the_library_keywords_without_a_default(command):
-    # a flag not given leaves its setting to the library: the CLI holds no copy of a default
-    settings = [a for a in _actions(command) if a.dest not in {"help", "input", "pages", "out", "seed"}]
+    # a flag not given leaves its setting to the library: the CLI holds no copy of a default;
+    # synth's --seed alone keeps one, since synth.generate takes no default seed
+    kept = {"help", "input", "pages", "out", *(["seed"] if command == "synth" else [])}
+    settings = [a for a in _actions(command) if a.dest not in kept]
     if command == "synth":
         assert {a.dest for a in settings} <= {f.name for f in dataclasses.fields(GeneratorConfig)}
     else:
@@ -747,6 +749,13 @@ class TestSimulateCmd:
         )
         assert code == 2
 
+    def test_gibrat_null_table_runs(self, tmp_path, capsys):
+        # one reader serves simulate --coefficients and synth --model; simulate took gibrat-null for a path
+        assert main(["simulate", "--coefficients", "gibrat-null", "--timescales", "Q", "--f0", "25000",
+                     "--steps", "2", "--runs", "2", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("Q f0=25000: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary_Q_25000.csv", "trajectories_Q_25000.csv"]
+
     def test_daily_beside_weekly_refused_before_writing(self, tmp_path, capsys):
         # D is refused by name, not dropped, and before the coefficient table is asked for it
         out = tmp_path / "out"
@@ -754,6 +763,43 @@ class TestSimulateCmd:
         assert code == 2
         assert "error: simulate supports W, M, Q timescales, not D\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_pipeline_simulate_runs_every_pair_in_order():
+    runs = pipeline.simulate(steps=2, runs=2)
+    pairs = [(scale, f0) for scale in (Timescale.W, Timescale.M, Timescale.Q) for f0 in (25_000, 250_000, 1_000_000)]
+    assert list(runs) == pairs
+    for (scale, f0), trajectories in runs.items():
+        alone = model.simulate(published_coefficients(), scale, f0, 10_000.0, 2, 2, 0)
+        assert [(t.followers.tolist(), t.engagement.tolist(), t.run_index, t.clamps) for t in trajectories] == [
+            (t.followers.tolist(), t.engagement.tolist(), t.run_index, t.clamps) for t in alone]
+
+
+# Runs the command in argv[1:] in a fresh interpreter whose address space is capped at 4 GiB.
+_CAPPED_RUN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard), hard))
+from pagegrowth.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--runs", "1000000000000", "--steps", "20"],  # 291 TiB of uniforms
+    ["synth", "--pages-count", "1", "--start", "2018-01-01", "--end", "2018-01-08", "--posts-per-day", "1e12"],
+], ids=["simulate", "synth"])
+def test_size_no_host_can_allocate_exits_2(tmp_path, argv):
+    # each ended in numpy's _ArrayMemoryError traceback with exit 1 (291 TiB and 50.9 TiB); the cap
+    # makes numpy's request fail at once on any host, whatever its memory overcommit policy
+    src = str(Path(pagegrowth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate ") and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 class TestCohortCmd:
