@@ -1,4 +1,4 @@
-"""Calendar-window aggregation of posts into per-page engagement/follower series.
+"""Calendar-window aggregation of posts into windows of engagement and followers.
 
 Four timescales tile the UTC calendar: days (D), ISO-8601 weeks (W,
 Monday through Sunday), months (M), and quarters (Q). A window's
@@ -16,16 +16,17 @@ window:
 
 Every window is a union of whole days, so one kernel, ``_windows``, rolls
 (page, day) cells (``ingest.DayCells``) up to windows and is the one home of
-these rules. Window keys are day numbers since 1970-01-01: the ISO week
-starts at day - (day + 3) % 7 (1970-01-01 was a Thursday), months and
-quarters come from ``datetime64[M]``. Cells sorted by (page, day) form
-contiguous groups per window; sums are ``np.add.reduceat`` over them, and
-each follower rule is a sort key whose first observed cell wins.
+these rules. Like the cells, a timescale's windows are one table,
+``AggregatedSeries``. Window keys are day numbers since 1970-01-01: the
+ISO week starts at day - (day + 3) % 7 (1970-01-01 was a Thursday),
+months and quarters come from ``datetime64[M]``. Cells sorted by (page,
+day) form contiguous groups per window; sums are ``np.add.reduceat`` over
+them, and each follower rule is a sort key whose first observed cell wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime
 from enum import Enum
 from typing import Sequence
@@ -100,14 +101,16 @@ class SeriesEntry:
 
 @dataclass(eq=False)
 class AggregatedSeries:
-    """Per-page windowed series at one timescale, windows strictly increasing.
+    """The windows of every page at one timescale, one array element per window, in (page_id, start) order.
 
-    One array element per window; days count from 1970-01-01 and
-    ``followers`` holds a value only where ``observed`` is true.
+    ``page`` indexes ``page_ids``, the cells' sorted pages; days count from
+    1970-01-01 and ``followers`` holds a value only where ``observed`` is
+    true. A slice, mask or index array selects a sub-table.
     """
 
-    page_id: str
+    page_ids: list[str]
     timescale: Timescale
+    page: np.ndarray
     start: np.ndarray
     end: np.ndarray
     engagement: np.ndarray
@@ -117,6 +120,9 @@ class AggregatedSeries:
 
     def __len__(self) -> int:
         return self.start.size
+
+    def __getitem__(self, key) -> "AggregatedSeries":
+        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)[2:]})  # the columns
 
     @property
     def mean_engagement(self) -> np.ndarray:
@@ -135,8 +141,8 @@ class AggregatedSeries:
         return int(self.engagement.sum())
 
 
-def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> dict[str, AggregatedSeries]:
-    """The kernel: every page's series at ``scale`` from its cells."""
+def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> AggregatedSeries:
+    """The kernel: every page's windows at ``scale`` from its cells."""
     if quarter_rule not in ("latest", "earliest"):
         raise ValueError(f"unknown quarter_rule {quarter_rule!r}")
     start, end = _window_bounds(cells.day, scale)
@@ -159,48 +165,36 @@ def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> dict[str, 
     followers, observed = np.zeros(first.size, dtype=np.int64), np.zeros(first.size, dtype=bool)
     followers[group[seen]] = (cells.last if latest else cells.first)[seen]
     observed[group[seen]] = True
-    columns = (start[first], end[first], np.add.reduceat(cells.engagement, first),
-               np.add.reduceat(cells.post_count, first), followers, observed)
-    cuts = np.searchsorted(cells.page[first], np.arange(len(cells.page_ids) + 1)).tolist()
-    return {
-        page_id: AggregatedSeries(page_id, scale, *(c[lo:hi] for c in columns))
-        for page_id, lo, hi in zip(cells.page_ids, cuts, cuts[1:])
-    }
+    return AggregatedSeries(cells.page_ids, scale, cells.page[first], start[first], end[first],
+                            np.add.reduceat(cells.engagement, first), np.add.reduceat(cells.post_count, first),
+                            followers, observed)
 
 
 def aggregate_engagement(
     posts: Sequence[PostRecord], scale: Timescale, quarter_rule: str = "latest"
 ) -> AggregatedSeries:
-    """Roll one page's posts (in any order) into a windowed series."""
+    """Roll one page's posts (in any order) into its windows."""
     table = PostColumns.from_records(posts)
     if len(table.page_ids) > 1:
         raise ValueError("aggregate_engagement expects posts from a single page")
-    if not table.page_ids:
-        return AggregatedSeries("", scale, *np.zeros((5, 0), dtype=np.int64), np.zeros(0, dtype=bool))
-    return _windows(_day_cells(table, np.arange(len(table))), scale, quarter_rule)[table.page_ids[0]]
+    return _windows(_day_cells(table, np.arange(len(table))), scale, quarter_rule)
 
 
-def aggregate_dataset(ds: Dataset, scale: Timescale, quarter_rule: str = "latest") -> dict[str, AggregatedSeries]:
-    """Aggregate every page independently; pages without posts are absent."""
+def aggregate_dataset(ds: Dataset, scale: Timescale, quarter_rule: str = "latest") -> AggregatedSeries:
+    """The windows of every page, each page aggregated independently; pages without posts are absent."""
     return _windows(ds.cells, scale, quarter_rule)
 
 
 SERIES_HEADER = ["page_id", "timescale", "window_start", "engagement", "mean_engagement", "post_count", "followers"]
 
 
-def write_series_csv(series_map: dict[str, AggregatedSeries], stream) -> None:
-    items = sorted(series_map.items())
-    heads = np.repeat(np.array([f"{_quoted(p)},{s.timescale.value}" for p, s in items], dtype=object),
-                      [len(s) for _, s in items])  # each page's first two fields, formatted once
-    start, engagement, count, followers, observed = (
-        np.concatenate([getattr(s, name) for _, s in items] or [np.zeros(0, dtype=np.int64)])
-        for name in ("start", "engagement", "post_count", "followers", "observed")
-    )
-    _write_rows(stream, SERIES_HEADER, heads.size, "%s,%s,%s,%.10g,%s,%s\n", lambda part: (
-        heads[part].tolist(),
-        np.datetime_as_string(start[part].astype("datetime64[D]"), unit="D").tolist(),
-        engagement[part].tolist(),
-        (engagement[part] / count[part]).tolist(),
-        count[part].tolist(),
-        _counts(followers[part], observed[part]),
+def write_series_csv(series: AggregatedSeries, stream) -> None:
+    heads = np.array([f"{_quoted(p)},{series.timescale.value}" for p in series.page_ids], dtype=object)  # once per page
+    _write_rows(stream, SERIES_HEADER, len(series), "%s,%s,%s,%.10g,%s,%s\n", lambda part: (
+        heads[series.page[part]].tolist(),
+        np.datetime_as_string(series.start[part].astype("datetime64[D]"), unit="D").tolist(),
+        series.engagement[part].tolist(),
+        (series.engagement[part] / series.post_count[part]).tolist(),
+        series.post_count[part].tolist(),
+        _counts(series.followers[part], series.observed[part]),
     ))

@@ -139,12 +139,11 @@ def _load_dataset(args) -> tuple[Dataset, Path]:
 def cmd_aggregate(args) -> int:
     settings = _options(args)
     dataset, out_dir = _load_dataset(args)
-    for scale, series in pipeline.aggregate(dataset, **settings):
-        path = out_dir / f"series_{scale.value}.csv"
+    for series in pipeline.aggregate(dataset, **settings):
+        path = out_dir / f"series_{series.timescale.value}.csv"
         with open(path, "w", newline="") as fh:
             write_series_csv(series, fh)
-        windows = sum(len(s) for s in series.values())
-        print(f"{scale.value}: {len(series)} pages, {windows} windows -> {path}")
+        print(f"{series.timescale.value}: {len(series.page_ids)} pages, {len(series)} windows -> {path}")
     return EXIT_OK
 
 

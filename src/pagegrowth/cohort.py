@@ -4,11 +4,11 @@ Pages with a trust score of at least 60 are labeled reliable, the rest
 questionable; unscored pages are excluded and reported. The matched
 reliable sample minimizes the total Euclidean distance to the
 questionable cohort in standardized (max followers, lifespan) space,
-solved as an exact rectangular assignment problem. A greedy
-nearest-neighbour variant is available for comparison. Both pick cells of
-one distance matrix and report each chosen pair's distance. The comparison
-tests ask whether the matched reliable pages out-engage the questionable
-ones.
+solved as an exact rectangular assignment problem, on features read from
+one windows table. A greedy nearest-neighbour variant is available for
+comparison. Both pick cells of one distance matrix and report each chosen
+pair's distance. The comparison tests take two sub-tables of windows and
+ask whether the matched reliable pages out-engage the questionable ones.
 """
 
 from __future__ import annotations
@@ -67,17 +67,18 @@ def label_pages(pages: dict[str, PageMeta]) -> tuple[list[ReliabilityLabel], lis
 
 
 def page_features(
-    meta: PageMeta, series: AggregatedSeries, end_date: date
-) -> tuple[float, float] | None:
-    """Raw matching features: (max observed followers, lifespan in days).
+    pages: dict[str, PageMeta], series: AggregatedSeries, end_date: date
+) -> dict[str, tuple[float, float]]:
+    """Raw matching features of each page of the windows table: (max observed followers, lifespan in days).
 
-    Returns None when the page never carries a follower observation;
-    such pages cannot participate in matching.
+    A page that never carries a follower observation is left out; such
+    pages cannot participate in matching.
     """
-    if not series.observed.any():
-        return None
-    lifespan = float((end_date - meta.created_at).days)
-    return float(series.followers[series.observed].max()), lifespan
+    ids, page = series.page_ids, series.page[series.observed]
+    most = np.full(len(ids), np.iinfo(np.int64).min)  # every observed value counts, even 0
+    np.maximum.at(most, page, series.followers[series.observed])
+    seen = np.flatnonzero(np.bincount(page, minlength=len(ids))).tolist()
+    return {ids[c]: (float(most[c]), float((end_date - pages[ids[c]].created_at).days)) for c in seen}
 
 
 def standardize_features(
@@ -222,23 +223,18 @@ def greedy_match(
     return _match_result(q_ids, r_ids, dist, np.arange(len(q_ids)), cols, "greedy")
 
 
-def reliability_comparison(questionable, reliable) -> dict[str, TestResult]:
+def reliability_comparison(questionable: AggregatedSeries, reliable: AggregatedSeries) -> dict[str, TestResult]:
     """One-sided tests that reliable pages exceed questionable ones.
 
-    Both arguments map page_id -> AggregatedSeries at a common timescale.
-    Tested metrics: absolute window engagement, and window-to-window log
+    Both arguments are sub-tables of windows at a common timescale. Tested
+    metrics: absolute window engagement, and window-to-window log
     engagement growth.
     """
-    if not questionable or not reliable:
+    if not len(questionable) or not len(reliable):
         raise DegenerateSampleError("reliability_comparison: empty cohort")
-
-    def pools(series_map):  # window engagement, and the log growth samples of engagement
-        engagement = np.concatenate([series_map[pid].engagement for pid in sorted(series_map)])
-        return engagement, pooled_growth_samples(series_map, "engagement")[0].log_growth
-
-    (r_engagement, r_growth), (q_engagement, q_growth) = pools(reliable), pools(questionable)
+    r_growth, q_growth = (pooled_growth_samples(s, "engagement")[0].log_growth for s in (reliable, questionable))
     return {
-        "engagement": mann_whitney(r_engagement, q_engagement, alternative="greater"),
+        "engagement": mann_whitney(reliable.engagement, questionable.engagement, alternative="greater"),
         "engagement_growth": mann_whitney(r_growth, q_growth, alternative="greater"),
     }
 

@@ -4,6 +4,7 @@ A growth sample is one window-to-window observation of one page: the gross
 ratio of a metric across two calendar-adjacent windows, with the earlier
 window's followers and engagement as covariates. Gaps and non-positive
 values yield no sample; they are counted in a skip report instead. Samples
+come from one timescale's windows table (``aggregate.AggregatedSeries``) and
 form one table, ``GrowthSamples``, with an array per field; bins are sub-tables.
 """
 
@@ -123,29 +124,20 @@ DEFAULT_FOLLOWER_CLASSES = [
 
 
 def growth_samples(series: AggregatedSeries, metric: str) -> tuple[GrowthSamples, SkipReport]:
-    """Growth samples for one page series at the requested metric."""
-    return pooled_growth_samples({series.page_id: series}, metric)
+    """``pooled_growth_samples``, under the name its one-page callers know."""
+    return pooled_growth_samples(series, metric)
 
 
-def pooled_growth_samples(
-    series_map: dict[str, AggregatedSeries], metric: str
-) -> tuple[GrowthSamples, SkipReport]:
-    """Samples of every page in page order, and the merged skip report.
+def pooled_growth_samples(series: AggregatedSeries, metric: str) -> tuple[GrowthSamples, SkipReport]:
+    """Samples of every page of the windows table in page order, and the skip report.
 
     A sample needs two calendar-adjacent windows of one page with positive
     metric values in both; for followers, both values must also be observed.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    ids = sorted(series_map)
-    parts = [series_map[i] for i in ids]
-
-    def column(name, dtype=np.int64):
-        return np.concatenate([getattr(s, name) for s in parts] or [np.zeros(0, dtype)])
-
-    page = np.repeat(np.arange(len(parts)), [len(s) for s in parts])
-    start, end, values, observed = column("start"), column("end"), column(metric, float), column("observed", bool)
-    pairs = (page[1:] == page[:-1]) & (start[1:] == end[:-1])  # a gap in the chain is not a pair
+    page, start, values, observed = series.page, series.start, getattr(series, metric), series.observed
+    pairs = (page[1:] == page[:-1]) & (start[1:] == series.end[:-1])  # a gap in the chain is not a pair
     missing = pairs & ~(observed[:-1] & observed[1:]) & (metric == "followers")
     zero = pairs & ~missing & ((values[:-1] <= 0) | (values[1:] <= 0))
     skips = SkipReport(zero_value=int(zero.sum()), missing_followers=int(missing.sum()))
@@ -155,8 +147,8 @@ def pooled_growth_samples(
     # math.log, not np.log: the two differ in the last bit on some values
     log = np.fromiter(map(math.log, gross.tolist()), dtype=float, count=gross.size)
     samples = GrowthSamples(
-        parts[0].timescale if parts else None, metric, np.array(ids, dtype=object)[page[later]], start[later],
-        gross, log, column("engagement")[earlier], column("followers")[earlier], observed[earlier],
+        series.timescale, metric, np.array(series.page_ids, dtype=object)[page[later]], start[later], gross, log,
+        series.engagement[earlier], series.followers[earlier], observed[earlier],
     )
     return samples, skips
 

@@ -4,11 +4,12 @@
 ``analyze`` and ``model`` are generators that aggregate one timescale,
 yield its results and only then go on to the next, so a caller that
 writes each result out before asking for the next never holds more than
-one timescale. ``cohort`` matches the cohorts up front and yields its
-per-timescale tests the same way. ``simulate`` checks every timescale,
-then runs every (timescale, f0) pair before it returns. Tables come back
-as rows in the format of the output files; warnings go to the ``warn``
-callback as they arise. Each call takes the settings it reads as
+one timescale; ``aggregate`` yields each windows table itself. ``cohort``
+matches the cohorts up front and yields its per-timescale tests the same
+way, on the windows a page mask per cohort selects. ``simulate`` checks
+every timescale, then runs every (timescale, f0) pair before it returns.
+Other tables come back as rows in the format of the output files;
+warnings go to the ``warn`` callback as they arise. Each call takes the settings it reads as
 keyword-only arguments, whose defaults are the only ones: the CLI passes
 on just the flags given.
 """
@@ -154,10 +155,10 @@ def load_dataset(posts_path: Path, pages_path: Path | None) -> tuple[Dataset, li
 # ---------------------------------------------------------------------------
 
 def aggregate(dataset: Dataset, *, timescales: tuple[Timescale, ...] = tuple(Timescale),
-              quarter_rule: str = "latest") -> Iterator[tuple[Timescale, dict[str, AggregatedSeries]]]:
-    """Each timescale's per-page series, one timescale at a time."""
+              quarter_rule: str = "latest") -> Iterator[AggregatedSeries]:
+    """Each timescale's windows table, one timescale at a time."""
     for scale in timescales:
-        yield scale, aggregate_dataset(dataset, scale, quarter_rule)
+        yield aggregate_dataset(dataset, scale, quarter_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
     if len(samples) < MODEL_MIN_SAMPLES:
         return []
     columns = [getattr(samples, c).astype(float) for c in side.covariates]
-    keep = np.logical_and.reduce([trim_mask(col, *trim_bounds) for col in columns])
+    keep = np.logical_and.reduce([trim_mask(col, *trim_bounds) & (col > 0) for col in columns])  # bins take logs
     samples, columns = samples[keep], [col[keep] for col in columns]
     if len(samples) < side.min_trimmed:
         return []
@@ -437,16 +438,9 @@ def cohort(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = 
     reliable_ids = [l.page_id for l in labels if l.label == "reliable"]
 
     weekly = aggregate_dataset(dataset, Timescale.W)
-    end = dataset.end_date
-    raw: dict[str, tuple[float, float]] = {}
-    unobserved = 0
-    for page_id in questionable_ids + reliable_ids:
-        series = weekly.get(page_id)
-        feats = page_features(dataset.pages[page_id], series, end) if series else None
-        if feats is None:
-            unobserved += 1
-        else:
-            raw[page_id] = feats
+    features = page_features(dataset.pages, weekly, dataset.end_date)
+    raw = {i: features[i] for i in questionable_ids + reliable_ids if i in features}
+    unobserved = len(questionable_ids) + len(reliable_ids) - len(raw)
     if unobserved:
         warn(f"pages without follower observations: {unobserved}")
     standardized = standardize_features(raw)
@@ -455,15 +449,15 @@ def cohort(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = 
     if not q_vecs or not r_vecs:
         raise DegenerateSampleError("need both questionable and reliable pages with follower observations")
     result = (greedy_match if matching == "greedy" else match_cohorts)(q_vecs, r_vecs)
-    matched_ids = [r for _, r in result.pairs]
+    # every timescale's table lists the cells' pages, so one page mask per cohort selects its windows
+    in_q, in_r = (np.array([i in ids for i in weekly.page_ids], dtype=bool)
+                  for ids in (q_vecs, {r for _, r in result.pairs}))
 
     def tests():
         for scale in timescales:
             series = weekly if scale is Timescale.W else aggregate_dataset(dataset, scale)
-            q_series = {i: series[i] for i in q_vecs if i in series}
-            r_series = {i: series[i] for i in matched_ids if i in series}
             try:
-                results = reliability_comparison(q_series, r_series)
+                results = reliability_comparison(series[in_q[series.page]], series[in_r[series.page]])
             except DegenerateSampleError as exc:
                 warn(f"warning: reliability tests at {scale.value}: {exc}")
                 continue

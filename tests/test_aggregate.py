@@ -182,12 +182,13 @@ class TestAggregateDataset:
     def test_two_pages(self):
         ds = self._dataset([_post("a", _utc(2020, 1, 1), 1), _post("b", _utc(2020, 1, 1), 2)])
         out = aggregate_dataset(ds, Timescale.M)
-        assert sorted(out) == ["a", "b"]
+        assert out.page_ids == ["a", "b"] and out.page.tolist() == [0, 1]
 
     def test_followers_absent_everywhere(self):
         ds = self._dataset([_post("a", _utc(2017, 5, 1), 3), _post("a", _utc(2017, 6, 1), 4)])
         out = aggregate_dataset(ds, Timescale.M)
-        assert all(e.followers is None for e in out["a"].entries)
+        assert out.page_ids == ["a"] and len(out.entries) == 2
+        assert all(e.followers is None for e in out.entries)
 
     def test_quarterly_equals_reaggregated_monthly(self):
         posts = [
@@ -197,8 +198,9 @@ class TestAggregateDataset:
             for h in (0, 12)
         ]
         ds = self._dataset(posts)
-        monthly = aggregate_dataset(ds, Timescale.M)["a"]
-        quarterly = aggregate_dataset(ds, Timescale.Q)["a"]
+        monthly = aggregate_dataset(ds, Timescale.M)
+        quarterly = aggregate_dataset(ds, Timescale.Q)
+        assert monthly.page_ids == quarterly.page_ids == ["a"]
         resummed: dict = {}
         for entry in monthly.entries:
             q = window_of(entry.window.start, Timescale.Q)

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pagegrowth
 from pagegrowth import model, pipeline
 from pagegrowth.aggregate import Timescale
 from pagegrowth.cli import build_parser, main
-from pagegrowth.ingest import PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
+from pagegrowth.ingest import ABSENT, PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
 from pagegrowth.model import COEFFS_HEADER, published_coefficients
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
@@ -919,6 +920,29 @@ class TestModelCmd:
         burr_rows = [r for r in rows[1:] if r[0] in ("c", "k")]
         assert all(r[4] == "" for r in burr_rows)
         assert (out / "regression_details.csv").exists()
+
+    @pytest.mark.parametrize("metric", ["engagement", "followers"])
+    def test_zero_covariates_are_left_out(self, tmp_path, capsys, metric):
+        # 5 of 40 pages report 0 followers and 5 more 0 engagement: zeros are then more
+        # than 5% of the samples, survive the percentile trim, and a bin's mean log
+        # covariate was -inf (a RuntimeWarning, then exit 3 with collinear covariates)
+        result = generate(GeneratorConfig(n_pages=40, start=date(2018, 1, 1), end=date(2019, 7, 1)), seed=5)
+        posts = result.posts
+        posts.followers[(posts.page < 5) & (posts.followers != ABSENT)] = 0
+        for count in (posts.total, posts.likes, posts.comments, posts.shares):
+            count[(posts.page >= 5) & (posts.page < 10) & (count != ABSENT)] = 0
+        write_files(result, tmp_path / "data")
+        argv = ["model", "--input", str(tmp_path / "data/posts.csv"), "--pages", str(tmp_path / "data/pages.csv"),
+                "--metric", metric, "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        with open(tmp_path / "out/coefficients.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert {r[0] for r in rows} == {"mu", "b", "c", "k"}
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:] if v)
 
 
 # Runs in a fresh interpreter: imports pagegrowth.cli, runs all six commands,

@@ -5,12 +5,13 @@ import io
 import itertools
 import math
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pagegrowth.aggregate import Timescale, aggregate_engagement
+from pagegrowth.aggregate import Timescale, aggregate_dataset, aggregate_engagement
 from pagegrowth.cohort import (
     MatchInfeasibleError,
     ReliabilityLabel,
@@ -22,7 +23,10 @@ from pagegrowth.cohort import (
     write_match_csv,
     _assign,
 )
-from pagegrowth.ingest import PageMeta, PostRecord
+from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
+from pagegrowth.pipeline import load_dataset
+
+CORPUS = Path(__file__).with_name("golden_corpus")
 
 
 def brute_force_min_assignment(q_points, pool_points) -> float:
@@ -85,13 +89,36 @@ class TestFeatures:
     def test_max_followers_and_lifespan(self):
         meta = PageMeta("p", "P", date(2019, 12, 1))
         series = self._series([100, 300, 200])
-        feats = page_features(meta, series, end_date=date(2020, 3, 1))
-        assert feats == (300.0, 91.0)
+        feats = page_features({"p": meta}, series, end_date=date(2020, 3, 1))
+        assert feats == {"p": (300.0, 91.0)}
 
     def test_no_followers_excluded(self):
         meta = PageMeta("p", "P", date(2019, 12, 1))
         series = self._series([None, None])
-        assert page_features(meta, series, end_date=date(2020, 3, 1)) is None
+        assert page_features({"p": meta}, series, end_date=date(2020, 3, 1)) == {}
+
+    def test_a_page_seen_only_at_zero_followers_is_kept(self):
+        # the seen test is "has an observation", not "its maximum is positive"
+        pages = {p: PageMeta(p, p.upper(), date(2019, 12, 1)) for p in "abc"}
+        posts = [PostRecord(p, f"{p}-{i}", datetime(2020, 1, 6 + 7 * i, tzinfo=timezone.utc), 10,
+                            followers_at_posting=f)
+                 for p, followers in (("a", [None, 0]), ("b", [None, None]), ("c", [5, None]))
+                 for i, f in enumerate(followers)]
+        weekly = aggregate_dataset(build_dataset(posts, pages)[0], Timescale.W)
+        assert weekly.page_ids == ["a", "b", "c"]
+        assert page_features(pages, weekly, end_date=date(2020, 3, 1)) == {"a": (0.0, 91.0), "c": (5.0, 91.0)}
+
+    def test_equals_the_per_page_features_on_the_golden_corpus(self):
+        dataset, _ = load_dataset(CORPUS / "posts.csv", CORPUS / "pages.csv")
+        weekly = aggregate_dataset(dataset, Timescale.W)
+        expected = {}
+        for code, page_id in enumerate(weekly.page_ids):
+            own = weekly[weekly.page == code]
+            if own.observed.any():
+                lifespan = float((dataset.end_date - dataset.pages[page_id].created_at).days)
+                expected[page_id] = (float(own.followers[own.observed].max()), lifespan)
+        assert len(expected) == len(dataset.pages) == 20
+        assert page_features(dataset.pages, weekly, dataset.end_date) == expected
 
     def test_standardization_properties(self):
         features = {

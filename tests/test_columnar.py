@@ -150,10 +150,11 @@ def test_monthly_rule_matches_oracle(posts):
 def check_against_oracle(posts, scale, quarter_rule):
     pages = {p.page_id: PageMeta(p.page_id, p.page_id, date(1900, 1, 1)) for p in posts}
     dataset, _ = build_dataset(posts, pages)
-    series_map = aggregate_dataset(dataset, scale, quarter_rule)
-    assert sorted(series_map) == list(series_map) == sorted(pages)
+    table = aggregate_dataset(dataset, scale, quarter_rule)
+    assert table.page_ids == sorted(pages) and sorted(table.page.tolist()) == table.page.tolist()
     per_page = {metric: [] for metric in METRICS}
-    for page_id, series in series_map.items():
+    for code, page_id in enumerate(table.page_ids):
+        series = table[table.page == code]
         page_posts = [p for p in posts if p.page_id == page_id]
         expected = oracle_entries(page_posts, scale, quarter_rule)
         assert series.entries == expected
@@ -166,12 +167,12 @@ def check_against_oracle(posts, scale, quarter_rule):
             assert (list(samples), skips) == oracle
             per_page[metric].append(oracle)
     for metric, oracles in per_page.items():
-        check_pooled(series_map, metric, oracles)
+        check_pooled(table, metric, oracles)
 
 
-def check_pooled(series_map, metric, oracles):
-    """The pooled table equals the per-page oracle outputs concatenated in page order."""
-    pooled, skips = pooled_growth_samples(series_map, metric)
+def check_pooled(table, metric, oracles):
+    """The pooled samples equal the per-page oracle outputs concatenated in page order."""
+    pooled, skips = pooled_growth_samples(table, metric)
     assert list(pooled) == [s for samples, _ in oracles for s in samples]
     assert skips == SkipReport(sum(k.zero_value for _, k in oracles), sum(k.missing_followers for _, k in oracles))
     assert pooled[:].log_growth.tolist() == [s.log_growth for s in pooled]
@@ -233,24 +234,33 @@ def test_gaps_break_adjacency_and_skips_are_counted():
 
 def test_pages_meeting_end_to_start_are_not_paired():
     # page a posts in the weeks of Jan 4 and 11, page b in those of Jan 18 and 25:
-    # a's last window ends on the day b's first window starts
+    # a's last window ends on the day b's first window starts. Page ab sorts between
+    # them and posts once; with it dropped, a's and b's windows are adjacent rows
     weeks = [_utc(2021, 1, 4), _utc(2021, 1, 11), _utc(2021, 1, 18), _utc(2021, 1, 25)]
     posts = [PostRecord(page, f"{page}{i}", ts, 10 * (i + 1), followers_at_posting=1000 * (i + 1))
              for i, (page, ts) in enumerate(zip("aabb", weeks))]
-    pages = {p: PageMeta(p, p, date(2020, 1, 1)) for p in "ab"}
-    series_map = aggregate_dataset(build_dataset(posts, pages)[0], Timescale.W)
-    assert series_map["a"].end[-1] == series_map["b"].start[0]
-    for metric in METRICS:
-        pooled, skips = pooled_growth_samples(series_map, metric)
-        assert [(s.page_id, s.window_start) for s in pooled] == [("a", date(2021, 1, 11)), ("b", date(2021, 1, 25))]
-        assert skips.total == 0
-        oracles = [oracle_samples(p, Timescale.W, series_map[p].entries, metric) for p in "ab"]
-        check_pooled(series_map, metric, oracles)
+    posts.append(PostRecord("ab", "ab0", _utc(2021, 3, 1), 5, followers_at_posting=7))
+    pages = {p: PageMeta(p, p, date(2020, 1, 1)) for p in ("a", "ab", "b")}
+    table = aggregate_dataset(build_dataset(posts, pages)[0], Timescale.W)
+    assert table.page_ids == ["a", "ab", "b"]
+    outer = table[table.page != 1]
+    assert outer.page.tolist() == [0, 0, 2, 2] and outer.end[1] == outer.start[2]
+    for series in (table, outer):
+        for metric in METRICS:
+            pooled, skips = pooled_growth_samples(series, metric)
+            assert [(s.page_id, s.window_start) for s in pooled] == [("a", date(2021, 1, 11)),
+                                                                      ("b", date(2021, 1, 25))]
+            assert skips.total == 0
+            oracles = [oracle_samples(table.page_ids[code], Timescale.W, table[table.page == code].entries, metric)
+                       for code in sorted(set(series.page.tolist()))]
+            check_pooled(series, metric, oracles)
 
 
 def test_no_series_gives_an_empty_table():
-    samples, skips = pooled_growth_samples({}, "engagement")
-    assert len(samples) == 0 and list(samples) == [] and skips.total == 0
+    weekly = aggregate_engagement([_post("a", _utc(2021, 1, 4), 10)], Timescale.W)
+    for empty in (aggregate_engagement([], Timescale.W), weekly[:0]):
+        samples, skips = pooled_growth_samples(empty, "engagement")
+        assert len(samples) == 0 and list(samples) == [] and skips.total == 0
 
 
 def test_commands_build_no_sample_objects(monkeypatch):

@@ -302,13 +302,13 @@ def _series_case(draw):
     scale = draw(st.sampled_from(list(Timescale)))
     entries = st.lists(st.tuples(ORDINAL, COUNT, st.integers(1, 10**6), OPTIONAL_COUNT), max_size=8)
     pages = draw(st.dictionaries(TEXT, entries, max_size=5))
-    series = {}
-    for page_id, rows in pages.items():
-        day, engagement, count, followers = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
-        start = np.array(day, dtype=np.int64) - EPOCH_ORDINAL
-        series[page_id] = AggregatedSeries(page_id, scale, start, start + 1, np.array(engagement, dtype=np.int64),
-                                           np.array(count, dtype=np.int64), _absent(followers),
-                                           np.array([f is not None for f in followers], dtype=bool))
+    page_ids = sorted(pages)  # a page may have no window
+    rows = [(code, *row) for code, page_id in enumerate(page_ids) for row in pages[page_id]]
+    page, day, engagement, count, followers = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    start = np.array(day, dtype=np.int64) - EPOCH_ORDINAL
+    series = AggregatedSeries(page_ids, scale, np.array(page, dtype=np.int64), start, start + 1,
+                              np.array(engagement, dtype=np.int64), np.array(count, dtype=np.int64),
+                              _absent(followers), np.array([f is not None for f in followers], dtype=bool))
     expected = [[p, scale.value, date.fromordinal(d).isoformat(), g, format(g / n, ".10g"), n, _blank(f)]
                 for p in sorted(pages) for d, g, n, f in pages[p]]
     return write_series_csv, series, SERIES_HEADER, expected

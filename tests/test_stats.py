@@ -695,21 +695,23 @@ class TestDetailedBalance:
 
 class TestReliabilityComparison:
     def test_empty_cohort_rejected(self):
+        from pagegrowth.aggregate import Timescale, aggregate_engagement
+
+        empty = aggregate_engagement([], Timescale.W)
         with pytest.raises(DegenerateSampleError):
-            reliability_comparison({}, {})
+            reliability_comparison(empty, empty)
 
     def test_right_shift_detected(self):
         from datetime import date, datetime, timezone
 
-        from pagegrowth.aggregate import Timescale, aggregate_engagement
-        from pagegrowth.ingest import PostRecord
+        from pagegrowth.aggregate import Timescale, aggregate_dataset
+        from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
 
-        def series_map(drift, seed):
+        def windows(drift, seed):  # 20 pages' weekly windows as one table
             rng = np.random.default_rng(seed)
-            out = {}
+            posts = []
             for page in range(20):
                 level = 1000.0
-                posts = []
                 for week in range(40):
                     day = date(2020, 1, 6).toordinal() + 7 * week
                     d = date.fromordinal(day)
@@ -722,11 +724,12 @@ class TestReliabilityComparison:
                         )
                     )
                     level *= math.exp(drift + rng.normal(0, 0.2))
-                out[f"p{page}"] = aggregate_engagement(posts, Timescale.W)
-            return out
+            pages = {f"p{page}": PageMeta(f"p{page}", f"p{page}", date(2019, 1, 1)) for page in range(20)}
+            return aggregate_dataset(build_dataset(posts, pages)[0], Timescale.W)
 
-        questionable = series_map(drift=0.0, seed=1)
-        reliable = series_map(drift=0.08, seed=2)
+        questionable = windows(drift=0.0, seed=1)
+        reliable = windows(drift=0.08, seed=2)
+        assert len(questionable.page_ids) == len(reliable.page_ids) == 20
         results = reliability_comparison(questionable, reliable)
         assert results["engagement_growth"].p_value < 0.01
         assert set(results) == {"engagement", "engagement_growth"}
