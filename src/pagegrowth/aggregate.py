@@ -26,7 +26,7 @@ them, and each follower rule is a sort key whose first observed cell wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from typing import Sequence
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import (EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
-                     _quoted, _write_rows)
+                     _quoted, _Table, _write_rows)
 
 
 class Timescale(Enum):
@@ -100,7 +100,7 @@ class SeriesEntry:
 
 
 @dataclass(eq=False)
-class AggregatedSeries:
+class AggregatedSeries(_Table):
     """The windows of every page at one timescale, one array element per window, in (page_id, start) order.
 
     ``page`` indexes ``page_ids``, the cells' sorted pages; days count from
@@ -117,12 +117,6 @@ class AggregatedSeries:
     post_count: np.ndarray
     followers: np.ndarray
     observed: np.ndarray
-
-    def __len__(self) -> int:
-        return self.start.size
-
-    def __getitem__(self, key) -> "AggregatedSeries":
-        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)[2:]})  # the columns
 
     @property
     def mean_engagement(self) -> np.ndarray:

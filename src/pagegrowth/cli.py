@@ -214,15 +214,15 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clamp_total = 0
-    for (scale, f0), trajectories in runs.items():
-        clamp_total += sum(t.clamps.total for t in trajectories)
+    for (scale, f0), table in runs.items():
+        clamp_total += int(table.floored.sum())
         tag = f"{scale.value}_{int(f0)}"
         with open(out_dir / f"trajectories_{tag}.csv", "w", newline="") as fh:
-            write_trajectories_csv(trajectories, fh)
+            write_trajectories_csv(table, fh)
         with open(out_dir / f"summary_{tag}.csv", "w", newline="") as fh:
-            write_summary_csv(summarize_trajectories(trajectories), fh)
-        final_f = sum(t.followers[-1] for t in trajectories) / len(trajectories)
-        final_e = sum(t.engagement[-1] for t in trajectories) / len(trajectories)
+            write_summary_csv(summarize_trajectories(table), fh)
+        # left to right over the numpy floats, on every Python: sum() of a list of floats is compensated from 3.12 on
+        final_f, final_e = (sum(a[:, -1]) / len(table) for a in (table.followers, table.engagement))
         print(
             f"{scale.value} f0={int(f0)}: mean final followers {final_f:.0f}, "
             f"mean final engagement {final_e:.0f}"

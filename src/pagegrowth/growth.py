@@ -4,22 +4,23 @@ A growth sample is one window-to-window observation of one page: the gross
 ratio of a metric across two calendar-adjacent windows, with the earlier
 window's followers and engagement as covariates. Gaps and non-positive
 values yield no sample; they are counted in a skip report instead. Samples
-come from one timescale's windows table (``aggregate.AggregatedSeries``) and
-form one table, ``GrowthSamples``, with an array per field; bins are sub-tables.
+come from one timescale's windows table (``aggregate.AggregatedSeries``) and form
+one table, ``GrowthSamples``, with an array per field and pages as codes into its
+``page_ids``, like every table of ``ingest._Table``; bins are sub-tables.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL, _counts, _day_date, _texts, _write_rows
+from .ingest import EPOCH_ORDINAL, _coded, _counts, _day_date, _quoted, _Table, _write_rows
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -49,17 +50,19 @@ class GrowthSample:
 
 
 @dataclass(eq=False)
-class GrowthSamples:
+class GrowthSamples(_Table):
     """Growth samples of one metric at one timescale, one array element per sample.
 
-    ``start`` is the later window's first day since 1970-01-01; ``prior_followers``
-    holds a value only where ``observed`` is true. An int index builds that row
-    as a ``GrowthSample``; a slice, mask or index array selects a sub-table.
+    ``page`` indexes ``page_ids``; ``start`` is the later window's first day
+    since 1970-01-01; ``prior_followers`` holds a value only where ``observed``
+    is true. An int index builds that row as a ``GrowthSample``; a slice, mask
+    or index array selects a sub-table.
     """
 
     timescale: Timescale | None
     metric: str
-    page_id: np.ndarray  # str objects
+    page_ids: list[str]
+    page: np.ndarray
     start: np.ndarray
     gross_growth: np.ndarray
     log_growth: np.ndarray
@@ -67,16 +70,11 @@ class GrowthSamples:
     prior_followers: np.ndarray
     observed: np.ndarray
 
-    def __len__(self) -> int:
-        return self.start.size
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            followers = int(self.prior_followers[key]) if self.observed[key] else None
-            return GrowthSample(self.page_id[key], self.timescale, _day_date(int(self.start[key])), self.metric,
-                                float(self.gross_growth[key]), float(self.log_growth[key]),
-                                int(self.prior_engagement[key]), followers)
-        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)[2:]})  # the columns
+    def _row(self, i: int) -> GrowthSample:
+        followers = int(self.prior_followers[i]) if self.observed[i] else None
+        return GrowthSample(self.page_ids[self.page[i]], self.timescale, _day_date(int(self.start[i])), self.metric,
+                            float(self.gross_growth[i]), float(self.log_growth[i]), int(self.prior_engagement[i]),
+                            followers)
 
     @classmethod
     def from_rows(cls, rows: Sequence[GrowthSample]) -> "GrowthSamples":
@@ -84,10 +82,11 @@ class GrowthSamples:
         kinds = {(r.timescale, r.metric) for r in rows}
         if len(kinds) > 1:
             raise ValueError("growth samples of different timescales or metrics in one table")
-        values = [(r.page_id, r.window_start.toordinal() - EPOCH_ORDINAL, r.gross_growth, r.log_growth,
+        values = [(r.window_start.toordinal() - EPOCH_ORDINAL, r.gross_growth, r.log_growth,
                    r.prior_engagement, r.prior_followers or 0, r.prior_followers is not None) for r in rows]
-        columns = zip(list(zip(*values)) or [()] * 7, (object, np.int64, float, float, np.int64, np.int64, bool))
-        return cls(*(kinds.pop() if kinds else (None, "")), *(np.array(c, dtype=t) for c, t in columns))
+        columns = zip(list(zip(*values)) or [()] * 6, (np.int64, float, float, np.int64, np.int64, bool))
+        return cls(*(kinds.pop() if kinds else (None, "")), *_coded([r.page_id for r in rows]),
+                   *(np.array(c, dtype=t) for c, t in columns))
 
 
 @dataclass
@@ -146,10 +145,8 @@ def pooled_growth_samples(series: AggregatedSeries, metric: str) -> tuple[Growth
     gross = values[later] / values[earlier]
     # math.log, not np.log: the two differ in the last bit on some values
     log = np.fromiter(map(math.log, gross.tolist()), dtype=float, count=gross.size)
-    samples = GrowthSamples(
-        series.timescale, metric, np.array(series.page_ids, dtype=object)[page[later]], start[later], gross, log,
-        series.engagement[earlier], series.followers[earlier], observed[earlier],
-    )
+    samples = GrowthSamples(series.timescale, metric, series.page_ids, page[later], start[later], gross, log,
+                            series.engagement[earlier], series.followers[earlier], observed[earlier])
     return samples, skips
 
 
@@ -298,8 +295,9 @@ def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
     scale = samples.timescale.value if samples.timescale else ""  # a Timescale and a METRICS name need no quotes
     # both are constants of the row template, which would read a % in them as a conversion
     template = "%s,{},%s,{},%.12g,%.12g,%s,%s\n".format(*(text.replace("%", "%%") for text in (scale, samples.metric)))
+    pages = np.array([_quoted(p) for p in samples.page_ids], dtype=object)  # once per page
     _write_rows(stream, GROWTH_HEADER, len(samples), template, lambda part: (
-        _texts(samples.page_id[part]),
+        pages[samples.page[part]].tolist(),
         np.datetime_as_string(samples.start[part].astype("datetime64[D]"), unit="D").tolist(),
         samples.gross_growth[part].tolist(),
         samples.log_growth[part].tolist(),

@@ -42,10 +42,11 @@ of rows is checked as a whole column on those bytes against its common
 form (ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or
 ``±hh:mm``), and only the values outside it go through the scalar
 validators (``_opt_text``, ``_opt_count``, ``parse_timestamp``); ids are
-sliced from the block's text, decoded once; ``PostRecord`` is the row
-view, built only on request. ``build_dataset`` reduces the joined table to
-one cell per (page, UTC day) (``DayCells``), which is all a ``Dataset``
-holds besides the page metadata.
+sliced from the block's text, decoded once. ``build_dataset`` reduces the
+joined table to one cell per (page, UTC day) (``DayCells``), all a
+``Dataset`` holds besides the page metadata. Both tables, like the later
+ones, take length, equality and row selection from ``_Table``; an int
+index builds a post as a ``PostRecord``, only on request.
 
 Output format
 -------------
@@ -175,28 +176,52 @@ def _page_codes(names: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.
     return [names[i] for i in used], remap[codes]
 
 
+def _coded(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``ids`` sorted, and each id's index among them."""
+    index = {page_id: i for i, page_id in enumerate(dict.fromkeys(ids))}
+    return _page_codes(list(index), np.array([index[page_id] for page_id in ids], dtype=np.int64))
+
+
 def _sum_exceeds(values: np.ndarray, limit: int) -> bool:
     """Whether non-negative int64 values sum past ``limit``, exactly (halves summed apart cannot overflow)."""
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum()) > limit
 
 
-def _same_rows(self, other) -> bool:
-    """Tables of one kind are equal when they hold the same rows in the same order."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return self.page_ids == other.page_ids and all(
-        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[1:]
-    )
+class _Table:
+    """Equal-length numpy columns (the dataclass fields holding an ``np.ndarray``, a row per element along the
+    first axis) beside header fields (every other field). Equal tables share type, header and column values. A
+    slice, mask or index array selects a sub-table with the same header; an int index (so iteration too) builds
+    the row object ``_row`` gives, or raises TypeError where the table has none."""
+
+    def _columns(self) -> list[str]:
+        return [f.name for f in fields(self) if isinstance(getattr(self, f.name), np.ndarray)]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._columns()[0]))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._row(int(key))
+        return replace(self, **{name: getattr(self, name)[key] for name in self._columns()})
+
+    def _row(self, i: int):
+        raise TypeError(f"{type(self).__name__} rows are not objects: select a sub-table with a slice, mask or array")
 
 
 @dataclass(frozen=True, eq=False)
-class PostColumns:
+class PostColumns(_Table):
     """Posts as parallel arrays, one element per post.
 
     ``page`` indexes ``page_ids``, the sorted ids of the pages that have
     posts here; ``seconds`` counts from 1970-01-01T00:00:00Z; an optional
-    count is ``ABSENT`` where the row does not give it. An index builds that
-    row as a ``PostRecord``.
+    count is ``ABSENT`` where the row does not give it. An int index builds
+    that row as a ``PostRecord``.
     """
 
     page_ids: list[str]
@@ -209,23 +234,17 @@ class PostColumns:
     shares: np.ndarray
     followers: np.ndarray
 
-    def __len__(self) -> int:
-        return self.seconds.size
-
-    __eq__ = _same_rows
-
-    def __getitem__(self, key: int) -> PostRecord:
+    def _row(self, i: int) -> PostRecord:
         optional = (self.likes, self.comments, self.shares, self.followers)
-        likes, comments, shares, followers = (None if c[key] == ABSENT else int(c[key]) for c in optional)
-        return PostRecord(self.page_ids[self.page[key]], self.post_id[key],
-                          EPOCH + timedelta(seconds=int(self.seconds[key])), int(self.total[key]),
+        likes, comments, shares, followers = (None if c[i] == ABSENT else int(c[i]) for c in optional)
+        return PostRecord(self.page_ids[self.page[i]], self.post_id[i],
+                          EPOCH + timedelta(seconds=int(self.seconds[i])), int(self.total[i]),
                           likes, comments, shares, followers)
 
     @classmethod
     def from_records(cls, posts: Sequence[PostRecord]) -> "PostColumns":
         """The posts as a table, in their given order."""
-        index = {page_id: i for i, page_id in enumerate(dict.fromkeys(p.page_id for p in posts))}
-        page_ids, page = _page_codes(list(index), np.array([index[p.page_id] for p in posts], dtype=np.int64))
+        page_ids, page = _coded([p.page_id for p in posts])
 
         def counts(values):
             return np.array([ABSENT if v is None else v for v in values], dtype=np.int64)
@@ -262,7 +281,7 @@ class PostColumns:
 
 
 @dataclass(frozen=True, eq=False)
-class DayCells:
+class DayCells(_Table):
     """Posts as one cell per (page, UTC day) with posts, sorted by (page_id, day): ``page`` indexes
     ``page_ids`` and ``day`` counts from 1970-01-01. A cell holds its posts' total_interactions summed, their
     number, and the followers of its first and last observed post in (seconds, post_id) order (0 unless ``observed``).
@@ -276,11 +295,6 @@ class DayCells:
     first: np.ndarray
     last: np.ndarray
     observed: np.ndarray
-
-    def __len__(self) -> int:
-        return self.day.size
-
-    __eq__ = _same_rows
 
 
 def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:

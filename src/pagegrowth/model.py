@@ -4,12 +4,12 @@ The engagement growth rate is Laplace-distributed with location and
 scale that are linear in ln(followers) and ln(engagement); the follower
 gross growth rate is Burr-distributed with shapes linear in
 ln(followers). ``regress_parameters`` estimates those linear maps from
-per-bin distribution fits by ordinary least squares; ``simulate`` steps
-the two multiplicative processes forward for all runs at once, from a
-pair of starting values, one independent substream per run. Those
-substreams depend only on the seed, so every (timescale, f0) pair
-simulated with one (seed, steps, runs) reads the same uniforms, drawn
-once: run i of each pair uses the same draws (common random numbers).
+per-bin distribution fits by ordinary least squares; ``simulate`` steps the
+two multiplicative processes forward for all runs at once, from a pair of
+starting values, into one table of runs (``Trajectories``), one independent
+substream per run. Those substreams depend only on the seed, so every
+(timescale, f0) pair simulated with one (seed, steps, runs) reads the same
+uniforms, drawn once: run i of each pair uses the same draws (common random numbers).
 
 A built-in coefficient set (``published_coefficients()``) covers the weekly,
 monthly and quarterly timescales so simulations are runnable without any
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rules
 from .aggregate import Timescale
-from .ingest import _csv_rows, _write_rows, _write_table
+from .ingest import _csv_rows, _Table, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -363,16 +363,26 @@ class Trajectory:
         return [SimState(f, e, step, self.timescale) for step, (f, e) in pairs]
 
 
-def simulate(
-    coeffs: ModelCoefficients,
-    timescale: Timescale,
-    f0: float,
-    e0: float,
-    steps: int,
-    runs: int,
-    seed: int,
-) -> list[Trajectory]:
-    """Iterate the two multiplicative processes forward, all runs at once.
+@dataclass(eq=False)
+class Trajectories(_Table):
+    """Runs of one (timescale, f0) pair, a row per run: ``run`` its index, ``followers[i, s]`` and ``engagement[i, s]``
+    its state after s steps, ``floored[i]`` its b, c and k floor events. An int index builds a ``Trajectory``."""
+
+    timescale: Timescale
+    seed: int
+    run: np.ndarray
+    followers: np.ndarray
+    engagement: np.ndarray
+    floored: np.ndarray
+
+    def _row(self, i: int) -> Trajectory:
+        return Trajectory(self.followers[i], self.engagement[i], self.timescale, self.seed, int(self.run[i]),
+                          ClampCounter(*self.floored[i].tolist()))
+
+
+def simulate(coeffs: ModelCoefficients, timescale: Timescale, f0: float, e0: float, steps: int, runs: int,
+             seed: int) -> Trajectories:
+    """Iterate the two multiplicative processes forward, all runs at once, into one table of runs.
 
     Per step, from the current state (F, E): the engagement log-rate g is
     drawn from Laplace(mu(F,E), b(F,E)) and E <- E*exp(g); the follower
@@ -397,17 +407,14 @@ def simulate(
     followers, engagement = np.empty((runs, steps + 1)), np.empty((runs, steps + 1))
     f, e = np.full(runs, float(f0)), np.full(runs, float(e0))
     followers[:, 0], engagement[:, 0] = f, e
-    floored = np.zeros((3, runs), dtype=np.int64)  # b, c, k floor events per run
+    floored = np.zeros((runs, 3), dtype=np.int64)  # b, c, k floor events per run
     for step in range(1, steps + 1):
         f, e, low = _step(coeffs, timescale, f, e, u[2 * step - 2], u[2 * step - 1])
-        floored += low
+        floored += np.column_stack(low)
         if not ((0 < f) & (f < math.inf) & (0 < e) & (e < math.inf)).all():  # NaN fails too
             raise ValueError("simulation state must stay finite and positive")
         followers[:, step], engagement[:, step] = f, e
-    return [
-        Trajectory(followers[i], engagement[i], timescale, seed, i, ClampCounter(*floored[:, i].tolist()))
-        for i in range(runs)
-    ]
+    return Trajectories(timescale, seed, np.arange(runs), followers, engagement, floored)
 
 
 @dataclass
@@ -423,25 +430,22 @@ class StepSummary:
     se_norm_engagement: float
 
 
-def summarize_trajectories(trajectories: list[Trajectory]) -> list[StepSummary]:
+def summarize_trajectories(trajectories: Trajectories) -> list[StepSummary]:
     """Per-step cross-run means and standard errors.
 
-    Alongside raw levels, each trajectory is also normalized to its own
-    final value, giving the shape of the growth curve independent of the
-    level it reaches.
+    Alongside raw levels, each run is also normalized to its own final
+    value, giving the shape of the growth curve independent of the level it
+    reaches. The matrices are read C-contiguous: numpy's axis-0 sums follow the memory layout.
     """
-    if not trajectories:
+    if not len(trajectories):
         raise ValueError("no trajectories to summarize")
-    f = np.array([t.followers for t in trajectories])
-    e = np.array([t.engagement for t in trajectories])
+    f, e = (np.ascontiguousarray(a) for a in (trajectories.followers, trajectories.engagement))
     runs, steps = f.shape
-    f_norm = f / f[:, -1][:, None]
-    e_norm = e / e[:, -1][:, None]
 
     def _se(a):
         return a.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(steps)
 
-    columns = [(a, _se(a)) for a in (f, e, f_norm, e_norm)]
+    columns = [(a, _se(a)) for a in (f, e, f / f[:, -1:], e / e[:, -1:])]
     return [
         StepSummary(i, *(float(v) for a, se in columns for v in (a[:, i].mean(), se[i])))
         for i in range(steps)
@@ -488,14 +492,12 @@ def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
 TRAJECTORY_HEADER = ["run", "step", "followers", "engagement"]
 
 
-def write_trajectories_csv(trajectories: list[Trajectory], stream) -> None:
-    sizes = [t.followers.size for t in trajectories]
-    run = np.repeat([t.run_index for t in trajectories], sizes)
-    step = np.concatenate([np.arange(n) for n in sizes] or [np.zeros(0, dtype=np.int64)])
-    followers, engagement = (np.concatenate([getattr(t, name) for t in trajectories] or [np.zeros(0)])
-                             for name in ("followers", "engagement"))
-    _write_rows(stream, TRAJECTORY_HEADER, step.size, "%s,%s,%.12g,%.12g\n", lambda part: (
-        run[part].tolist(), step[part].tolist(), followers[part].tolist(), engagement[part].tolist()))
+def write_trajectories_csv(trajectories: Trajectories, stream) -> None:
+    runs, n = trajectories.followers.shape  # a row per (run, step)
+    columns = (np.repeat(trajectories.run, n), np.tile(np.arange(n), runs), trajectories.followers.ravel(),
+               trajectories.engagement.ravel())
+    _write_rows(stream, TRAJECTORY_HEADER, runs * n, "%s,%s,%.12g,%.12g\n",
+                lambda part: [c[part].tolist() for c in columns])
 
 
 SUMMARY_HEADER = [f.name for f in fields(StepSummary)]

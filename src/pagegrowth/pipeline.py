@@ -61,7 +61,7 @@ from .ingest import (
     parse_pages,
     parse_posts,
 )
-from .model import SIM_TIMESCALES, ModelCoefficients, ParamRegression, Trajectory, check_timescales, regress_parameters
+from .model import SIM_TIMESCALES, ModelCoefficients, ParamRegression, check_timescales, regress_parameters
 from .stats import (
     DegenerateSampleError,
     FitConvergenceError,
@@ -341,11 +341,13 @@ def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) ->
         fits.append((ln_f, ln_e, params))
     out = []
     for parameter in side.parameters:
-        if len(fits) > len(columns):  # at least one bin per regression coefficient
-            reg = regress_parameters(fits, parameter, scale)
-            out.append((reg, len(fits)))
-        else:
+        if len(fits) <= len(columns):  # at least one bin per regression coefficient
             warn(f"warning: {parameter}/{scale.value}: only {len(fits)} usable bins")
+            continue
+        try:
+            out.append((regress_parameters(fits, parameter, scale), len(fits)))
+        except _model.CollinearCovariatesError:  # skipped like too few bins
+            warn(f"warning: {parameter}/{scale.value}: collinear covariates")
     return out
 
 
@@ -356,7 +358,8 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
 
     Laplace (mu, b) on the log growth of the metric in 4x4 quartile bins of
     prior followers and prior engagement; Burr (c, k) on follower gross
-    growth in 8 quantile bins of prior followers. Raises
+    growth in 8 quantile bins of prior followers. A parameter short of bins,
+    or whose bins are collinear, is skipped with a warning. Raises
     DegenerateSampleError after the last timescale if nothing was fitted.
     """
     check_timescales(timescales, "model")
@@ -395,8 +398,8 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
 
 def simulate(*, coefficients: ModelCoefficients | None = None, timescales: tuple[Timescale, ...] = SIM_TIMESCALES,
              f0: tuple[float, ...] = (25_000, 250_000, 1_000_000), e0: float = 10_000.0, steps: int = 20,
-             runs: int = 1000, seed: int = 0) -> dict[tuple[Timescale, float], list[Trajectory]]:
-    """``model.simulate``'s runs of each (timescale, f0) pair, keyed by the pair, timescale by timescale.
+             runs: int = 1000, seed: int = 0) -> dict[tuple[Timescale, float], _model.Trajectories]:
+    """``model.simulate``'s table of runs of each (timescale, f0) pair, keyed by the pair, timescale by timescale.
 
     ``None`` means the built-in table. A timescale other than W, M and Q is
     refused by name, then every timescale the table lacks, before any pair runs.

@@ -944,6 +944,21 @@ class TestModelCmd:
         assert {r[0] for r in rows} == {"mu", "b", "c", "k"}
         assert all(math.isfinite(float(v)) for r in rows for v in r[2:] if v)
 
+    def test_collinear_regressions_are_skipped_with_a_warning(self, tmp_path, capsys):
+        # every page at 50,000 followers: each bin's mean ln followers is the same, so the
+        # Laplace regressions are collinear, and the Burr side has a single follower bin
+        result = generate(GeneratorConfig(n_pages=40, start=date(2018, 1, 1), end=date(2019, 7, 1)), seed=5)
+        result.posts.followers[result.posts.followers != ABSENT] = 50_000
+        write_files(result, tmp_path / "data")
+        argv = ["model", "--input", str(tmp_path / "data/posts.csv"), "--pages", str(tmp_path / "data/pages.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "collinear" in line] == [
+            f"warning: {p}/{s}: collinear covariates" for s in "WMQ" for p in ("mu", "b")]
+        assert err[-1] == "numerical error: no parameter regressions could be fitted"
+        assert not (tmp_path / "out/coefficients.csv").exists()
+
 
 # Runs in a fresh interpreter: imports pagegrowth.cli, runs all six commands,
 # and records which scipy modules are loaded before and after.

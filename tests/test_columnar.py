@@ -8,18 +8,22 @@ included, on random pages around awkward dates: before 1970 and after
 2038, ISO week 53 and year ends, Feb 29.
 """
 
+import copy
 import io
 import math
 import random
+from dataclasses import fields, replace
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagegrowth import growth, pipeline
+from pagegrowth import growth, model, pipeline
 from pagegrowth.aggregate import SeriesEntry, Timescale, Window, aggregate_dataset, aggregate_engagement
-from pagegrowth.growth import METRICS, GrowthSample, SkipReport, growth_samples, pooled_growth_samples
-from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
+from pagegrowth.growth import METRICS, GrowthSample, GrowthSamples, SkipReport, growth_samples, pooled_growth_samples
+from pagegrowth.ingest import Dataset, PageMeta, PostColumns, PostRecord, build_dataset
 from pagegrowth.model import SIM_TIMESCALES
 from pagegrowth.synth import GeneratorConfig, generate
 
@@ -282,3 +286,109 @@ def test_commands_build_no_sample_objects(monkeypatch):
     assert [result.scale for result in fitted] == list(SIM_TIMESCALES)
     assert sum(len(result.regressions) for result in fitted) > 0
     assert len(list(pipeline.cohort(dataset, warnings.append).tests)) == len(Timescale)
+
+
+
+# ---------------------------------------------------------------------------
+# the table protocol, which every columnar table takes from ingest._Table
+# ---------------------------------------------------------------------------
+
+def _protocol_case(kind):
+    """A table of ``kind``, its column names, a change to each header field, and its rows as
+    objects (a field tuple per run for ``runs``), or None where the table has no row object."""
+    records = [PostRecord("b", "b-1", _utc(2021, 1, 4, 9), 5, 2, 1, 2, followers_at_posting=7),
+               PostRecord("a", "a-1", _utc(2021, 1, 4, 12), 3),
+               PostRecord("a", "a-2", _utc(2021, 1, 5, 8), 4, followers_at_posting=9),
+               PostRecord("b", "b-2", _utc(2021, 1, 6, 10), 9)]
+    posts = PostColumns.from_records(records)
+    pages = {"page_ids": ["a", "c"]}
+    if kind == "posts":
+        columns = ["page", "post_id", "seconds", "total", "likes", "comments", "shares", "followers"]
+        return posts, columns, pages, records
+    cells = build_dataset(posts, {p: PageMeta(p, p, date(2020, 1, 1)) for p in "ab"})[0].cells
+    if kind == "cells":
+        return cells, ["page", "day", "engagement", "post_count", "first", "last", "observed"], pages, None
+    if kind == "windows":
+        return (aggregate_dataset(Dataset(cells, {}), Timescale.D),
+                ["page", "start", "end", "engagement", "post_count", "followers", "observed"],
+                {**pages, "timescale": Timescale.W}, None)
+    if kind == "samples":
+        rows = [GrowthSample(p, Timescale.W, date(2021, 1, d), "engagement", g, math.log(g), e, f)
+                for p, d, g, e, f in [("b", 11, 2.0, 10, 5), ("a", 18, 0.5, 20, None), ("b", 25, 1.5, 30, 7)]]
+        return (GrowthSamples.from_rows(rows),
+                ["page", "start", "gross_growth", "log_growth", "prior_engagement", "prior_followers", "observed"],
+                {**pages, "timescale": Timescale.M, "metric": "followers"}, rows)
+    runs = model.simulate(model.published_coefficients(), Timescale.W, 25_000, 10_000, steps=2, runs=3, seed=1)
+    rows = [(runs.followers[i].tolist(), runs.engagement[i].tolist(), Timescale.W, 1, i,
+             model.ClampCounter(*runs.floored[i].tolist())) for i in range(3)]
+    return runs, ["run", "followers", "engagement", "floored"], {"timescale": Timescale.M, "seed": 2}, rows
+
+
+TABLE_KINDS = ["posts", "cells", "windows", "samples", "runs"]
+
+
+def _row_values(table, columns):
+    return list(zip(*(getattr(table, name).tolist() for name in columns)))
+
+
+def _changed(value):
+    if isinstance(value, (bool, np.bool_)):
+        return not value
+    return value + "x" if isinstance(value, str) else value + 1
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_table_protocol(kind):
+    table, columns, header_changes, row_objects = _protocol_case(kind)
+    rows = _row_values(table, columns)
+    assert len(table) == len(rows) >= 3
+    assert [f.name for f in fields(table) if isinstance(getattr(table, f.name), np.ndarray)] == columns
+    texts = [name for name in columns if getattr(table, name).dtype == object]
+    assert texts == (["post_id"] if kind == "posts" else [])
+
+    # a slice, mask or index array selects the picked rows, in the picked order, under the same header
+    for key, picked in ((slice(1, None, 2), range(1, len(rows), 2)), (slice(0, 0), []),
+                        (np.arange(len(rows)) % 2 == 0, range(0, len(rows), 2)), (np.array([2, 0, 2]), [2, 0, 2])):
+        sub = table[key]
+        assert type(sub) is type(table)
+        assert all(getattr(sub, f.name) == getattr(table, f.name) for f in fields(table) if f.name not in columns)
+        assert len(sub) == len(picked) and _row_values(sub, columns) == [rows[i] for i in picked]
+
+    # equal: the same type, header fields and column values
+    assert table == copy.deepcopy(table) and not table != copy.deepcopy(table)
+    for name in columns:
+        other = copy.deepcopy(table)
+        getattr(other, name).flat[0] = _changed(getattr(other, name).flat[0])
+        assert table != other, name
+    for name, value in header_changes.items():
+        assert table != replace(table, **{name: value}), name
+    assert all(table != other for other in [*(_protocol_case(k)[0] for k in TABLE_KINDS if k != kind), rows, None])
+
+    # an int index builds the row object, where the table has one
+    if row_objects is None:
+        for index in (0, np.int64(0)):
+            with pytest.raises(TypeError):
+                table[index]
+        with pytest.raises(TypeError):
+            list(table)
+        return
+    def fields_of(row):  # a Trajectory compares by identity, so a run is compared field by field
+        if kind != "runs":
+            return row
+        return row.followers.tolist(), row.engagement.tolist(), row.timescale, row.seed, row.run_index, row.clamps
+    assert [fields_of(row) for row in table] == row_objects
+    assert [fields_of(table[i]) for i in (0, np.int64(1), -1)] == [row_objects[i] for i in (0, 1, -1)]
+    assert [fields_of(row) for row in table[::-2]] == row_objects[::-2]
+
+
+def test_simulate_builds_no_run_objects(monkeypatch):
+    """simulate, its summary and its trajectory file work on the runs table alone: no run is built."""
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a Trajectory was built")
+
+    monkeypatch.setattr(model, "Trajectory", no_runs)
+    tables = pipeline.simulate(steps=3, runs=5, seed=2)
+    for table in tables.values():
+        model.write_trajectories_csv(table, io.StringIO())
+        assert len(model.summarize_trajectories(table)) == 4
+    assert sorted(len(table) for table in tables.values()) == [5] * 9

@@ -36,7 +36,7 @@ from pagegrowth.model import (
     SUMMARY_HEADER,
     TRAJECTORY_HEADER,
     StepSummary,
-    Trajectory,
+    Trajectories,
     write_summary_csv,
     write_trajectories_csv,
 )
@@ -329,10 +329,13 @@ def _growth_case(draw):
 
 @st.composite
 def _trajectories_case(draw):
-    runs = draw(st.lists(st.tuples(st.integers(0, 10**6), st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1,
-                                                                      max_size=6)), max_size=5))
-    trajectories = [Trajectory(np.array([f for f, _ in states]), np.array([e for _, e in states]), Timescale.W, 0, run)
-                    for run, states in runs]
+    steps = draw(st.integers(1, 6))  # every run of a simulation holds the same number of states
+    run_states = st.lists(st.tuples(POSITIVE, POSITIVE), min_size=steps, max_size=steps)
+    runs = draw(st.lists(st.tuples(st.integers(0, 10**6), run_states), max_size=5))
+    followers, engagement = (np.array([[s[k] for s in states] for _, states in runs], dtype=float).reshape(-1, steps)
+                             for k in (0, 1))
+    trajectories = Trajectories(Timescale.W, 0, np.array([run for run, _ in runs], dtype=np.int64), followers,
+                                engagement, np.zeros((len(runs), 3), dtype=np.int64))
     expected = [[run, step, format(f, ".12g"), format(e, ".12g")]
                 for run, states in runs for step, (f, e) in enumerate(states)]
     return write_trajectories_csv, trajectories, TRAJECTORY_HEADER, expected
