@@ -26,7 +26,6 @@ them, and each follower rule is a sort key whose first observed cell wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from typing import Sequence
@@ -34,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import (EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
-                     _quoted, _Table, _write_rows)
+                     _quoted, _Record, _Table, _write_rows)
 
 
 class Timescale(Enum):
@@ -51,8 +50,7 @@ class Timescale(Enum):
             raise ValueError(f"unknown timescale {text!r} (use D, W, M or Q)")
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Record, frozen=True):
     """Half-open calendar interval [start, end) at one timescale."""
 
     timescale: Timescale
@@ -90,8 +88,7 @@ def window_of(ts: datetime | date, scale: Timescale) -> Window:
     return Window(scale, _day_date(int(start[0])), _day_date(int(end[0])))
 
 
-@dataclass(frozen=True)
-class SeriesEntry:
+class SeriesEntry(_Record, frozen=True):
     window: Window
     engagement: int
     mean_engagement: float
@@ -99,7 +96,6 @@ class SeriesEntry:
     followers: int | None
 
 
-@dataclass(eq=False)
 class AggregatedSeries(_Table):
     """The windows of every page at one timescale, one array element per window, in (page_id, start) order.
 

@@ -13,14 +13,13 @@ ask whether the matched reliable pages out-engage the questionable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
 from .aggregate import AggregatedSeries
 from .growth import pooled_growth_samples
-from .ingest import PageMeta, _write_table
+from .ingest import PageMeta, _Record, _write_table
 from .stats import DegenerateSampleError, TestResult, mann_whitney
 
 RELIABLE_THRESHOLD = 60.0
@@ -30,8 +29,7 @@ class MatchInfeasibleError(ValueError):
     """Reliable pool smaller than the questionable cohort."""
 
 
-@dataclass(frozen=True)
-class ReliabilityLabel:
+class ReliabilityLabel(_Record, frozen=True):
     page_id: str
     score: float
     label: str  # "reliable" | "questionable"
@@ -42,8 +40,7 @@ class ReliabilityLabel:
             raise ValueError(f"label {self.label!r} inconsistent with score {self.score}")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(_Record, frozen=True):
     """One-to-one pairing of each questionable page with a reliable page."""
 
     pairs: list[tuple[str, str]]  # (questionable_id, reliable_id), sorted

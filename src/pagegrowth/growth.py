@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL, _coded, _counts, _day_date, _quoted, _Table, _write_rows
+from .ingest import EPOCH_ORDINAL, _coded, _counts, _day_date, _quoted, _Record, _Table, _write_rows
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -31,8 +30,7 @@ class DegenerateBinningError(ValueError):
     """Too few distinct covariate values to form the requested bins."""
 
 
-@dataclass(frozen=True)
-class GrowthSample:
+class GrowthSample(_Record, frozen=True):
     """One multiplicative growth observation between adjacent windows.
 
     ``window_start`` is the start of the later window (the one whose
@@ -49,7 +47,6 @@ class GrowthSample:
     prior_followers: int | None = None
 
 
-@dataclass(eq=False)
 class GrowthSamples(_Table):
     """Growth samples of one metric at one timescale, one array element per sample.
 
@@ -89,8 +86,7 @@ class GrowthSamples(_Table):
                    *(np.array(c, dtype=t) for c, t in columns))
 
 
-@dataclass
-class SkipReport:
+class SkipReport(_Record):
     """Degenerate adjacent pairs that produced no sample."""
 
     zero_value: int = 0
@@ -101,8 +97,7 @@ class SkipReport:
         return self.zero_value + self.missing_followers
 
 
-@dataclass(frozen=True)
-class SizeClass:
+class SizeClass(_Record, frozen=True):
     """Follower bin, lower-inclusive / upper-exclusive."""
 
     label: str

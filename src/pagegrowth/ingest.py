@@ -46,7 +46,8 @@ sliced from the block's text, decoded once. ``build_dataset`` reduces the
 joined table to one cell per (page, UTC day) (``DayCells``), all a
 ``Dataset`` holds besides the page metadata. Both tables, like the later
 ones, take length, equality and row selection from ``_Table``; an int
-index builds a post as a ``PostRecord``, only on request.
+index builds a post as a ``PostRecord``, only on request. Every record and
+table class takes construction, equality, hashing and repr from ``_Record``.
 
 Output format
 -------------
@@ -66,10 +67,10 @@ and ``str()`` give: CPython formats a float for ``%.12g`` and for
 from __future__ import annotations
 
 import gc
+import inspect
 import io
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -113,8 +114,77 @@ class NoUsableDataError(FatalParseError):
     """Every row was rejected or the input was empty."""
 
 
-@dataclass(frozen=True)
-class PostRecord:
+class _Factory:
+    """A field default made anew for each instance by calling ``make``."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+class _Record:
+    """A class's fields are its annotations, in order, and a field's default is the class attribute of its name
+    (a ``_Factory`` one is made anew per instance). The base constructs by position or keyword, then calls
+    ``__post_init__``; equal records share type and field values; ``repr`` lists the fields. A subclass declared
+    ``frozen=True`` refuses assignment and hashes its field values. Its methods are compiled once, with this
+    module, not per class; ``_fields`` names the fields and ``_replace`` copies a record with some changed."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = dict(getattr(cls, "__signature__", inspect.Signature()).parameters)  # the base's, then its own
+        for name, kind in cls.__dict__.get("__annotations__", {}).items():
+            fields[name] = inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=kind,
+                                             default=cls.__dict__.get(name, inspect.Parameter.empty))
+        cls.__signature__ = inspect.Signature(list(fields.values()), return_annotation=None)  # for help()
+        cls._fields = tuple(fields)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+            if cls.__eq__ is _Record.__eq__:
+                cls.__hash__ = _Record._hash_values
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._arguments(args, kwargs)
+        self.__dict__.update(zip(cls._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from a call that does not give each by position."""
+        given = cls.__signature__.bind(*args, **kwargs).arguments  # a TypeError where a call would raise one
+        return [given[name] if name in given else field.default.make() if type(field.default) is _Factory
+                else field.default for name, field in cls.__signature__.parameters.items()]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def _hash_values(self) -> int:
+        return hash(self._values())
+
+    def _refuse(self, name: str, *value) -> None:  # a frozen record's __setattr__ and __delattr__
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class PostRecord(_Record, frozen=True):
     """One post. Component counts are absent (None), never zero-filled,
     when the source row only carries the total."""
 
@@ -128,8 +198,7 @@ class PostRecord:
     followers_at_posting: int | None = None
 
 
-@dataclass(frozen=True)
-class PageMeta:
+class PageMeta(_Record, frozen=True):
     page_id: str
     name: str
     created_at: date
@@ -137,17 +206,15 @@ class PageMeta:
     language: str | None = None
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(_Record, frozen=True):
     line: int
     reason: str
 
 
-@dataclass
-class RejectionReport:
+class RejectionReport(_Record):
     """Quarantine for rows that failed validation."""
 
-    rows: list[RejectedRow] = field(default_factory=list)
+    rows: list[RejectedRow] = _Factory(list)
 
     def add(self, line: int, reason: str) -> None:
         self.rows.append(RejectedRow(line, reason))
@@ -187,14 +254,14 @@ def _sum_exceeds(values: np.ndarray, limit: int) -> bool:
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum()) > limit
 
 
-class _Table:
-    """Equal-length numpy columns (the dataclass fields holding an ``np.ndarray``, a row per element along the
-    first axis) beside header fields (every other field). Equal tables share type, header and column values. A
-    slice, mask or index array selects a sub-table with the same header; an int index (so iteration too) builds
-    the row object ``_row`` gives, or raises TypeError where the table has none."""
+class _Table(_Record):
+    """Equal-length numpy columns (the fields holding an ``np.ndarray``, a row per element along the first axis)
+    beside header fields (every other field). Equal tables share type, header and column values. A slice, mask or
+    index array selects a sub-table with the same header; an int index (so iteration too) builds the row object
+    ``_row`` gives, or raises TypeError where the table has none. Tables are unhashable."""
 
     def _columns(self) -> list[str]:
-        return [f.name for f in fields(self) if isinstance(getattr(self, f.name), np.ndarray)]
+        return [name for name in self._fields if isinstance(getattr(self, name), np.ndarray)]
 
     def __len__(self) -> int:
         return len(getattr(self, self._columns()[0]))
@@ -202,20 +269,19 @@ class _Table:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        pairs = zip(self._values(), other._values())
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return self._row(int(key))
-        return replace(self, **{name: getattr(self, name)[key] for name in self._columns()})
+        return self._replace(**{name: getattr(self, name)[key] for name in self._columns()})
 
     def _row(self, i: int):
         raise TypeError(f"{type(self).__name__} rows are not objects: select a sub-table with a slice, mask or array")
 
 
-@dataclass(frozen=True, eq=False)
-class PostColumns(_Table):
+class PostColumns(_Table, frozen=True):
     """Posts as parallel arrays, one element per post.
 
     ``page`` indexes ``page_ids``, the sorted ids of the pages that have
@@ -280,8 +346,7 @@ class PostColumns(_Table):
         return rows[order]
 
 
-@dataclass(frozen=True, eq=False)
-class DayCells(_Table):
+class DayCells(_Table, frozen=True):
     """Posts as one cell per (page, UTC day) with posts, sorted by (page_id, day): ``page`` indexes
     ``page_ids`` and ``day`` counts from 1970-01-01. A cell holds its posts' total_interactions summed, their
     number, and the followers of its first and last observed post in (seconds, post_id) order (0 unless ``observed``).
@@ -323,8 +388,7 @@ def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:
     return DayCells(page_ids, page, day, engagement, count, first, last, observed)
 
 
-@dataclass
-class Dataset:
+class Dataset(_Record):
     """Validated posts as (page, day) cells, and page metadata."""
 
     cells: DayCells
@@ -371,8 +435,7 @@ _BLOCK_BYTES = 1 << 17  # bytes read and tokenized at a time, besides a record c
 _FIELD_LIMIT = 131_072  # characters in one field, the csv module's default limit
 
 
-@dataclass(frozen=True)
-class _Fields:
+class _Fields(_Record, frozen=True):
     """Fields as slices of one text: character offsets into ``text`` for the values,
     byte offsets into its UTF-8 ``data`` for the column checks."""
 
@@ -565,7 +628,7 @@ def _csv_blocks(source: BinaryIO | bytes | str, header: list[str], what: str):
                 raise FatalParseError(f"malformed {what} header: expected {','.join(header)}, got {','.join(got)}")
             seen_header = True
             skip = widths[0]
-            fields = replace(fields, starts=fields.starts[skip:], ends=fields.ends[skip:],
+            fields = fields._replace(starts=fields.starts[skip:], ends=fields.ends[skip:],
                              char_starts=fields.char_starts[skip:], char_ends=fields.char_ends[skip:])
             lines, widths = lines[1:], widths[1:]
         if widths.size:

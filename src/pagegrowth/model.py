@@ -21,14 +21,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
 from typing import BinaryIO
 
 import numpy as np
 
 from . import rules
 from .aggregate import Timescale
-from .ingest import _csv_rows, _Table, _write_rows, _write_table
+from .ingest import _csv_rows, _Factory, _Record, _Table, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -49,8 +48,7 @@ def check_timescales(scales, command: str) -> None:
         raise ValueError(f"{command} supports W, M, Q timescales, not {', '.join(unsupported)}")
 
 
-@dataclass(frozen=True)
-class ParamRegression:
+class ParamRegression(_Record, frozen=True):
     """Linear map for one distribution parameter at one timescale.
 
     beta2 (the ln-engagement term) exists only for the Laplace
@@ -88,11 +86,10 @@ class ParamRegression:
         return value
 
 
-@dataclass
-class ModelCoefficients:
+class ModelCoefficients(_Record):
     """Complete (parameter, timescale) -> ParamRegression table."""
 
-    entries: dict[tuple[str, str], ParamRegression] = field(default_factory=dict)
+    entries: dict[tuple[str, str], ParamRegression] = _Factory(dict)
 
     def add(self, reg: ParamRegression) -> None:
         self.entries[(reg.parameter, reg.timescale.value)] = reg
@@ -248,8 +245,7 @@ def regress_parameters(binned_fits, parameter: str, timescale: Timescale) -> Par
     )
 
 
-@dataclass
-class ClampCounter:
+class ClampCounter(_Record):
     """Audit trail for parameter evaluations pushed back into range."""
 
     b_floored: int = 0
@@ -333,8 +329,7 @@ def sample_burr(p: BurrParams, rng: np.random.Generator) -> float:
     return float(burr_ppf(_uniform_open(rng), p))
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(_Record, frozen=True):
     followers: float
     engagement: float
     step: int
@@ -345,8 +340,7 @@ class SimState:
             raise ValueError("simulation state must stay positive")
 
 
-@dataclass(eq=False)
-class Trajectory:
+class Trajectory(_Record):
     """One run: followers[s] and engagement[s] are the state after s steps."""
 
     followers: np.ndarray
@@ -354,7 +348,9 @@ class Trajectory:
     timescale: Timescale
     seed: int
     run_index: int
-    clamps: ClampCounter = field(default_factory=ClampCounter)
+    clamps: ClampCounter
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # runs compare by identity
 
     @property
     def states(self) -> list[SimState]:
@@ -363,7 +359,6 @@ class Trajectory:
         return [SimState(f, e, step, self.timescale) for step, (f, e) in pairs]
 
 
-@dataclass(eq=False)
 class Trajectories(_Table):
     """Runs of one (timescale, f0) pair, a row per run: ``run`` its index, ``followers[i, s]`` and ``engagement[i, s]``
     its state after s steps, ``floored[i]`` its b, c and k floor events. An int index builds a ``Trajectory``."""
@@ -417,8 +412,7 @@ def simulate(coeffs: ModelCoefficients, timescale: Timescale, f0: float, e0: flo
     return Trajectories(timescale, seed, np.arange(runs), followers, engagement, floored)
 
 
-@dataclass
-class StepSummary:
+class StepSummary(_Record):
     step: int
     mean_followers: float
     se_followers: float
@@ -500,7 +494,7 @@ def write_trajectories_csv(trajectories: Trajectories, stream) -> None:
                 lambda part: [c[part].tolist() for c in columns])
 
 
-SUMMARY_HEADER = [f.name for f in fields(StepSummary)]
+SUMMARY_HEADER = list(StepSummary._fields)
 
 
 def write_summary_csv(summaries: list[StepSummary], stream) -> None:

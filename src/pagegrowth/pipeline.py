@@ -17,7 +17,6 @@ on just the flags given.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +56,7 @@ from .ingest import (
     _csv_rows,
     _day_date,
     _opt_count,
+    _Record,
     build_dataset,
     parse_pages,
     parse_posts,
@@ -165,8 +165,7 @@ def aggregate(dataset: Dataset, *, timescales: tuple[Timescale, ...] = tuple(Tim
 # analyze
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatrixBlock:
+class MatrixBlock(_Record):
     """Pairwise class tests of one metric's growth under one binning."""
 
     metric: str
@@ -183,8 +182,7 @@ class MatrixBlock:
         ]
 
 
-@dataclass
-class ScaleAnalysis:
+class ScaleAnalysis(_Record):
     """What ``analyze`` finds at one timescale."""
 
     scale: Timescale
@@ -278,8 +276,7 @@ def _analyze_scale(series, scale: Timescale, classes, metric, trim_bounds, trim_
 # model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BinnedFits:
+class _BinnedFits(_Record, frozen=True):
     """One distribution's side of ``model``: how its samples are binned and fitted."""
 
     parameters: tuple[str, ...]  # regressed on the mean log covariates of the bins
@@ -290,8 +287,7 @@ class _BinnedFits:
     fit: Callable[[GrowthSamples], object]
 
 
-@dataclass
-class ScaleModel:
+class ScaleModel(_Record):
     """Parameter regressions ``model`` fitted at one timescale."""
 
     scale: Timescale
@@ -416,8 +412,7 @@ def simulate(*, coefficients: ModelCoefficients | None = None, timescales: tuple
 # cohort
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Cohort:
+class Cohort(_Record):
     """Reliability labels, the matched sample, and the tests still to run."""
 
     labels: list[ReliabilityLabel]

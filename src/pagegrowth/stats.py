@@ -19,10 +19,11 @@ is its negated reverse). NaN is refused, as an empty sample is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .ingest import _Record
 
 EXACT_MAX_PRODUCT = 400
 
@@ -44,8 +45,7 @@ class FitConvergenceError(RuntimeError):
         self.objective = objective
 
 
-@dataclass(frozen=True)
-class LaplaceParams:
+class LaplaceParams(_Record, frozen=True):
     """Location/scale of the double-exponential density."""
 
     mu: float
@@ -56,8 +56,7 @@ class LaplaceParams:
             raise ValueError("Laplace scale b must be positive")
 
 
-@dataclass(frozen=True)
-class BurrParams:
+class BurrParams(_Record, frozen=True):
     """Shape parameters of the Burr XII density ck x^(c-1) / (1+x^c)^(k+1)."""
 
     c: float
@@ -71,8 +70,7 @@ class BurrParams:
         return (2.0 ** (1.0 / self.k) - 1.0) ** (1.0 / self.c)
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(_Record, frozen=True):
     u_statistic: float
     p_value: float
     alternative: str  # "greater" | "two-sided"
@@ -529,8 +527,7 @@ def mann_whitney(x, y, alternative: str = "two-sided", method: str = "auto") -> 
 # Class test matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixCell:
+class MatrixCell(_Record, frozen=True):
     """One pairwise comparison; ``row`` is the smaller class."""
 
     row: str

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import Timescale, window_of
-from .ingest import MAX_COUNT, PageMeta, PostColumns, _page_codes, write_pages_csv, write_posts_csv
+from .ingest import MAX_COUNT, PageMeta, PostColumns, _page_codes, _Record, write_pages_csv, write_posts_csv
 from .model import ModelCoefficients, ParamRegression, _open_uniforms, _step
 
 LANGUAGES = ("en", "fr", "de", "it")
@@ -63,8 +62,7 @@ def gibrat_null_coefficients(
     return coeffs
 
 
-@dataclass
-class GeneratorConfig:
+class GeneratorConfig(_Record):
     n_pages: int = 50
     start: date = date(2018, 1, 1)
     end: date = date(2020, 1, 1)  # exclusive
@@ -90,11 +88,10 @@ class GeneratorConfig:
             raise ValueError("coefficient table lacks timescale W")  # the law steps weekly
 
 
-@dataclass
-class SynthResult:
+class SynthResult(_Record):
     posts: PostColumns  # page by page in page order, each page's in time order
     pages: dict[str, PageMeta]
-    truth: dict = field(default_factory=dict)
+    truth: dict
 
 
 def _page_posts(rng, followers, engagement, week_seconds, posts_per_day) -> tuple[np.ndarray, ...]:

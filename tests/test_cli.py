@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import inspect
 import json
 import math
@@ -306,7 +305,7 @@ def test_setting_flags_are_the_library_keywords_without_a_default(command):
     kept = {"help", "input", "pages", "out", *(["seed"] if command == "synth" else [])}
     settings = [a for a in _actions(command) if a.dest not in kept]
     if command == "synth":
-        assert {a.dest for a in settings} <= {f.name for f in dataclasses.fields(GeneratorConfig)}
+        assert {a.dest for a in settings} <= set(GeneratorConfig._fields)
     else:
         params = inspect.signature(_LIBRARY_CALLS[command]).parameters.values()
         assert {a.dest for a in settings} == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
@@ -1007,6 +1006,17 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert any(r["distribution"] == "burr" for r in rows("analyze/fits.csv"))
     assert {"c", "k"} <= {r["parameter"] for r in rows("model/coefficients.csv")}
     assert rows("cohort/matches.csv")
+
+
+def test_importing_the_cli_compiles_no_dataclasses():
+    # every record takes its methods from ingest._Record, compiled once with the module;
+    # a dataclass would compile its generated methods from source text at every start
+    src = str(Path(pagegrowth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "import sys, pagegrowth.cli; print('dataclasses' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_no_module_imports_csv():

@@ -9,10 +9,11 @@ included, on random pages around awkward dates: before 1970 and after
 """
 
 import copy
+import dataclasses
+import inspect
 import io
 import math
 import random
-from dataclasses import fields, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagegrowth import growth, model, pipeline
+from pagegrowth import aggregate, cohort, growth, ingest, model, pipeline, stats, synth
 from pagegrowth.aggregate import SeriesEntry, Timescale, Window, aggregate_dataset, aggregate_engagement
 from pagegrowth.growth import METRICS, GrowthSample, GrowthSamples, SkipReport, growth_samples, pooled_growth_samples
 from pagegrowth.ingest import Dataset, PageMeta, PostColumns, PostRecord, build_dataset
@@ -342,7 +343,7 @@ def test_table_protocol(kind):
     table, columns, header_changes, row_objects = _protocol_case(kind)
     rows = _row_values(table, columns)
     assert len(table) == len(rows) >= 3
-    assert [f.name for f in fields(table) if isinstance(getattr(table, f.name), np.ndarray)] == columns
+    assert [name for name in table._fields if isinstance(getattr(table, name), np.ndarray)] == columns
     texts = [name for name in columns if getattr(table, name).dtype == object]
     assert texts == (["post_id"] if kind == "posts" else [])
 
@@ -351,7 +352,7 @@ def test_table_protocol(kind):
                         (np.arange(len(rows)) % 2 == 0, range(0, len(rows), 2)), (np.array([2, 0, 2]), [2, 0, 2])):
         sub = table[key]
         assert type(sub) is type(table)
-        assert all(getattr(sub, f.name) == getattr(table, f.name) for f in fields(table) if f.name not in columns)
+        assert all(getattr(sub, name) == getattr(table, name) for name in table._fields if name not in columns)
         assert len(sub) == len(picked) and _row_values(sub, columns) == [rows[i] for i in picked]
 
     # equal: the same type, header fields and column values
@@ -361,7 +362,7 @@ def test_table_protocol(kind):
         getattr(other, name).flat[0] = _changed(getattr(other, name).flat[0])
         assert table != other, name
     for name, value in header_changes.items():
-        assert table != replace(table, **{name: value}), name
+        assert table != table._replace(**{name: value}), name
     assert all(table != other for other in [*(_protocol_case(k)[0] for k in TABLE_KINDS if k != kind), rows, None])
 
     # an int index builds the row object, where the table has one
@@ -379,6 +380,186 @@ def test_table_protocol(kind):
     assert [fields_of(row) for row in table] == row_objects
     assert [fields_of(table[i]) for i in (0, np.int64(1), -1)] == [row_objects[i] for i in (0, 1, -1)]
     assert [fields_of(row) for row in table[::-2]] == row_objects[::-2]
+
+
+# ---------------------------------------------------------------------------
+# ingest._Record, which every record and table takes construction, equality,
+# hashing and repr from, against a dataclasses twin of each class
+# ---------------------------------------------------------------------------
+
+def _col(*values):
+    return np.array(values)
+
+
+_NAN = math.nan  # one object: a record holding it still equals itself, as a field tuple does
+_WINDOW = Window(Timescale.W, date(2021, 1, 4), date(2021, 1, 11))
+_RESULT = stats.TestResult(12.0, _NAN, "greater", 5, 6, "exact")
+_CELLS = ingest.DayCells(["a"], _col(0), _col(18631), _col(5), _col(1), _col(7), _col(7), _col(True))
+_SAMPLES = GrowthSamples(Timescale.W, "engagement", ["a"], _col(0), _col(18637), _col(2.0), _col(math.log(2.0)),
+                         _col(10), _col(5), _col(True))
+_MU = model.ParamRegression("mu", Timescale.W, 0.1, -0.01, 0.002, (0.5, 0.1, 0.2), 0.3, (0.1, 0.2, 0.3))
+_POSTS = PostColumns(["a"], _col(0), np.array(["a-1"], dtype=object), _col(1609750800), _col(5), _col(2), _col(-1),
+                     _col(-1), _col(7))
+_MATCH = cohort.MatchResult([("q", "r")], [0.5], 0.5, "assignment")
+
+# each class: the flags its @dataclass decorator had, and one argument per field
+RECORD_CASES = {
+    PostRecord: ({"frozen": True}, ("a", "a-1", _utc(2021, 1, 4, 9), 5, 2, None, 1, 7)),
+    PageMeta: ({"frozen": True}, ("a", "Page A", date(2020, 1, 1), 61.5, "en")),
+    ingest.RejectedRow: ({"frozen": True}, (3, "bad count")),
+    ingest.RejectionReport: ({}, ([ingest.RejectedRow(3, "bad count")],)),
+    PostColumns: ({"frozen": True, "eq": False}, tuple(vars(_POSTS).values())),
+    ingest.DayCells: ({"frozen": True, "eq": False}, tuple(vars(_CELLS).values())),
+    Dataset: ({}, (_CELLS, {"a": PageMeta("a", "Page A", date(2020, 1, 1))})),
+    ingest._Fields: ({"frozen": True}, ("ab", np.frombuffer(b"ab", dtype=np.uint8), _col(0), _col(1), _col(0), _col(1))),
+    Window: ({"frozen": True}, (Timescale.W, date(2021, 1, 4), date(2021, 1, 11))),
+    SeriesEntry: ({"frozen": True}, (_WINDOW, 10, 5.0, 2, None)),
+    aggregate.AggregatedSeries: ({"eq": False}, (["a"], Timescale.W, _col(0), _col(18631), _col(18638), _col(10),
+                                                 _col(2), _col(0), _col(False))),
+    GrowthSample: ({"frozen": True}, ("a", Timescale.W, date(2021, 1, 11), "engagement", 2.0, 0.69, 10, 5)),
+    GrowthSamples: ({"eq": False}, tuple(vars(_SAMPLES).values())),
+    SkipReport: ({}, (1, 2)),
+    growth.SizeClass: ({"frozen": True}, ("10K-50K", 10_000, 50_000)),
+    model.ParamRegression: ({"frozen": True}, tuple(vars(_MU).values())),
+    model.ModelCoefficients: ({}, ({("mu", "W"): _MU},)),
+    model.ClampCounter: ({}, (1, 2, 3)),
+    model.SimState: ({"frozen": True}, (25_000.0, 10_000.0, 0, Timescale.W)),
+    model.Trajectory: ({"eq": False}, (_col(1.0, 2.0), _col(3.0, 4.0), Timescale.W, 1, 0, model.ClampCounter())),
+    model.Trajectories: ({"eq": False}, (Timescale.W, 1, _col(0), np.ones((1, 2)), np.ones((1, 2)),
+                                         np.zeros((1, 3), dtype=np.int64))),
+    model.StepSummary: ({}, (1, 1.0, 0.1, 2.0, 0.2, 0.5, 0.05, 0.6, 0.06)),
+    stats.LaplaceParams: ({"frozen": True}, (0.0, 1.0)),
+    stats.BurrParams: ({"frozen": True}, (2.0, 3.0)),
+    stats.TestResult: ({"frozen": True}, (12.0, _NAN, "greater", 5, 6, "exact")),
+    stats.MatrixCell: ({"frozen": True}, ("10K-50K", "50K-150K", "greater", _RESULT, None)),
+    cohort.ReliabilityLabel: ({"frozen": True}, ("a", 75.0, "reliable")),
+    cohort.MatchResult: ({"frozen": True}, ([("q", "r")], [0.5], 0.5, "assignment")),
+    pipeline.MatrixBlock: ({}, ("engagement", "followers", [stats.MatrixCell("a", "b", "greater", _RESULT)])),
+    pipeline.ScaleAnalysis: ({}, (Timescale.W, _SAMPLES, [], [["laplace"]], _RESULT)),
+    pipeline._BinnedFits: ({"frozen": True}, (("mu", "b"), ("prior_followers",), 4, 10, 20, len)),
+    pipeline.ScaleModel: ({}, (Timescale.W, [_MU], [["mu"]])),
+    pipeline.Cohort: ({}, ([cohort.ReliabilityLabel("a", 75.0, "reliable")], _MATCH, {"a": (1.0, 2.0)}, iter(()))),
+    GeneratorConfig: ({}, (3, date(2018, 1, 1), date(2018, 3, 1), 1.5, None, (1e4, 1e5), (1e3, 1e4), 0.5)),
+    synth.SynthResult: ({}, (_POSTS, {}, {"a": 1})),
+}
+
+# arguments that each class's __post_init__ refuses
+POST_INIT_REFUSALS = [
+    (model.SimState, (0.0, 10_000.0, 0, Timescale.W)),
+    (stats.BurrParams, (0.0, 3.0)),
+    (stats.LaplaceParams, (0.0, 0.0)),
+    (Window, (Timescale.W, date(2021, 1, 11), date(2021, 1, 4))),
+    (growth.SizeClass, ("empty", 10, 10)),
+    (cohort.ReliabilityLabel, ("a", 75.0, "questionable")),
+    (model.ParamRegression, ("c", Timescale.W, 0.1, 0.2, 0.3, (0.5,))),
+    (GeneratorConfig, (0,)),
+]
+
+
+def _records(base=ingest._Record):
+    for sub in base.__subclasses__():
+        if sub.__module__.startswith("pagegrowth."):
+            yield from ([sub] if sub._fields else []) + list(_records(sub))
+
+
+def _twin(cls):
+    """A dataclass with ``cls``'s declared fields, defaults and decorator flags, over its bases other than _Record."""
+    flags = RECORD_CASES[cls][0]
+    specs = []
+    for name, kind in vars(cls)["__annotations__"].items():
+        default = vars(cls).get(name, dataclasses.MISSING)
+        made = isinstance(default, ingest._Factory)
+        specs.append((name, kind, dataclasses.field(default_factory=default.make) if made else
+                      dataclasses.field(default=default)))
+    bases = tuple(base for base in cls.__bases__ if base is not ingest._Record)
+    namespace = {"__post_init__": vars(cls)["__post_init__"]} if "__post_init__" in vars(cls) else {}
+    return dataclasses.make_dataclass(cls.__name__, specs, bases=bases, namespace=namespace, **flags)
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+def test_every_record_has_an_oracle_case():
+    assert sorted(_records(), key=repr) == sorted(RECORD_CASES, key=repr)
+    assert len(RECORD_CASES) == 35
+
+
+@pytest.mark.parametrize("cls", RECORD_CASES, ids=lambda cls: cls.__qualname__)
+def test_record_base_against_dataclasses(cls):
+    flags, args = RECORD_CASES[cls]
+    twin = _twin(cls)
+    names = [f.name for f in dataclasses.fields(twin)]
+    required = [f.name for f in dataclasses.fields(twin)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    assert list(cls._fields) == names and len(args) == len(names)
+    ours, theirs = (list(inspect.signature(c).parameters.values()) for c in (cls, twin.__init__))
+    assert [str(p) for p in ours] == [str(p) for p in theirs[1:]]
+
+    def values(record):
+        return [getattr(record, name) for name in names]
+
+    # positional, keyword and default construction give the same fields, repr and (for frozen) hash
+    for build in (lambda c: c(*args), lambda c: c(**dict(zip(names, args))), lambda c: c(*args[:len(required)])):
+        record, twin_record = build(cls), build(twin)
+        assert all(a is b or a == b for a, b in zip(values(record), values(twin_record)))
+        assert repr(record).startswith(cls.__qualname__ + "(")
+        assert repr(record).partition("(")[2] == repr(twin_record).partition("(")[2]
+    for bad in (lambda c: c(*args, None), lambda c: c(*args, no_such_field=1), lambda c: c(*args, **{names[0]: args[0]}),
+                *([lambda c: c(*args[:len(required) - 1])] if required else [])):
+        for c in (cls, twin):
+            with pytest.raises(TypeError):
+                bad(c)
+
+    # equality within a type, and hashing
+    a, b, t, u = cls(*args), cls(*args), twin(*args), twin(*args)
+    assert _outcome(lambda: a == b) == _outcome(lambda: t == u)
+    assert _outcome(lambda: a != b) == _outcome(lambda: t != u)
+    assert not a == t and a != t and a != None  # noqa: E711
+    assert (cls.__hash__ is None) == (twin.__hash__ is None)
+    if cls.__hash__ is not None:
+        assert _outcome(lambda: hash(a) == hash(b)) == _outcome(lambda: hash(t) == hash(u))
+        if flags.get("frozen"):
+            assert _outcome(lambda: hash(a)) == _outcome(lambda: hash(t))
+
+    # a frozen record refuses assignment and deletion; the others take both
+    for record in (a, t):
+        if flags.get("frozen"):
+            with pytest.raises(AttributeError):
+                setattr(record, names[0], args[0])
+            with pytest.raises(AttributeError):
+                delattr(record, names[0])
+        else:
+            setattr(record, names[0], args[-1])
+            assert getattr(record, names[0]) is args[-1]
+
+    # a container default is made anew for every instance
+    for name in [f.name for f in dataclasses.fields(twin) if f.default_factory is not dataclasses.MISSING]:
+        for c in (cls, twin):
+            first, second = c(*args[:len(required)]), c(*args[:len(required)])
+            assert getattr(first, name) is not getattr(second, name) and not getattr(first, name)
+
+
+@pytest.mark.parametrize("cls, args", POST_INIT_REFUSALS, ids=lambda case: getattr(case, "__qualname__", ""))
+def test_record_post_init_refusals_match_dataclasses(cls, args):
+    with pytest.raises(ValueError) as ours:
+        cls(*args)
+    with pytest.raises(ValueError) as theirs:
+        _twin(cls)(*args)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_record_replace_builds_a_checked_copy():
+    label = cohort.ReliabilityLabel("a", 75.0, "reliable")
+    assert label._replace(score=80.0) == cohort.ReliabilityLabel("a", 80.0, "reliable")
+    assert label == cohort.ReliabilityLabel("a", 75.0, "reliable")
+    with pytest.raises(ValueError):
+        label._replace(score=10.0)  # __post_init__ runs on the copy
+    with pytest.raises(TypeError):
+        label._replace(grade="A")
 
 
 def test_simulate_builds_no_run_objects(monkeypatch):

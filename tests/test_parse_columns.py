@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import tracemalloc
-from dataclasses import fields
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -312,12 +311,12 @@ def test_load_dataset_holds_one_table_at_peak(tmp_path):
 
 def test_build_dataset_leaves_the_callers_table_alone():
     posts = synth.generate(synth.GeneratorConfig(n_pages=3, end=date(2018, 3, 1)), seed=2)
-    table = ingest.PostColumns(posts.posts.page_ids, *(getattr(posts.posts, f.name)[::-1]
-                                                      for f in fields(posts.posts)[1:]))
-    before = [getattr(table, f.name).copy() for f in fields(table)[1:]]
+    table = ingest.PostColumns(posts.posts.page_ids, *(getattr(posts.posts, name)[::-1]
+                                                      for name in posts.posts._fields[1:]))
+    before = [getattr(table, name).copy() for name in table._fields[1:]]
     dataset, _ = ingest.build_dataset(table, posts.pages)
     assert dataset == ingest.build_dataset(posts.posts, posts.pages)[0]
-    assert all(np.array_equal(getattr(table, f.name), b) for f, b in zip(fields(table)[1:], before))
+    assert all(np.array_equal(getattr(table, name), b) for name, b in zip(table._fields[1:], before))
 
 
 def test_fatal_errors_stay_fatal_in_any_chunk():
