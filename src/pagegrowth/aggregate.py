@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import (EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
+from .ingest import (ABSENT, EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
                      _quoted, _Record, _Table, _write_rows)
 
 
@@ -100,8 +100,8 @@ class AggregatedSeries(_Table):
     """The windows of every page at one timescale, one array element per window, in (page_id, start) order.
 
     ``page`` indexes ``page_ids``, the cells' sorted pages; days count from
-    1970-01-01 and ``followers`` holds a value only where ``observed`` is
-    true. A slice, mask or index array selects a sub-table.
+    1970-01-01 and ``followers`` is ``ABSENT`` where no post of the window
+    gives one. A slice, mask or index array selects a sub-table.
     """
 
     page_ids: list[str]
@@ -112,7 +112,6 @@ class AggregatedSeries(_Table):
     engagement: np.ndarray
     post_count: np.ndarray
     followers: np.ndarray
-    observed: np.ndarray
 
     @property
     def mean_engagement(self) -> np.ndarray:
@@ -121,10 +120,10 @@ class AggregatedSeries(_Table):
     @property
     def entries(self) -> list[SeriesEntry]:
         """The windows as objects, built on each request."""
-        columns = (self.start, self.end, self.engagement, self.post_count, self.followers, self.observed)
+        columns = (self.start, self.end, self.engagement, self.post_count, self.followers)
         return [
-            SeriesEntry(Window(self.timescale, _day_date(s), _day_date(e)), g, g / n, n, f if o else None)
-            for s, e, g, n, f, o in zip(*(c.tolist() for c in columns))
+            SeriesEntry(Window(self.timescale, _day_date(s), _day_date(e)), g, g / n, n, None if f == ABSENT else f)
+            for s, e, g, n, f in zip(*(c.tolist() for c in columns))
         ]
 
     def total_engagement(self) -> int:
@@ -141,7 +140,7 @@ def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> Aggregated
     first = np.flatnonzero(opens)
     group = np.cumsum(opens) - 1
     latest = scale is Timescale.Q and quarter_rule == "latest"
-    seen = np.flatnonzero(cells.observed)
+    seen = np.flatnonzero(cells.first != ABSENT)
     if scale is Timescale.M:  # days from the 15th; ties keep the earlier day
         key = np.abs(cells.day[seen] - (start[seen] + 14))
     elif latest:  # the last observed cell first
@@ -152,12 +151,11 @@ def _windows(cells: DayCells, scale: Timescale, quarter_rule: str) -> Aggregated
     wins = np.ones(seen.size, dtype=bool)
     wins[1:] = group[seen[1:]] != group[seen[:-1]]
     seen = seen[wins]
-    followers, observed = np.zeros(first.size, dtype=np.int64), np.zeros(first.size, dtype=bool)
+    followers = np.full(first.size, ABSENT, dtype=np.int64)
     followers[group[seen]] = (cells.last if latest else cells.first)[seen]
-    observed[group[seen]] = True
     return AggregatedSeries(cells.page_ids, scale, cells.page[first], start[first], end[first],
                             np.add.reduceat(cells.engagement, first), np.add.reduceat(cells.post_count, first),
-                            followers, observed)
+                            followers)
 
 
 def aggregate_engagement(
@@ -186,5 +184,5 @@ def write_series_csv(series: AggregatedSeries, stream) -> None:
         series.engagement[part].tolist(),
         (series.engagement[part] / series.post_count[part]).tolist(),
         series.post_count[part].tolist(),
-        _counts(series.followers[part], series.observed[part]),
+        _counts(series.followers[part]),
     ))

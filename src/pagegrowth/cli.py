@@ -27,10 +27,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import pipeline, rules, synth
 from .aggregate import Timescale, write_series_csv
 from .cohort import write_cohort_summary_csv, write_match_csv
-from .growth import DegenerateBinningError, write_growth_samples_csv
-from .ingest import Dataset, FatalParseError, _format_score, _write_table
+from .growth import write_growth_samples_csv
+from .ingest import Dataset, FatalParseError, NumericalError, _format_score, _write_table
 from .model import (
-    CollinearCovariatesError,
     ModelCoefficients,
     check_timescales,
     published_coefficients,
@@ -40,7 +39,7 @@ from .model import (
     write_summary_csv,
     write_trajectories_csv,
 )
-from .stats import DegenerateSampleError, FitConvergenceError, format_p
+from .stats import format_p
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -348,19 +347,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FatalParseError, OSError, MemoryError) as exc:  # MemoryError: a size no host can allocate
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
-        # config-level problems (bad flags, malformed schemes, unknown scales)
-        if isinstance(exc, (DegenerateSampleError, DegenerateBinningError, CollinearCovariatesError)):
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FitConvergenceError, ArithmeticError) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # MemoryError: a size no host can allocate; ValueError, KeyError: bad flags, malformed schemes, unknown scales
+    except (FatalParseError, OSError, MemoryError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aggregate import AggregatedSeries
 from .growth import pooled_growth_samples
-from .ingest import PageMeta, _Record, _write_table
+from .ingest import ABSENT, PageMeta, _Record, _write_table
 from .stats import DegenerateSampleError, TestResult, mann_whitney
 
 RELIABLE_THRESHOLD = 60.0
@@ -71,9 +71,10 @@ def page_features(
     A page that never carries a follower observation is left out; such
     pages cannot participate in matching.
     """
-    ids, page = series.page_ids, series.page[series.observed]
+    ids, known = series.page_ids, series.followers != ABSENT
+    page = series.page[known]
     most = np.full(len(ids), np.iinfo(np.int64).min)  # every observed value counts, even 0
-    np.maximum.at(most, page, series.followers[series.observed])
+    np.maximum.at(most, page, series.followers[known])
     seen = np.flatnonzero(np.bincount(page, minlength=len(ids))).tolist()
     return {ids[c]: (float(most[c]), float((end_date - pages[ids[c]].created_at).days)) for c in seen}
 

@@ -19,14 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import EPOCH_ORDINAL, _coded, _counts, _day_date, _quoted, _Record, _Table, _write_rows
+from .ingest import (ABSENT, EPOCH_ORDINAL, NumericalError, _coded, _counts, _day_date, _quoted, _Record, _Table,
+                     _write_rows)
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
 TRIM_MIN_SAMPLES = 20  # below this, trim passes input through with a warning
 
 
-class DegenerateBinningError(ValueError):
+class DegenerateBinningError(ValueError, NumericalError):
     """Too few distinct covariate values to form the requested bins."""
 
 
@@ -51,9 +52,9 @@ class GrowthSamples(_Table):
     """Growth samples of one metric at one timescale, one array element per sample.
 
     ``page`` indexes ``page_ids``; ``start`` is the later window's first day
-    since 1970-01-01; ``prior_followers`` holds a value only where ``observed``
-    is true. An int index builds that row as a ``GrowthSample``; a slice, mask
-    or index array selects a sub-table.
+    since 1970-01-01; ``prior_followers`` is ``ABSENT`` where the earlier
+    window has no follower count. An int index builds that row as a
+    ``GrowthSample``; a slice, mask or index array selects a sub-table.
     """
 
     timescale: Timescale | None
@@ -65,10 +66,9 @@ class GrowthSamples(_Table):
     log_growth: np.ndarray
     prior_engagement: np.ndarray
     prior_followers: np.ndarray
-    observed: np.ndarray
 
     def _row(self, i: int) -> GrowthSample:
-        followers = int(self.prior_followers[i]) if self.observed[i] else None
+        followers = None if self.prior_followers[i] == ABSENT else int(self.prior_followers[i])
         return GrowthSample(self.page_ids[self.page[i]], self.timescale, _day_date(int(self.start[i])), self.metric,
                             float(self.gross_growth[i]), float(self.log_growth[i]), int(self.prior_engagement[i]),
                             followers)
@@ -80,8 +80,8 @@ class GrowthSamples(_Table):
         if len(kinds) > 1:
             raise ValueError("growth samples of different timescales or metrics in one table")
         values = [(r.window_start.toordinal() - EPOCH_ORDINAL, r.gross_growth, r.log_growth,
-                   r.prior_engagement, r.prior_followers or 0, r.prior_followers is not None) for r in rows]
-        columns = zip(list(zip(*values)) or [()] * 6, (np.int64, float, float, np.int64, np.int64, bool))
+                   r.prior_engagement, ABSENT if r.prior_followers is None else r.prior_followers) for r in rows]
+        columns = zip(list(zip(*values)) or [()] * 5, (np.int64, float, float, np.int64, np.int64))
         return cls(*(kinds.pop() if kinds else (None, "")), *_coded([r.page_id for r in rows]),
                    *(np.array(c, dtype=t) for c, t in columns))
 
@@ -126,13 +126,13 @@ def pooled_growth_samples(series: AggregatedSeries, metric: str) -> tuple[Growth
     """Samples of every page of the windows table in page order, and the skip report.
 
     A sample needs two calendar-adjacent windows of one page with positive
-    metric values in both; for followers, both values must also be observed.
+    metric values in both; for followers, neither value may be ``ABSENT``.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    page, start, values, observed = series.page, series.start, getattr(series, metric), series.observed
+    page, start, values, followers = series.page, series.start, getattr(series, metric), series.followers
     pairs = (page[1:] == page[:-1]) & (start[1:] == series.end[:-1])  # a gap in the chain is not a pair
-    missing = pairs & ~(observed[:-1] & observed[1:]) & (metric == "followers")
+    missing = pairs & ((followers[:-1] == ABSENT) | (followers[1:] == ABSENT)) & (metric == "followers")
     zero = pairs & ~missing & ((values[:-1] <= 0) | (values[1:] <= 0))
     skips = SkipReport(zero_value=int(zero.sum()), missing_followers=int(missing.sum()))
     earlier = np.flatnonzero(pairs & ~missing & ~zero)
@@ -141,7 +141,7 @@ def pooled_growth_samples(series: AggregatedSeries, metric: str) -> tuple[Growth
     # math.log, not np.log: the two differ in the last bit on some values
     log = np.fromiter(map(math.log, gross.tolist()), dtype=float, count=gross.size)
     samples = GrowthSamples(series.timescale, metric, series.page_ids, page[later], start[later], gross, log,
-                            series.engagement[earlier], series.followers[earlier], observed[earlier])
+                            series.engagement[earlier], followers[earlier])
     return samples, skips
 
 
@@ -236,7 +236,7 @@ def class_bins(
     if not isinstance(samples, GrowthSamples):
         samples = GrowthSamples.from_rows(samples)
     f = samples.prior_followers
-    bins = {c.label: samples[samples.observed & (c.lower <= f) & (f < c.upper)] for c in scheme}
+    bins = {c.label: samples[(f != ABSENT) & (c.lower <= f) & (f < c.upper)] for c in scheme}
     return {label: members for label, members in bins.items() if len(members)}
 
 
@@ -272,7 +272,7 @@ def split_class_by_median(class_samples: GrowthSamples) -> tuple[GrowthSamples, 
     """
     if len(class_samples) < 2:
         raise ValueError("split_class_by_median needs at least 2 samples")
-    if not class_samples.observed.all():
+    if (class_samples.prior_followers == ABSENT).any():
         raise ValueError("split_class_by_median requires prior_followers on all samples")
     priors = class_samples.prior_followers.astype(float)
     ordered = np.sort(priors)
@@ -296,6 +296,6 @@ def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
         np.datetime_as_string(samples.start[part].astype("datetime64[D]"), unit="D").tolist(),
         samples.gross_growth[part].tolist(),
         samples.log_growth[part].tolist(),
-        _counts(samples.prior_followers[part], samples.observed[part]),
+        _counts(samples.prior_followers[part]),
         samples.prior_engagement[part].tolist(),
     ))

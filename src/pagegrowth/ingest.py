@@ -114,6 +114,10 @@ class NoUsableDataError(FatalParseError):
     """Every row was rejected or the input was empty."""
 
 
+class NumericalError(Exception):
+    """A computation the data cannot support: too few or degenerate values, or a fit that does not converge."""
+
+
 class _Factory:
     """A field default made anew for each instance by calling ``make``."""
 
@@ -349,7 +353,7 @@ class PostColumns(_Table, frozen=True):
 class DayCells(_Table, frozen=True):
     """Posts as one cell per (page, UTC day) with posts, sorted by (page_id, day): ``page`` indexes
     ``page_ids`` and ``day`` counts from 1970-01-01. A cell holds its posts' total_interactions summed, their
-    number, and the followers of its first and last observed post in (seconds, post_id) order (0 unless ``observed``).
+    number, and the followers of its first and last observed post in (seconds, post_id) order (``ABSENT`` if none).
     """
 
     page_ids: list[str]
@@ -359,7 +363,6 @@ class DayCells(_Table, frozen=True):
     post_count: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    observed: np.ndarray
 
 
 def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:
@@ -380,12 +383,10 @@ def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:
     cell -= 1
     head, tail = np.ones((2, cell.size), dtype=bool)  # the cell's first observed row, and its last
     head[1:] = tail[:-1] = cell[1:] != cell[:-1]
-    first, last = np.zeros((2, starts.size), dtype=np.int64)
+    first, last = np.full((2, starts.size), ABSENT, dtype=np.int64)
     first[cell[head]] = followers[seen[head]]
     last[cell[tail]] = followers[seen[tail]]
-    observed = np.zeros(starts.size, dtype=bool)
-    observed[cell] = True
-    return DayCells(page_ids, page, day, engagement, count, first, last, observed)
+    return DayCells(page_ids, page, day, engagement, count, first, last)
 
 
 class Dataset(_Record):
@@ -1023,10 +1024,10 @@ def _texts(values: Sequence[str]) -> list[str]:
     return list(values) if _NEEDS_QUOTES.search("".join(values)) is None else list(map(_quoted, values))
 
 
-def _counts(values: np.ndarray, present: np.ndarray) -> list:
-    """A column of counts for a ``%s`` field: the ints as they are, ``""`` where not ``present``."""
+def _counts(values: np.ndarray) -> list:
+    """A column of counts for a ``%s`` field: the ints as they are, ``""`` where ``ABSENT``."""
     column = values.tolist()
-    for i in np.flatnonzero(~present).tolist():
+    for i in np.flatnonzero(values == ABSENT).tolist():
         column[i] = ""
     return column
 
@@ -1067,9 +1068,9 @@ def write_posts_csv(posts: PostColumns, stream) -> None:
         page_ids[posts.page[part]].tolist(),
         _texts(posts.post_id[part]),
         np.datetime_as_string(posts.seconds[part].astype("datetime64[s]"), unit="s", timezone="UTC").tolist(),
-        *(_counts(c[part], c[part] != ABSENT) for c in (posts.likes, posts.comments, posts.shares)),
+        *(_counts(c[part]) for c in (posts.likes, posts.comments, posts.shares)),
         posts.total[part].tolist(),
-        _counts(posts.followers[part], posts.followers[part] != ABSENT),
+        _counts(posts.followers[part]),
     ))
 
 

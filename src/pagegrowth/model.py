@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rules
 from .aggregate import Timescale
-from .ingest import _csv_rows, _Factory, _Record, _Table, _write_rows, _write_table
+from .ingest import NumericalError, _csv_rows, _Factory, _Record, _Table, _write_rows, _write_table
 from .stats import BurrParams, LaplaceParams, _burr_ppf, _laplace_ppf, burr_ppf, laplace_ppf
 
 PARAMETERS = ("mu", "b", "c", "k")
@@ -37,7 +37,7 @@ B_FLOOR = 1e-6
 CK_FLOOR = 1e-3
 
 
-class CollinearCovariatesError(ValueError):
+class CollinearCovariatesError(ValueError, NumericalError):
     pass
 
 

@@ -47,6 +47,7 @@ from .growth import (
     validate_scheme,
 )
 from .ingest import (
+    ABSENT,
     DAY_S,
     Dataset,
     FatalParseError,
@@ -312,7 +313,7 @@ def _detail_row(reg: ParamRegression, n_bins: int) -> list:
 def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) -> list[tuple[ParamRegression, int]]:
     """Trim each covariate to the percentile band, cut quantile bins, fit each
     bin, then regress every parameter on the bins' mean log covariates."""
-    samples = samples[samples.observed]
+    samples = samples[samples.prior_followers != ABSENT]
     if len(samples) < MODEL_MIN_SAMPLES:
         return []
     columns = [getattr(samples, c).astype(float) for c in side.covariates]
@@ -429,6 +430,8 @@ def cohort(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = 
     ``tests`` yields each timescale's results when iterated; a timescale
     whose cohorts have no data is skipped with a warning.
     """
+    if matching not in ("assignment", "greedy"):
+        raise ValueError(f"unknown matching {matching!r}")
     labels, unscored = label_pages(dataset.pages)
     if unscored:
         warn(f"unscored pages excluded: {len(unscored)}")

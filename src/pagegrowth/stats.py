@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ingest import _Record
+from .ingest import NumericalError, _Record
 
 EXACT_MAX_PRODUCT = 400
 
@@ -32,11 +32,11 @@ BURR_FIT_MAX_ITER = 500
 BURR_FIT_FATOL = 1e-10
 
 
-class DegenerateSampleError(ValueError):
+class DegenerateSampleError(ValueError, NumericalError):
     """Sample too small or without spread for the requested calibration."""
 
 
-class FitConvergenceError(RuntimeError):
+class FitConvergenceError(RuntimeError, NumericalError):
     """Optimizer ran out of iterations; carries the last iterate."""
 
     def __init__(self, message, last_params=None, objective=None):

@@ -19,8 +19,11 @@ import pagegrowth
 from pagegrowth import model, pipeline
 from pagegrowth.aggregate import Timescale
 from pagegrowth.cli import build_parser, main
-from pagegrowth.ingest import ABSENT, PAGES_HEADER, POSTS_HEADER, build_dataset, parse_pages, parse_posts
-from pagegrowth.model import COEFFS_HEADER, published_coefficients
+from pagegrowth.growth import DegenerateBinningError
+from pagegrowth.ingest import (ABSENT, PAGES_HEADER, POSTS_HEADER, NumericalError, build_dataset, parse_pages,
+                               parse_posts)
+from pagegrowth.model import COEFFS_HEADER, CollinearCovariatesError, published_coefficients
+from pagegrowth.stats import DegenerateSampleError, FitConvergenceError
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
 
@@ -886,6 +889,15 @@ def test_cohort_exit_code_names_an_empty_cohort(synth_dir, tmp_path, capsys, rel
     assert main([*argv, "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not (out / "matches.csv").exists()
+
+
+def test_numerical_failures_share_one_base_and_keep_their_own():
+    # main exits 3 on a NumericalError; each is still caught as its old base by library callers
+    cases = {DegenerateSampleError: ValueError, DegenerateBinningError: ValueError,
+             CollinearCovariatesError: ValueError, FitConvergenceError: RuntimeError}
+    for cls, base in cases.items():
+        error = cls("degenerate")
+        assert isinstance(error, NumericalError) and isinstance(error, base), cls.__name__
 
 
 class TestModelCmd:

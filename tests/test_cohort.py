@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from pagegrowth import pipeline
 from pagegrowth.aggregate import Timescale, aggregate_dataset, aggregate_engagement
 from pagegrowth.cohort import (
     MatchInfeasibleError,
@@ -23,7 +24,7 @@ from pagegrowth.cohort import (
     write_match_csv,
     _assign,
 )
-from pagegrowth.ingest import PageMeta, PostRecord, build_dataset
+from pagegrowth.ingest import ABSENT, PageMeta, PostRecord, build_dataset
 from pagegrowth.pipeline import load_dataset
 
 CORPUS = Path(__file__).with_name("golden_corpus")
@@ -114,9 +115,10 @@ class TestFeatures:
         expected = {}
         for code, page_id in enumerate(weekly.page_ids):
             own = weekly[weekly.page == code]
-            if own.observed.any():
+            known = own.followers != ABSENT
+            if known.any():
                 lifespan = float((dataset.end_date - dataset.pages[page_id].created_at).days)
-                expected[page_id] = (float(own.followers[own.observed].max()), lifespan)
+                expected[page_id] = (float(own.followers[known].max()), lifespan)
         assert len(expected) == len(dataset.pages) == 20
         assert page_features(dataset.pages, weekly, dataset.end_date) == expected
 
@@ -206,6 +208,19 @@ class TestMatching:
         res2 = match_cohorts({i: z2[i] for i in q_ids}, {i: z2[i] for i in r_ids})
         assert res1.pairs == res2.pairs
         assert res1.total_distance == pytest.approx(res2.total_distance, rel=1e-9)
+
+    def test_the_pipeline_refuses_an_unknown_matching_before_any_work(self, monkeypatch):
+        dataset, _ = load_dataset(CORPUS / "posts.csv", CORPUS / "pages.csv")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("pages were labelled or aggregated")
+
+        monkeypatch.setattr(pipeline, "label_pages", no_work)
+        monkeypatch.setattr(pipeline, "aggregate_dataset", no_work)
+        warnings = []
+        with pytest.raises(ValueError, match="unknown matching 'optimal'"):
+            pipeline.cohort(dataset, warnings.append, matching="optimal")
+        assert warnings == []
 
 
 class TestMatchDistances:

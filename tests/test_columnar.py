@@ -9,12 +9,14 @@ included, on random pages around awkward dates: before 1970 and after
 """
 
 import copy
+import csv
 import dataclasses
 import inspect
 import io
 import math
 import random
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,16 +310,16 @@ def _protocol_case(kind):
         return posts, columns, pages, records
     cells = build_dataset(posts, {p: PageMeta(p, p, date(2020, 1, 1)) for p in "ab"})[0].cells
     if kind == "cells":
-        return cells, ["page", "day", "engagement", "post_count", "first", "last", "observed"], pages, None
+        return cells, ["page", "day", "engagement", "post_count", "first", "last"], pages, None
     if kind == "windows":
         return (aggregate_dataset(Dataset(cells, {}), Timescale.D),
-                ["page", "start", "end", "engagement", "post_count", "followers", "observed"],
+                ["page", "start", "end", "engagement", "post_count", "followers"],
                 {**pages, "timescale": Timescale.W}, None)
     if kind == "samples":
         rows = [GrowthSample(p, Timescale.W, date(2021, 1, d), "engagement", g, math.log(g), e, f)
                 for p, d, g, e, f in [("b", 11, 2.0, 10, 5), ("a", 18, 0.5, 20, None), ("b", 25, 1.5, 30, 7)]]
         return (GrowthSamples.from_rows(rows),
-                ["page", "start", "gross_growth", "log_growth", "prior_engagement", "prior_followers", "observed"],
+                ["page", "start", "gross_growth", "log_growth", "prior_engagement", "prior_followers"],
                 {**pages, "timescale": Timescale.M, "metric": "followers"}, rows)
     runs = model.simulate(model.published_coefficients(), Timescale.W, 25_000, 10_000, steps=2, runs=3, seed=1)
     rows = [(runs.followers[i].tolist(), runs.engagement[i].tolist(), Timescale.W, 1, i,
@@ -382,6 +384,74 @@ def test_table_protocol(kind):
     assert [fields_of(row) for row in table[::-2]] == row_objects[::-2]
 
 
+def _absence_corpus(kind):
+    """Posts and pages: the golden corpus, or a synth corpus whose first two pages give no follower count
+    and whose other pages lack it on about a third of their posts."""
+    if kind == "golden":
+        corpus = Path(__file__).with_name("golden_corpus")
+        return (ingest.parse_posts((corpus / "posts.csv").read_bytes())[0],
+                ingest.parse_pages((corpus / "pages.csv").read_bytes())[0])
+    result = generate(GeneratorConfig(n_pages=6, start=date(2018, 1, 1), end=date(2018, 7, 1)), seed=5)
+    followers = result.posts.followers.copy()
+    followers[(result.posts.page < 2) | (np.random.default_rng(5).random(followers.size) < 0.3)] = ingest.ABSENT
+    return result.posts._replace(followers=followers), result.pages
+
+
+def _blank_fields(write, table, column):
+    out = io.StringIO()
+    write(table, out)
+    return [row[column] == "" for row in csv.reader(io.StringIO(out.getvalue()))][1:]
+
+
+@pytest.mark.parametrize("kind", ["golden", "synth"])
+def test_a_missing_count_is_absent_in_every_table(kind):
+    """A count is ABSENT exactly where the row object gives None and the written field is empty."""
+    posts, pages = _absence_corpus(kind)
+    records, absent_somewhere = list(posts), []
+    for column, field, index in (("likes", "likes", 3), ("comments", "comments", 4), ("shares", "shares", 5),
+                                 ("followers", "followers_at_posting", 7)):
+        absent = (getattr(posts, column) == ingest.ABSENT).tolist()
+        assert absent == [getattr(r, field) is None for r in records]
+        assert absent == _blank_fields(ingest.write_posts_csv, posts, index)
+    absent_somewhere.append(ingest.ABSENT in posts.followers)
+
+    # a cell's first and last count are ABSENT exactly where none of its posts gives one
+    cells = build_dataset(posts, pages)[0].cells
+    counted = {(r.page_id, r.timestamp.date().toordinal() - ingest.EPOCH_ORDINAL) for r in records
+               if r.followers_at_posting is not None}
+    absent = [(cells.page_ids[p], d) not in counted for p, d in zip(cells.page.tolist(), cells.day.tolist())]
+    assert absent == (cells.first == ingest.ABSENT).tolist() == (cells.last == ingest.ABSENT).tolist()
+    absent_somewhere.append(any(absent))
+
+    for scale in Timescale:
+        series = aggregate_dataset(Dataset(cells, pages), scale)
+        absent = (series.followers == ingest.ABSENT).tolist()
+        assert absent == [e.followers is None for e in series.entries]
+        assert absent == _blank_fields(aggregate.write_series_csv, series, 6)
+        absent_somewhere.append(any(absent))
+        for metric in METRICS:
+            samples = pooled_growth_samples(series, metric)[0]
+            absent = (samples.prior_followers == ingest.ABSENT).tolist()
+            assert absent == [s.prior_followers is None for s in samples]
+            assert absent == _blank_fields(growth.write_growth_samples_csv, samples, 6)
+            if metric == "followers":
+                assert not any(absent)  # a followers sample needs both counts
+            else:
+                absent_somewhere.append(any(absent))
+    if kind == "synth":  # two of its pages give no count, so each table above holds some ABSENT
+        assert all(absent_somewhere)
+
+
+def _subclasses(cls):
+    return [cls, *(s for sub in cls.__subclasses__() for s in _subclasses(sub))]
+
+
+def test_no_table_holds_a_validity_mask():
+    tables = _subclasses(ingest._Table)
+    assert {PostColumns, ingest.DayCells, aggregate.AggregatedSeries, GrowthSamples} <= set(tables)
+    assert [t.__name__ for t in tables if "observed" in t._fields] == []
+
+
 # ---------------------------------------------------------------------------
 # ingest._Record, which every record and table takes construction, equality,
 # hashing and repr from, against a dataclasses twin of each class
@@ -394,9 +464,9 @@ def _col(*values):
 _NAN = math.nan  # one object: a record holding it still equals itself, as a field tuple does
 _WINDOW = Window(Timescale.W, date(2021, 1, 4), date(2021, 1, 11))
 _RESULT = stats.TestResult(12.0, _NAN, "greater", 5, 6, "exact")
-_CELLS = ingest.DayCells(["a"], _col(0), _col(18631), _col(5), _col(1), _col(7), _col(7), _col(True))
+_CELLS = ingest.DayCells(["a"], _col(0), _col(18631), _col(5), _col(1), _col(7), _col(7))
 _SAMPLES = GrowthSamples(Timescale.W, "engagement", ["a"], _col(0), _col(18637), _col(2.0), _col(math.log(2.0)),
-                         _col(10), _col(5), _col(True))
+                         _col(10), _col(5))
 _MU = model.ParamRegression("mu", Timescale.W, 0.1, -0.01, 0.002, (0.5, 0.1, 0.2), 0.3, (0.1, 0.2, 0.3))
 _POSTS = PostColumns(["a"], _col(0), np.array(["a-1"], dtype=object), _col(1609750800), _col(5), _col(2), _col(-1),
                      _col(-1), _col(7))
@@ -415,7 +485,7 @@ RECORD_CASES = {
     Window: ({"frozen": True}, (Timescale.W, date(2021, 1, 4), date(2021, 1, 11))),
     SeriesEntry: ({"frozen": True}, (_WINDOW, 10, 5.0, 2, None)),
     aggregate.AggregatedSeries: ({"eq": False}, (["a"], Timescale.W, _col(0), _col(18631), _col(18638), _col(10),
-                                                 _col(2), _col(0), _col(False))),
+                                                 _col(2), _col(ingest.ABSENT))),
     GrowthSample: ({"frozen": True}, ("a", Timescale.W, date(2021, 1, 11), "engagement", 2.0, 0.69, 10, 5)),
     GrowthSamples: ({"eq": False}, tuple(vars(_SAMPLES).values())),
     SkipReport: ({}, (1, 2)),

@@ -154,6 +154,10 @@ class TestSizeClasses:
             "50K-150K": [50_000],
         }
 
+    def test_a_class_below_zero_takes_no_absent_count(self):
+        bins = class_bins(_table([None, 0, 5, None]), [SizeClass("low", -10, 10)])
+        assert bins["low"].prior_followers.tolist() == [0, 5]
+
     def test_partition(self):
         values = [10_000, 49_999, 50_000, 149_999, 150_000, 499_999, 500_000, 4_999_999]
         bins = class_bins(_table(values))
@@ -235,6 +239,10 @@ class TestMedianSplit:
         with pytest.raises(DegenerateBinningError):
             split_class_by_median(_table([5, 5, 5]))
 
+    def test_absent_count_refused(self):
+        with pytest.raises(ValueError, match="requires prior_followers on all samples"):
+            split_class_by_median(_table([1, None, 3]))
+
     def test_balanced_sizes(self):
         rng = np.random.default_rng(0)
         priors = rng.permutation(np.arange(100, 201))
@@ -308,7 +316,7 @@ def _series_case(draw):
     start = np.array(day, dtype=np.int64) - EPOCH_ORDINAL
     series = AggregatedSeries(page_ids, scale, np.array(page, dtype=np.int64), start, start + 1,
                               np.array(engagement, dtype=np.int64), np.array(count, dtype=np.int64),
-                              _absent(followers), np.array([f is not None for f in followers], dtype=bool))
+                              _absent(followers))
     expected = [[p, scale.value, date.fromordinal(d).isoformat(), g, format(g / n, ".10g"), n, _blank(f)]
                 for p in sorted(pages) for d, g, n, f in pages[p]]
     return write_series_csv, series, SERIES_HEADER, expected

@@ -403,8 +403,7 @@ class TestBuildDataset:
         assert cells.page_ids == ["p1", "p2"] and cells.page.tolist() == [0, 0, 1]
         assert cells.day.tolist() == [18263, 18264, 18262]
         assert cells.engagement.tolist() == [17, 5, 5] and cells.post_count.tolist() == [4, 1, 1]
-        assert cells.observed.tolist() == [True, False, False]
-        assert cells.first.tolist() == [9, 0, 0] and cells.last.tolist() == [11, 0, 0]
+        assert cells.first.tolist() == [9, ABSENT, ABSENT] and cells.last.tolist() == [11, ABSENT, ABSENT]
         assert ds.end_date == date(2020, 1, 3)
 
     def test_datasets_compare_by_their_rows_and_pages(self):
@@ -504,6 +503,6 @@ class TestRoundTrip:
         assert present.all() == (absent_share == 0.0)
         out = io.StringIO()
         ingest._write_rows(out, ["count"], values.size, "%s\n",
-                           lambda part: [ingest._counts(values[part], present[part])])
+                           lambda part: [ingest._counts(values[part])])
         expected = np.where(present, values.astype(str), "").tolist()
         assert out.getvalue() == "count\n" + "".join(f"{text}\n" for text in expected)

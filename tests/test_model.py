@@ -2,12 +2,15 @@
 
 import io
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from scipy.special import stdtr
 
+from pagegrowth import pipeline
 from pagegrowth.aggregate import Timescale
+from pagegrowth.ingest import ABSENT, build_dataset
 from pagegrowth.model import (
     CollinearCovariatesError,
     ModelCoefficients,
@@ -25,7 +28,7 @@ from pagegrowth.model import (
     _t_two_sided_p,
 )
 from pagegrowth.stats import BurrParams, LaplaceParams, fit_laplace, laplace_ppf
-from pagegrowth.synth import gibrat_null_coefficients
+from pagegrowth.synth import GeneratorConfig, generate, gibrat_null_coefficients
 
 
 def _laplace_bins(beta, lnf, lne, noise=None, rng=None):
@@ -333,3 +336,23 @@ class TestParamRegressionType:
     def test_non_finite_beta_refused(self, betas):
         with pytest.raises(ValueError, match="is not finite"):
             ParamRegression("b", Timescale.W, *betas, ())
+
+
+def test_model_leaves_out_samples_without_a_follower_count(monkeypatch):
+    # a sample whose prior_followers is ABSENT fits as if it were not there, before any trim or bin
+    corpus = generate(GeneratorConfig(n_pages=16, start=date(2018, 1, 1), end=date(2019, 1, 1)), seed=3)
+    dataset, _ = build_dataset(corpus.posts, corpus.pages)
+    pooled = pipeline.pooled_growth_samples
+
+    def fitted(drop):
+        def samples(series, metric):
+            table, skips = pooled(series, metric)
+            prior = table.prior_followers.copy()
+            prior[::3] = ABSENT
+            return table._replace(prior_followers=prior)[prior != ABSENT if drop else slice(None)], skips
+
+        monkeypatch.setattr(pipeline, "pooled_growth_samples", samples)
+        fits = pipeline.model(dataset, [].append, timescales=(Timescale.W,))
+        return [row for scale in fits for row in scale.detail_rows]
+
+    assert fitted(drop=False) == fitted(drop=True) != []
