@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import (ABSENT, EPOCH_ORDINAL, Dataset, DayCells, PostColumns, PostRecord, _counts, _day_cells, _day_date,
-                     _quoted, _Record, _Table, _write_rows)
+                     _day_texts, _quoted, _Record, _Table, _write_rows)
 
 
 class Timescale(Enum):
@@ -165,7 +165,7 @@ def aggregate_engagement(
     table = PostColumns.from_records(posts)
     if len(table.page_ids) > 1:
         raise ValueError("aggregate_engagement expects posts from a single page")
-    return _windows(_day_cells(table, np.arange(len(table))), scale, quarter_rule)
+    return _windows(_day_cells(table, slice(None)), scale, quarter_rule)
 
 
 def aggregate_dataset(ds: Dataset, scale: Timescale, quarter_rule: str = "latest") -> AggregatedSeries:
@@ -178,9 +178,10 @@ SERIES_HEADER = ["page_id", "timescale", "window_start", "engagement", "mean_eng
 
 def write_series_csv(series: AggregatedSeries, stream) -> None:
     heads = np.array([f"{_quoted(p)},{series.timescale.value}" for p in series.page_ids], dtype=object)  # once per page
+    starts = _day_texts(series.start)
     _write_rows(stream, SERIES_HEADER, len(series), "%s,%s,%s,%.10g,%s,%s\n", lambda part: (
         heads[series.page[part]].tolist(),
-        np.datetime_as_string(series.start[part].astype("datetime64[D]"), unit="D").tolist(),
+        starts[part].tolist(),
         series.engagement[part].tolist(),
         (series.engagement[part] / series.post_count[part]).tolist(),
         series.post_count[part].tolist(),

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AggregatedSeries, Timescale
-from .ingest import (ABSENT, EPOCH_ORDINAL, NumericalError, _coded, _counts, _day_date, _quoted, _Record, _Table,
-                     _write_rows)
+from .ingest import (ABSENT, EPOCH_ORDINAL, NumericalError, _coded, _counts, _day_date, _day_texts, _quoted, _Record,
+                     _Table, _write_rows)
 
 METRICS = ("followers", "engagement", "mean_engagement")
 
@@ -291,9 +291,10 @@ def write_growth_samples_csv(samples: GrowthSamples, stream) -> None:
     # both are constants of the row template, which would read a % in them as a conversion
     template = "%s,{},%s,{},%.12g,%.12g,%s,%s\n".format(*(text.replace("%", "%%") for text in (scale, samples.metric)))
     pages = np.array([_quoted(p) for p in samples.page_ids], dtype=object)  # once per page
+    starts = _day_texts(samples.start)
     _write_rows(stream, GROWTH_HEADER, len(samples), template, lambda part: (
         pages[samples.page[part]].tolist(),
-        np.datetime_as_string(samples.start[part].astype("datetime64[D]"), unit="D").tolist(),
+        starts[part].tolist(),
         samples.gross_growth[part].tolist(),
         samples.log_growth[part].tolist(),
         _counts(samples.prior_followers[part]),

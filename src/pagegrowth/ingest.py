@@ -42,9 +42,14 @@ of rows is checked as a whole column on those bytes against its common
 form (ASCII-digit counts, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or
 ``±hh:mm``), and only the values outside it go through the scalar
 validators (``_opt_text``, ``_opt_count``, ``parse_timestamp``); ids are
-sliced from the block's text, decoded once. ``build_dataset`` reduces the
-joined table to one cell per (page, UTC day) (``DayCells``), all a
-``Dataset`` holds besides the page metadata. Both tables, like the later
+sliced from the block's text, decoded once. The count check groups a
+column's values by digit count and reads each group as a block with a row
+per digit place, so a place costs one multiply-add; the timestamp check
+reads a column as one transposed ``(25, n)`` block and works in int32.
+``build_dataset`` reduces the joined table to one cell per (page, UTC day)
+(``DayCells``), all a ``Dataset`` holds besides the page metadata; when the
+join drops no post it sorts the table itself, with no row index beside it.
+Both tables, like the later
 ones, take length, equality and row selection from ``_Table``; an int
 index builds a post as a ``PostRecord``, only on request. Every record and
 table class takes construction, equality, hashing and repr from ``_Record``.
@@ -136,6 +141,8 @@ class _Record:
     module, not per class; ``_fields`` names the fields and ``_replace`` copies a record with some changed."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()  # each field's default, inspect.Parameter.empty where it has none
+    _positions: dict[str, int] = {}  # each field's place
 
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -145,6 +152,8 @@ class _Record:
                                              default=cls.__dict__.get(name, inspect.Parameter.empty))
         cls.__signature__ = inspect.Signature(list(fields.values()), return_annotation=None)  # for help()
         cls._fields = tuple(fields)
+        cls._defaults = tuple(field.default for field in fields.values())
+        cls._positions = {name: i for i, name in enumerate(fields)}
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _Record._refuse
             if cls.__eq__ is _Record.__eq__:
@@ -159,10 +168,21 @@ class _Record:
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value, in order, from a call that does not give each by position."""
-        given = cls.__signature__.bind(*args, **kwargs).arguments  # a TypeError where a call would raise one
-        return [given[name] if name in given else field.default.make() if type(field.default) is _Factory
-                else field.default for name, field in cls.__signature__.parameters.items()]
+        """Every field's value, in order, from a call that does not give each by position: a positional
+        prefix, then keywords, then the defaults (a ``_Factory`` one made anew)."""
+        values = [*args, *cls._defaults[len(args):]]
+        for name, value in kwargs.items():
+            i = cls._positions.get(name, -1)
+            if i < len(args):  # an unknown field, or one given by position too
+                values = None
+                break
+            values[i] = value
+        if values is None or len(values) != len(cls._fields) or any(v is inspect.Parameter.empty for v in values):
+            cls.__signature__.bind(*args, **kwargs)  # raises the TypeError a call with these arguments raises
+        for i in range(len(args), len(values)):
+            if type(values[i]) is _Factory:
+                values[i] = values[i].make()
+        return values
 
     def __post_init__(self) -> None:
         pass
@@ -331,8 +351,9 @@ class PostColumns(_Table, frozen=True):
             followers=counts(p.followers_at_posting for p in posts),
         )
 
-    def _sort_order(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` sorted by (page_id, seconds, post_id), the order ``_day_cells`` reads them in.
+    def _sort_order(self, rows: np.ndarray | slice) -> np.ndarray:
+        """``rows`` (an index array, or ``slice(None)`` for every row, which copies no column) sorted by
+        (page_id, seconds, post_id), the order ``_day_cells`` reads them in.
 
         Raises FatalParseError when their totals sum past MAX_COUNT, so that
         every window sum stays exact in int64 and float64.
@@ -344,10 +365,11 @@ class PostColumns(_Table, frozen=True):
         same = (np.diff(seconds[order]) == 0) & (np.diff(page[order]) == 0)
         if same.any():  # posts of a page in the same second: their post_ids decide
             tied = order[np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))]
-            post_rank = np.zeros(rows.size, dtype=np.int64)
-            post_rank[tied] = np.unique(self.post_id[rows[tied]], return_inverse=True)[1]
+            post_rank = np.zeros(order.size, dtype=np.int64)
+            ids = self.post_id[tied] if isinstance(rows, slice) else self.post_id[rows[tied]]
+            post_rank[tied] = np.unique(ids, return_inverse=True)[1]
             order = np.lexsort((post_rank, seconds, page))
-        return rows[order]
+        return order if isinstance(rows, slice) else rows[order]
 
 
 class DayCells(_Table, frozen=True):
@@ -365,7 +387,7 @@ class DayCells(_Table, frozen=True):
     last: np.ndarray
 
 
-def _day_cells(posts: PostColumns, rows: np.ndarray) -> DayCells:
+def _day_cells(posts: PostColumns, rows: np.ndarray | slice) -> DayCells:
     """The cells of ``posts``'s ``rows``, built in ``_sort_order``, one gathered column at a time."""
     order = posts._sort_order(rows)
     page, day = posts.page[order], posts.seconds[order] // DAY_S
@@ -695,60 +717,78 @@ def _timestamp_seconds(raw) -> int:
 # ---------------------------------------------------------------------------
 # column checks: each takes one field of a chunk as (data, first byte, byte
 # length) per value and returns its values and a mask of those it could not
-# read; a byte outside ASCII never passes
+# read; a byte outside ASCII never passes. Both read a value's bytes as the
+# rows of a block with a row per byte place and a column per value, so that
+# each place is one contiguous row: the counts grouped by digit count (a
+# block per group), the timestamps as one (25, n) block worked in int32
 # ---------------------------------------------------------------------------
 
-_POWERS = 10 ** np.arange(_COUNT_DIGITS, dtype=np.int64)
+_DIGIT_STEPS = np.arange(_COUNT_DIGITS)[:, None]  # byte p of each value of a group: its start plus row p
 
 
 def _count_column(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of 1 to 15 ASCII digits, ABSENT for an empty field."""
+    """Counts of 1 to 15 ASCII digits, ABSENT for an empty field.
+
+    The values are grouped by digit count. A group of width ``w`` is read as
+    one ``(w, m)`` block of its bytes, row p holding digit p of every value,
+    and summed by one multiply-add per digit place.
+    """
     unread = lengths > _COUNT_DIGITS
-    lengths = np.where(unread, 0, lengths)
-    ends = np.cumsum(lengths)  # of each value among the digits of all
-    offsets = ends - lengths
-    total = int(ends[-1]) if ends.size else 0
-    at = np.repeat(starts - offsets, lengths)
-    at += np.arange(total)
-    digit = data[at] - np.uint8(48)  # other bytes wrap round past 9
-    unread[np.searchsorted(ends, np.flatnonzero(digit > 9), side="right")] = True
-    terms = np.repeat(ends - 1, lengths)
-    terms -= np.arange(total)  # each digit's place, from the right
-    terms = _POWERS[terms] * digit
+    width = np.where(unread, 0, lengths).astype(np.uint8)
+    order = np.argsort(width, kind="stable")  # a radix sort, for one-byte keys
+    bounds = np.cumsum(np.bincount(width, minlength=_COUNT_DIGITS + 1)).tolist()
     counts = np.full(lengths.size, ABSENT, dtype=np.int64)
-    given = np.flatnonzero(lengths)
-    if given.size:
-        counts[given] = np.add.reduceat(terms, offsets[given])
+    for w in range(1, _COUNT_DIGITS + 1):
+        if bounds[w] == bounds[w - 1]:
+            continue
+        rows = order[bounds[w - 1]:bounds[w]]
+        digits = data.take(starts[rows] + _DIGIT_STEPS[:w])
+        digits -= np.uint8(48)  # other bytes wrap round past 9
+        value = digits[0].astype(np.int64)
+        for place in digits[1:]:
+            value *= 10
+            value += place
+        counts[rows] = value
+        unread[rows[(digits > 9).any(axis=0)]] = True
     return counts, unread
 
 
+_TS_BYTES = np.arange(25)[:, None]
 _TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _TS_OFFSET_DIGITS = [20, 21, 23, 24]
 _TS_PUNCTUATION = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
 def _timestamp_column(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z`` or ``±hh:mm``."""
+    """Epoch seconds of ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z`` or ``±hh:mm``.
+
+    The values are read as one ``(25, n)`` block, row p holding byte p of
+    every value, and their fields are computed in int32 from its rows.
+    """
     if not data.size:  # every value empty
         return np.zeros(starts.size, dtype=np.int64), np.ones(starts.size, dtype=bool)
-    codes = data.take(starts[:, None] + np.arange(25), mode="clip")  # bytes past a value decide nothing
-    digit = codes.astype(np.int64) - 48
+    codes = data.take(starts + _TS_BYTES, mode="clip")  # bytes past a value decide nothing
+    digit = codes.astype(np.int32)
+    digit -= 48
 
     def number(*positions):
-        value = np.zeros(starts.size, dtype=np.int64)
-        for p in positions:
-            value = value * 10 + digit[:, p]
+        value = digit[positions[0]].copy()
+        for p in positions[1:]:
+            value *= 10
+            value += digit[p]
         return value
 
-    is_digit = (codes >= 48) & (codes <= 57)
-    sign = codes[:, 19]
+    def all_digits(positions):
+        return (digit[positions].view(np.uint32) <= 9).all(axis=0)  # other bytes wrap round past 9
+
+    sign = codes[19]
     offset_hour, offset_minute = number(20, 21), number(23, 24)
     zulu = (lengths == 20) & (sign == ord("Z"))
-    offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (codes[:, 22] == ord(":"))
-              & is_digit[:, _TS_OFFSET_DIGITS].all(axis=1) & (offset_hour <= 23) & (offset_minute <= 59))
-    read = (zulu | offset) & is_digit[:, _TS_DIGITS].all(axis=1)
+    offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (codes[22] == ord(":"))
+              & all_digits(_TS_OFFSET_DIGITS) & (offset_hour <= 23) & (offset_minute <= 59))
+    read = (zulu | offset) & all_digits(_TS_DIGITS)
     for p, char in _TS_PUNCTUATION.items():
-        read &= codes[:, p] == ord(char)
+        read &= codes[p] == ord(char)
     year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
     hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
     read &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23) & (minute <= 59) & (second <= 59)
@@ -757,7 +797,7 @@ def _timestamp_column(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray)
     first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
     read &= day <= (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
     shift = np.where(offset, (offset_hour * 60 + offset_minute) * np.where(sign == ord("-"), -60, 60), 0)
-    seconds = (first + day - 1) * DAY_S + hour * 3600 + minute * 60 + second - shift
+    seconds = (first + day - 1) * DAY_S + (hour * 3600 + minute * 60 + second - shift)  # the clock part in int32
     read &= (seconds >= _FIRST_SECOND) & (seconds < _END_SECOND)  # the UTC instant stays in years 1-9999
     return seconds, ~read
 
@@ -860,7 +900,7 @@ class _ParsedPosts:
         self.post_ids = []
         # rows whose post_id hashes like another's are compared as strings, in file order
         hashes = np.fromiter(map(hash, post_id), dtype=np.int64, count=post_id.size)
-        order = np.argsort(hashes, kind="stable")
+        order = np.argsort(hashes)  # any order among equal hashes: the colliding rows are put back in file order
         hashes = hashes[order]
         collide = np.zeros(order.size, dtype=bool)
         same = hashes[1:] == hashes[:-1]
@@ -1004,7 +1044,8 @@ def build_dataset(
                               for i, p in zip(orphans.tolist(), table.page[orphans].tolist())])
     if orphans.size == len(table):
         raise NoUsableDataError("no usable data")
-    return Dataset(_day_cells(table, np.flatnonzero(known)), dict(pages)), report
+    rows = np.flatnonzero(known) if orphans.size else slice(None)  # every post: no row index beside the table
+    return Dataset(_day_cells(table, rows), dict(pages)), report
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1073,12 @@ def _counts(values: np.ndarray) -> list:
     return column
 
 
+def _day_texts(days: np.ndarray) -> np.ndarray:
+    """The ISO date of each day number (counted from 1970-01-01), as str objects, each distinct day formatted once."""
+    distinct, index = np.unique(days, return_inverse=True)
+    return np.datetime_as_string(distinct.astype("datetime64[D]"), unit="D").astype(object)[index]
+
+
 def _write_rows(stream, header: Sequence[str], n: int, template: str, columns) -> None:
     """Write a CSV table: the header, then its ``n`` rows, each as the ``%`` format ``template`` gives it.
 
@@ -1040,10 +1087,15 @@ def _write_rows(stream, header: Sequence[str], n: int, template: str, columns) -
     ``k`` rows is written with one ``(template * k) % values``, its columns
     interleaved row by row; text is only ever a value, never part of the
     template. A chunk with another number of columns than ``template`` has
-    conversions, or a column of another length, raises ValueError.
+    conversions, or a column of another length, raises ValueError. Where a
+    row (the header too) is one field, as a template without a comma gives,
+    an empty field is written as ``""``, as csv.writer writes it: a blank
+    line would be read back as no row.
     """
     width = template.replace("%%", "").count("%")
-    stream.write(",".join(map(_quoted, header)) + "\n")
+    head = ",".join(map(_quoted, header))
+    stream.write((head if head or len(header) != 1 else '""') + "\n")
+    one_field = "," not in template
     for lo in range(0, n, _CHUNK_ROWS):
         k = min(n - lo, _CHUNK_ROWS)
         chunk = columns(slice(lo, lo + k))
@@ -1052,7 +1104,11 @@ def _write_rows(stream, header: Sequence[str], n: int, template: str, columns) -
         flat = [None] * (k * width)
         for j, column in enumerate(chunk):
             flat[j::width] = column  # ValueError unless the column holds k values
-        stream.write((template * k) % tuple(flat))
+        if one_field:
+            rows = (template % tuple(flat[i:i + width]) for i in range(0, k * width, width))
+            stream.write("".join('""\n' if row == "\n" else row for row in rows))
+        else:
+            stream.write((template * k) % tuple(flat))
 
 
 def _write_table(stream, header: Sequence[str], rows: Sequence[Sequence]) -> None:

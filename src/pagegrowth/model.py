@@ -486,12 +486,19 @@ def read_coefficients_csv(stream: BinaryIO | bytes | str) -> ModelCoefficients:
 TRAJECTORY_HEADER = ["run", "step", "followers", "engagement"]
 
 
+@functools.lru_cache(maxsize=1)
+def _run_step_fields(runs: tuple[int, ...], steps: int) -> tuple[str, ...]:
+    """The ``run,step,`` start of each trajectory row, run by run: formatted once for all the files of
+    one ``simulate``, which share their runs and steps."""
+    return tuple(f"{run},{step}," for run in runs for step in range(steps))
+
+
 def write_trajectories_csv(trajectories: Trajectories, stream) -> None:
     runs, n = trajectories.followers.shape  # a row per (run, step)
-    columns = (np.repeat(trajectories.run, n), np.tile(np.arange(n), runs), trajectories.followers.ravel(),
-               trajectories.engagement.ravel())
-    _write_rows(stream, TRAJECTORY_HEADER, runs * n, "%s,%s,%.12g,%.12g\n",
-                lambda part: [c[part].tolist() for c in columns])
+    starts = _run_step_fields(tuple(trajectories.run.tolist()), n)
+    columns = (trajectories.followers.ravel(), trajectories.engagement.ravel())
+    _write_rows(stream, TRAJECTORY_HEADER, runs * n, "%s%.12g,%.12g\n",
+                lambda part: [starts[part], *(c[part].tolist() for c in columns)])
 
 
 SUMMARY_HEADER = list(StepSummary._fields)

@@ -250,7 +250,7 @@ def fit_burr(samples) -> BurrParams:
 
     best_theta, best_val = None, math.inf
     for c in np.exp(np.linspace(math.log(0.05), math.log(5e4), 60)).tolist():
-        k = 1.0 / float(np.mean(_log1p_xc(lnx, c, buf, scratch)))
+        k = 1.0 / (float(np.add.reduce(_log1p_xc(lnx, c, buf, scratch))) / n)  # the sum and division np.mean makes
         theta = (math.log(c), math.log(k))
         if math.exp(theta[0]) != c:
             _log1p_xc(lnx, math.exp(theta[0]), buf, scratch)
@@ -271,6 +271,11 @@ def fit_burr(samples) -> BurrParams:
     return BurrParams(c=c, k=k)
 
 
+def _nan_last(values: list[float]):
+    """A sort key for indices into ``values``: NaN after every number, numbers by ``<`` (so -0.0 ties 0.0)."""
+    return lambda i: (values[i] != values[i], values[i])
+
+
 def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     """Minimize ``func`` by Nelder-Mead simplex steps; (x, fun, success, message).
 
@@ -283,9 +288,9 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     every vertex is within xatol of the best and every value within fatol.
 
     Vertices are tuples of Python floats, so each step is scalar arithmetic;
-    ``func`` gets a tuple. The vertices are ordered by ``np.argsort`` of
-    their values, as scipy orders them, so that tied and NaN values keep
-    its order.
+    ``func`` gets a tuple. The vertices are ordered as scipy's ``np.argsort``
+    of their values orders them: by a stable sort on ``<`` with NaN last, so
+    that tied and NaN values keep its order.
     """
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
@@ -297,7 +302,7 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     fsim = [func(v) for v in sim]
 
     def reorder():
-        order = np.argsort(fsim).tolist()
+        order = sorted(range(n + 1), key=_nan_last(fsim))
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     sim, fsim = reorder()

@@ -572,14 +572,28 @@ def test_record_base_against_dataclasses(cls):
     def values(record):
         return [getattr(record, name) for name in names]
 
-    # positional, keyword and default construction give the same fields, repr and (for frozen) hash
-    for build in (lambda c: c(*args), lambda c: c(**dict(zip(names, args))), lambda c: c(*args[:len(required)])):
+    def keywords(lo, hi, *more):  # fields lo to hi, and those at ``more``, by name
+        return {**dict(zip(names[lo:hi], args[lo:hi])), **{names[i]: args[i] for i in more}}
+
+    # positional, keyword and default construction, a positional prefix with keywords after it (the defaults
+    # filling any gap), give the same fields, repr and (for frozen) hash
+    k = len(required)
+    builds = [lambda c: c(*args), lambda c: c(**keywords(0, len(names))), lambda c: c(*args[:k]),
+              *(lambda c, j=j: c(*args[:j], **keywords(j, len(names))) for j in range(1, len(names))),
+              lambda c: c(*args[:k // 2], **keywords(k // 2, k, len(names) - 1))]
+    for build in builds:
         record, twin_record = build(cls), build(twin)
         assert all(a is b or a == b for a, b in zip(values(record), values(twin_record)))
         assert repr(record).startswith(cls.__qualname__ + "(")
         assert repr(record).partition("(")[2] == repr(twin_record).partition("(")[2]
-    for bad in (lambda c: c(*args, None), lambda c: c(*args, no_such_field=1), lambda c: c(*args, **{names[0]: args[0]}),
-                *([lambda c: c(*args[:len(required) - 1])] if required else [])):
+    # too many, unexpected, repeated and missing arguments, by position and by keyword
+    bad_calls = [lambda c: c(*args, None), lambda c: c(*args, no_such_field=1), lambda c: c(*args, **keywords(0, 1)),
+                 lambda c: c(*args[:k], no_such_field=1), lambda c: c(**keywords(0, len(names)), no_such_field=1),
+                 lambda c: c(*args[:1], **keywords(0, len(names)))]
+    if required:
+        bad_calls += [lambda c: c(*args[:k - 1]), lambda c: c(**keywords(1, len(names))),
+                      lambda c: c(*args[:k - 1], **keywords(k, len(names)))]
+    for bad in bad_calls:
         for c in (cls, twin):
             with pytest.raises(TypeError):
                 bad(c)
@@ -606,11 +620,12 @@ def test_record_base_against_dataclasses(cls):
             setattr(record, names[0], args[-1])
             assert getattr(record, names[0]) is args[-1]
 
-    # a container default is made anew for every instance
+    # a container default is made anew for every instance, and one given is kept
     for name in [f.name for f in dataclasses.fields(twin) if f.default_factory is not dataclasses.MISSING]:
         for c in (cls, twin):
-            first, second = c(*args[:len(required)]), c(*args[:len(required)])
+            first, second = c(*args[:len(required)]), c(**keywords(0, len(required)))
             assert getattr(first, name) is not getattr(second, name) and not getattr(first, name)
+            assert getattr(c(**keywords(0, len(required), names.index(name))), name) is args[names.index(name)]
 
 
 @pytest.mark.parametrize("cls, args", POST_INIT_REFUSALS, ids=lambda case: getattr(case, "__qualname__", ""))

@@ -9,7 +9,12 @@ non-default values of the flags each takes that no other CLI test covers
 ``aggregate`` and ``model``, ``--matching greedy`` for ``cohort``).
 ``synth`` itself runs with the same arguments and has its own outputs
 pinned (with the same rows appended), so a change to the synthetic stream
-moves only synth's digests, never the data commands'. A small ``simulate`` runs too. The sha256 of every output
+moves only synth's digests, never the data commands'. A small ``simulate`` runs too.
+No post of the corpus lacks ``followers_at_posting``, so ``aggregate``,
+``analyze``, ``model`` and ``cohort`` also run with default flags on a
+copy (``absent_corpus``) where that field is blank for every post of one
+page and for every 7th post of another: blank counts, cells, windows and
+samples without one, and a page left out of matching. The sha256 of every output
 file, of stdout and of stderr (temporary directory replaced by
 ``<tmp>``), of the Python warnings raised (category and message) and
 each exit code are compared with ``golden_digests.json``.
@@ -23,21 +28,24 @@ Re-pinning never regenerates ``golden_corpus/``: the data commands keep
 reading the same bytes whatever synth writes today. It records the numpy
 version and SIMD level it pinned under as ``_pinned_under``.
 
-Six digests hold Burr fits or values regressed on them (``FIT_DIGESTS``):
-``analyze/fits.csv``, ``analyze-flags/fits.csv``, ``model/coefficients.csv``,
-``model-flags/coefficients.csv``, ``model/regression_details.csv`` and
-``model-flags/regression_details.csv``. Their last digits depend on the SIMD
+Nine digests hold Burr fits or values regressed on them (``FIT_DIGESTS``):
+``fits.csv`` of ``analyze``, ``analyze-flags`` and ``absent-analyze``, and
+``coefficients.csv`` and ``regression_details.csv`` of ``model``,
+``model-flags`` and ``absent-model``. Their last digits depend on the SIMD
 level numpy dispatches ``exp``, ``log1p`` and ``expm1`` to. They are pinned
 under numpy 2.4.6 at X86_V4 (AVX-512); under ``NPY_DISABLE_CPU_FEATURES=X86_V4``
-exactly these six differ. The comparison stays exact, and when one of the six
-differs its message names the level pinned under and the level observed.
+exactly these nine differ. The comparison stays exact, and when one of the
+nine differs its message names the level pinned under and the level observed.
 ``test_fits_agree_below_x86_v4`` checks that the two levels give the same fits
-and coefficients within ``tests.test_stats.BURR_FIT_REL``.
+and coefficients within ``tests.test_stats.BURR_FIT_REL``, for all of them but
+``absent-model/regression_details.csv``: its ``c``/W row prints r_squared to
+six significant digits (0.255399 at X86_V4, 0.255398 below), so a last-digit
+flip there is 4e-6 relative.
 
 The runs above share this process, which loads numpy before the CLI and so
 keeps OpenBLAS's default thread pool. A command starts with one OpenBLAS
 thread instead, so ``test_model_outputs_unchanged_under_one_blas_thread``
-runs the two ``model`` runs, the only BLAS users, in a fresh interpreter
+runs the three ``model`` runs, the only BLAS users, in a fresh interpreter
 that starts as a command does, against the same digests.
 """
 
@@ -71,14 +79,18 @@ from pagegrowth.stats import BurrParams, burr_cdf, burr_ppf
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CORPUS = Path(__file__).with_name("golden_corpus")  # synth's seed-11 output plus the rows below
 PINNED_UNDER = "_pinned_under"  # the key of the level the digests were pinned under
-FIT_DIGESTS = (
+LEVEL_CHECKED_DIGESTS = (  # test_fits_agree_below_x86_v4 compares these across SIMD levels
     "analyze/fits.csv",
     "analyze-flags/fits.csv",
     "model/coefficients.csv",
     "model-flags/coefficients.csv",
     "model/regression_details.csv",
     "model-flags/regression_details.csv",
+    "absent-analyze/fits.csv",
+    "absent-model/coefficients.csv",
 )
+# absent-model's regression details print an r_squared whose sixth digit differs below X86_V4
+FIT_DIGESTS = (*LEVEL_CHECKED_DIGESTS, "absent-model/regression_details.csv")
 
 # appended to the synthetic files: one row per rejection kind
 BAD_POSTS = [
@@ -96,6 +108,10 @@ BAD_PAGES = [
 CLASSES = "label,lower,upper\nsmall,10000,100000\nmid,100000,1000000\nbig,1000000,10000000\n"
 
 DATA = ["--input", "{tmp}/data/posts.csv", "--pages", "{tmp}/data/pages.csv"]
+ABSENT_DATA = ["--input", "{tmp}/absent/posts.csv", "--pages", "{tmp}/absent/pages.csv"]
+# absent_corpus blanks followers_at_posting for every post of a reliable page matched in the golden cohort run,
+# and for every 7th post of a questionable one
+NO_FOLLOWERS, SOME_FOLLOWERS = "page0009", "page0005"
 FLAGS = ["--metric", "followers", "--trim-rates", "--quarter-rule", "earliest",
          "--classes", "{tmp}/classes.csv"]
 
@@ -112,7 +128,33 @@ RUNS = [
     ("analyze-flags", ["analyze", *DATA, *FLAGS]),
     ("model-flags", ["model", *DATA, "--metric", "followers", "--quarter-rule", "earliest"]),
     ("cohort-flags", ["cohort", *DATA, "--matching", "greedy"]),
+    ("absent-aggregate", ["aggregate", *ABSENT_DATA]),
+    ("absent-analyze", ["analyze", *ABSENT_DATA]),
+    ("absent-model", ["model", *ABSENT_DATA]),
+    ("absent-cohort", ["cohort", *ABSENT_DATA]),
 ]
+
+
+def absent_corpus(source: Path, target: Path) -> None:
+    """The corpus in ``source`` copied to ``target``, with followers_at_posting blanked for every post of
+    NO_FOLLOWERS and for every 7th post (in file order) of SOME_FOLLOWERS."""
+    target.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(source / "pages.csv", target / "pages.csv")
+    lines, seen = [], 0
+    for line in (source / "posts.csv").read_text().splitlines(keepends=True):
+        fields = line.split(",")
+        if fields[0] == SOME_FOLLOWERS:
+            seen += 1
+        if len(fields) == 8 and (fields[0] == NO_FOLLOWERS or (fields[0] == SOME_FOLLOWERS and seen % 7 == 0)):
+            line = ",".join(fields[:7]) + ",\n"
+        lines.append(line)
+    (target / "posts.csv").write_text("".join(lines))
+
+
+def stage_corpus(tmp: Path) -> None:
+    """The frozen corpus at ``tmp/data`` and its copy without some follower counts at ``tmp/absent``."""
+    shutil.copytree(CORPUS, tmp / "data", dirs_exist_ok=True)
+    absent_corpus(CORPUS, tmp / "absent")
 
 
 def _sha(data: bytes) -> str:
@@ -148,8 +190,7 @@ def observe(tmp: Path) -> dict[str, str]:
         for path in sorted(out_dir.iterdir()):
             digests[f"{name}/{path.name}"] = _sha(path.read_bytes())
         if name == "synth":  # the data commands read the frozen corpus at the same paths
-            for path in CORPUS.iterdir():
-                shutil.copyfile(path, tmp / "data" / path.name)
+            stage_corpus(tmp)
     return digests
 
 
@@ -237,8 +278,8 @@ def test_fits_agree_below_x86_v4(tmp_path):
     from tests.test_stats import BURR_FIT_REL  # not importable when this file runs as a script
 
     (tmp_path / "classes.csv").write_text(CLASSES)
-    shutil.copytree(CORPUS, tmp_path / "data")
-    names = {digest.split("/")[0] for digest in FIT_DIGESTS}
+    stage_corpus(tmp_path)
+    names = {digest.split("/")[0] for digest in LEVEL_CHECKED_DIGESTS}
     runs = {name: [arg.format(tmp=tmp_path) for arg in t] for name, t in RUNS if name in names}
     for name, argv in runs.items():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -256,7 +297,7 @@ def test_fits_agree_below_x86_v4(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "False", "the child still dispatched to X86_V4"
-    for digest in FIT_DIGESTS:
+    for digest in LEVEL_CHECKED_DIGESTS:
         here, below = _read_csv(tmp_path / "v4" / digest), _read_csv(tmp_path / "below" / digest)
         if digest.endswith("fits.csv"):
             _assert_fits_close(here, below, BURR_FIT_REL)
@@ -282,8 +323,8 @@ def test_model_outputs_unchanged_under_one_blas_thread(tmp_path):
     OpenBLAS with one thread: their least-squares fits are the only BLAS calls,
     and their outputs keep the pinned digests (this test module imports numpy
     before the CLI, so the other golden runs keep numpy's default pool)."""
-    shutil.copytree(CORPUS, tmp_path / "data")
-    names = ("model", "model-flags")
+    stage_corpus(tmp_path)
+    names = ("model", "model-flags", "absent-model")
     argvs = [[*(arg.format(tmp=tmp_path) for arg in t), "--out", str(tmp_path / "runs" / name)]
              for name, t in RUNS if name in names]
     src = str(Path(__file__).resolve().parents[1] / "src")

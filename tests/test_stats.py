@@ -395,6 +395,16 @@ class TestNelderMeadOracle:
             for maxiter in (7, 500):
                 self._check(stairs, x0, maxiter)
 
+    def test_vertex_order_is_argsorts(self):
+        # the simplex's sort key against np.argsort, scipy's order: ties, signed zeros, infinities and NaN
+        pool = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan, -math.nan, 1e-300]
+        triples = [list(t) for t in itertools.product(pool, repeat=3)]
+        rng = np.random.default_rng(5)
+        triples += rng.choice(np.array(pool), size=(20_000, 3)).tolist()
+        triples += np.round(rng.normal(size=(20_000, 3)), 1).tolist()  # ties among ordinary values
+        for values in triples:
+            assert sorted(range(3), key=stats._nan_last(values)) == np.argsort(values).tolist(), values
+
     def test_nan_vertex_values(self):
         # undefined beyond a wall: NaN values sort last, as np.argsort puts them
         def walled(v):
