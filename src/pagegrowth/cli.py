@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import pipeline, rules, synth
 from .aggregate import Timescale, write_series_csv
 from .cohort import write_cohort_summary_csv, write_match_csv
-from .growth import write_growth_samples_csv
+from .growth import _check_trim_bounds, write_growth_samples_csv
 from .ingest import Dataset, FatalParseError, NumericalError, _format_score, _write_table
 from .model import (
     ModelCoefficients,
@@ -39,11 +39,23 @@ from .model import (
     write_summary_csv,
     write_trajectories_csv,
 )
-from .stats import format_p
+from .stats import MatrixCell, format_p
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# the results tables' headers
+MATRIX_HEADER = ["metric", "size_by", "timescale", "row_class", "col_class", "alternative", "u", "p", "method"]
+FITS_HEADER = ["cohort", "timescale", "distribution", "param", "value"]
+BALANCE_HEADER = ["metric", "timescale", "n", "u", "p"]
+DETAILS_HEADER = ["parameter", "timescale", "beta0", "beta1", "beta2", "p0", "p1", "p2", "r_squared", "n_bins"]
+RELIABILITY_HEADER = ["timescale", "metric", "u", "p", "n_reliable", "n_questionable", "method"]
+
+
+def _g(value: float) -> str:
+    """A statistic as the results tables write it: ten significant digits."""
+    return format(value, ".10g")
 
 
 def _parse_timescales(text: str) -> tuple[Timescale, ...]:
@@ -79,8 +91,7 @@ def _parse_trim(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"trim bounds must look like '5,95', got {text!r}")
     lo, hi = (_list_number(part, "--trim") for part in parts)
-    if not 0 <= lo < hi <= 100:
-        raise ValueError(f"trim bounds out of order: {text!r}")
+    _check_trim_bounds(lo, hi)
     return lo, hi
 
 
@@ -166,6 +177,12 @@ def _print_matrix(block: pipeline.MatrixBlock, scale: Timescale) -> None:
         print(f"{row_label:<{width}}" + "".join(f"{c:>{width}}" for c in cols))
 
 
+def _cell_values(cell: MatrixCell) -> list[str]:
+    """A test cell's u, p and method, or its refusal in the method column."""
+    r = cell.result
+    return ["", "", f"error: {cell.error}"] if r is None else [_g(r.u_statistic), _g(r.p_value), r.method]
+
+
 def cmd_analyze(args) -> int:
     settings = _options(args)
     dataset, out_dir = _load_dataset(args)
@@ -175,17 +192,20 @@ def cmd_analyze(args) -> int:
         with open(out_dir / f"growth_samples_{scale}.csv", "w", newline="") as fh:
             write_growth_samples_csv(result.samples, fh)
         for block in result.matrices:
-            matrix_rows += block.rows(result.scale)
+            matrix_rows += ([block.metric, block.size_by, scale, c.row, c.col, c.alternative, *_cell_values(c)]
+                            for c in block.cells)
             if block.size_by != "followers_median_split":
                 _print_matrix(block, result.scale)
-        fit_rows += result.fit_rows
+        # LaplaceParams -> "laplace", BurrParams -> "burr"; one row per parameter
+        fit_rows += ([cohort, scale, type(fit).__name__.removesuffix("Params").lower(), name, _g(value)]
+                     for cohort, fit in result.fits for name, value in zip(fit._fields, fit._values()))
         if result.balance is not None:
             b, metric = result.balance, result.samples.metric
-            balance_rows.append([metric, scale, b.n1, format(b.u_statistic, ".10g"), format(b.p_value, ".10g")])
+            balance_rows.append([metric, scale, b.n1, _g(b.u_statistic), _g(b.p_value)])
             print(f"\n[detailed balance | {scale}] p = {format_p(b.p_value)}")
-    _write_csv(out_dir / "matrices.csv", pipeline.MATRIX_HEADER, matrix_rows)
-    _write_csv(out_dir / "fits.csv", pipeline.FITS_HEADER, fit_rows)
-    _write_csv(out_dir / "detailed_balance.csv", ["metric", "timescale", "n", "u", "p"], balance_rows)
+    _write_csv(out_dir / "matrices.csv", MATRIX_HEADER, matrix_rows)
+    _write_csv(out_dir / "fits.csv", FITS_HEADER, fit_rows)
+    _write_csv(out_dir / "detailed_balance.csv", BALANCE_HEADER, balance_rows)
     print(f"\nwrote {out_dir / 'matrices.csv'}")
     return EXIT_OK
 
@@ -197,13 +217,18 @@ def cmd_model(args) -> int:
     coeffs = ModelCoefficients()
     detail_rows = []
     for result in pipeline.model(dataset, _warn, **settings):
-        for reg in result.regressions:
+        for reg, n_bins in result.regressions:
             coeffs.add(reg)
-        detail_rows += result.detail_rows
+            # p-values and r_squared to six digits; a Burr regression has no beta2 and two p-values
+            ps = [format(p, ".6g") for p in reg.p_values] + [""] * (3 - len(reg.p_values))
+            r2 = "" if reg.r_squared is None else format(reg.r_squared, ".6g")
+            beta2 = "" if reg.beta2 is None else _g(reg.beta2)
+            detail_rows.append([reg.parameter, reg.timescale.value, _g(reg.beta0), _g(reg.beta1), beta2, *ps, r2,
+                                n_bins])
     path = out_dir / "coefficients.csv"
     with open(path, "w", newline="") as fh:
         write_coefficients_csv(coeffs, fh)
-    _write_csv(out_dir / "regression_details.csv", pipeline.DETAILS_HEADER, detail_rows)
+    _write_csv(out_dir / "regression_details.csv", DETAILS_HEADER, detail_rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -255,11 +280,9 @@ def cmd_cohort(args) -> int:
     for scale, tests in result.tests:
         for metric_name in ("engagement", "engagement_growth"):
             r = tests[metric_name]
-            test_rows.append([scale.value, metric_name, format(r.u_statistic, ".10g"),
-                              format(r.p_value, ".10g"), r.n1, r.n2, r.method])
+            test_rows.append([scale.value, metric_name, _g(r.u_statistic), _g(r.p_value), r.n1, r.n2, r.method])
             print(f"[{scale.value}] reliable > questionable ({metric_name}): p = {format_p(r.p_value)}")
-    header = ["timescale", "metric", "u", "p", "n_reliable", "n_questionable", "method"]
-    _write_csv(out_dir / "reliability_tests.csv", header, test_rows)
+    _write_csv(out_dir / "reliability_tests.csv", RELIABILITY_HEADER, test_rows)
     return EXIT_OK
 
 

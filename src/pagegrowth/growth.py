@@ -153,16 +153,28 @@ def trim(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
     through unchanged with a warning since the band is not meaningful.
     """
     arr = np.asarray(values, dtype=float)
+    keep = trim_mask(arr, lo_pct, hi_pct)
     if 0 < arr.size < TRIM_MIN_SAMPLES:
         warnings.warn(
             f"trim: only {arr.size} values (< {TRIM_MIN_SAMPLES}); passing through",
             stacklevel=2,
         )
-    return arr[trim_mask(arr, lo_pct, hi_pct)]
+    return arr[keep]
+
+
+def _check_trim_bounds(lo_pct: float, hi_pct: float) -> None:
+    """Refuse a percentile band unless 0 <= lo_pct < hi_pct <= 100 (NaN is refused too)."""
+    if not 0 <= lo_pct < hi_pct <= 100:
+        raise ValueError(f"trim bounds must satisfy 0 <= lo < hi <= 100, got {lo_pct!r},{hi_pct!r}")
 
 
 def trim_mask(values, lo_pct: float = 5.0, hi_pct: float = 95.0) -> np.ndarray:
-    """Boolean mask version of ``trim``, for filtering parallel arrays."""
+    """Boolean mask version of ``trim``, for filtering parallel arrays.
+
+    Bounds outside 0 <= lo_pct < hi_pct <= 100 raise ValueError, even for
+    an input small enough to pass through.
+    """
+    _check_trim_bounds(lo_pct, hi_pct)
     arr = np.asarray(values, dtype=float)
     if arr.size < TRIM_MIN_SAMPLES:
         return np.ones(arr.size, dtype=bool)

@@ -8,10 +8,11 @@ one timescale; ``aggregate`` yields each windows table itself. ``cohort``
 matches the cohorts up front and yields its per-timescale tests the same
 way, on the windows a page mask per cohort selects. ``simulate`` checks
 every timescale, then runs every (timescale, f0) pair before it returns.
-Other tables come back as rows in the format of the output files;
-warnings go to the ``warn`` callback as they arise. Each call takes the settings it reads as
-keyword-only arguments, whose defaults are the only ones: the CLI passes
-on just the flags given.
+Results come back as objects (test cells, fitted parameters, regressions),
+never as text: ``cli.py`` turns them into the rows of its output files.
+Warnings go to the ``warn`` callback as they arise. Each call takes the
+settings it reads as keyword-only arguments, whose defaults are the only
+ones: the CLI passes on just the flags given.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .growth import (
     TRIM_MIN_SAMPLES,
     GrowthSamples,
     SizeClass,
+    _check_trim_bounds,
     _percentiles,
     class_bins,
     engagement_quartile_bins,
@@ -64,8 +66,10 @@ from .ingest import (
 )
 from .model import SIM_TIMESCALES, ModelCoefficients, ParamRegression, check_timescales, regress_parameters
 from .stats import (
+    BurrParams,
     DegenerateSampleError,
     FitConvergenceError,
+    LaplaceParams,
     MatrixCell,
     TestResult,
     class_test_matrix,
@@ -76,15 +80,7 @@ from .stats import (
 
 Warn = Callable[[str], object]  # receives each warning line as it arises
 
-MATRIX_HEADER = ["metric", "size_by", "timescale", "row_class", "col_class", "alternative", "u", "p", "method"]
-FITS_HEADER = ["cohort", "timescale", "distribution", "param", "value"]
-DETAILS_HEADER = ["parameter", "timescale", "beta0", "beta1", "beta2", "p0", "p1", "p2", "r_squared", "n_bins"]
-
 MODEL_MIN_SAMPLES = 100  # growth samples a timescale needs before model bins them
-
-
-def _g(value: float) -> str:
-    return format(value, ".10g")
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +169,6 @@ class MatrixBlock(_Record):
     size_by: str
     cells: list[MatrixCell]
 
-    def rows(self, scale: Timescale) -> list[list]:
-        head = [self.metric, self.size_by, scale.value]
-        return [
-            [*head, c.row, c.col, c.alternative, "", "", f"error: {c.error}"]
-            if c.result is None
-            else [*head, c.row, c.col, c.alternative, _g(c.result.u_statistic), _g(c.result.p_value), c.result.method]
-            for c in self.cells
-        ]
-
 
 class ScaleAnalysis(_Record):
     """What ``analyze`` finds at one timescale."""
@@ -189,7 +176,7 @@ class ScaleAnalysis(_Record):
     scale: Timescale
     samples: GrowthSamples  # growth samples of the analyzed metric
     matrices: list[MatrixBlock]
-    fit_rows: list[list]
+    fits: list[tuple[str, LaplaceParams | BurrParams]]  # (cohort, fit): Laplace for all, then each class; then Burr
     balance: TestResult | None  # time-reversal symmetry of the samples
 
 
@@ -202,8 +189,10 @@ def analyze(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] =
     Matrices: growth of the metric, of mean engagement and of followers by
     follower class; the metric by median-split class and by engagement
     quartile. Fits: Laplace on the log growth of the metric, Burr on
-    follower gross growth, pooled and per class.
+    follower gross growth, pooled and per class. Trim bounds outside
+    0 <= lo < hi <= 100 raise ValueError before the first timescale.
     """
+    _check_trim_bounds(*trim_bounds)
     for scale in timescales:
         series = aggregate_dataset(dataset, scale, quarter_rule)
         yield _analyze_scale(series, scale, classes, metric, trim_bounds, trim_rates, warn)
@@ -250,27 +239,24 @@ def _analyze_scale(series, scale: Timescale, classes, metric, trim_bounds, trim_
         warn(f"warning: quartile bins at {scale.value}: {exc}")
 
     # Laplace on log growth of the metric, Burr on follower gross growth
-    fit_rows = []
+    fits = []
     for name, members in [("all", samples[metric]), *bins[metric].items()]:
         try:
-            lap = fit_laplace(members.log_growth)
+            fits.append((name, fit_laplace(members.log_growth)))
         except DegenerateSampleError:
             continue
-        fit_rows += [[name, scale.value, "laplace", "mu", _g(lap.mu)], [name, scale.value, "laplace", "b", _g(lap.b)]]
     for name, members in [("all", samples["followers"]), *bins["followers"].items()]:
         try:
-            burr = fit_burr(members.gross_growth)
+            fits.append((name, fit_burr(members.gross_growth)))
         except (ValueError, FitConvergenceError) as exc:
             warn(f"warning: burr fit {name}/{scale.value}: {exc}")
-            continue
-        fit_rows += [[name, scale.value, "burr", "c", _g(burr.c)], [name, scale.value, "burr", "k", _g(burr.k)]]
 
     try:
         balance = detailed_balance_check(samples[metric].log_growth)
     except DegenerateSampleError as exc:
         warn(f"warning: detailed balance at {scale.value}: {exc}")
         balance = None
-    return ScaleAnalysis(scale, samples[metric], matrices, fit_rows, balance)
+    return ScaleAnalysis(scale, samples[metric], matrices, fits, balance)
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +278,7 @@ class ScaleModel(_Record):
     """Parameter regressions ``model`` fitted at one timescale."""
 
     scale: Timescale
-    regressions: list[ParamRegression]
-    detail_rows: list[list]
-
-
-def _detail_row(reg: ParamRegression, n_bins: int) -> list:
-    ps = [format(p, ".6g") for p in reg.p_values] + [""] * (3 - len(reg.p_values))
-    return [
-        reg.parameter,
-        reg.timescale.value,
-        _g(reg.beta0),
-        _g(reg.beta1),
-        "" if reg.beta2 is None else _g(reg.beta2),
-        *ps,
-        "" if reg.r_squared is None else format(reg.r_squared, ".6g"),
-        n_bins,
-    ]
+    regressions: list[tuple[ParamRegression, int]]  # each with the number of bins it was fitted on
 
 
 def _binned_regressions(samples, side: _BinnedFits, scale, trim_bounds, warn) -> list[tuple[ParamRegression, int]]:
@@ -357,9 +328,11 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
     prior followers and prior engagement; Burr (c, k) on follower gross
     growth in 8 quantile bins of prior followers. A parameter short of bins,
     or whose bins are collinear, is skipped with a warning. Raises
-    DegenerateSampleError after the last timescale if nothing was fitted.
+    DegenerateSampleError after the last timescale if nothing was fitted,
+    and ValueError before the first for trim bounds outside 0 <= lo < hi <= 100.
     """
     check_timescales(timescales, "model")
+    _check_trim_bounds(*trim_bounds)
     laplace = _BinnedFits(
         parameters=("mu", "b"),
         covariates=("prior_followers", "prior_engagement"),
@@ -373,7 +346,7 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
         covariates=("prior_followers",),
         n_bins=8,
         min_members=50,
-        min_trimmed=0,
+        min_trimmed=1,  # an empty sample has no quantiles to bin by
         fit=lambda members: fit_burr(members.gross_growth),
     )
     fitted = 0
@@ -384,7 +357,7 @@ def model(dataset: Dataset, warn: Warn, *, timescales: tuple[Timescale, ...] = S
             samples, _ = pooled_growth_samples(series, name)
             regressions += _binned_regressions(samples, side, scale, trim_bounds, warn)
         fitted += len(regressions)
-        yield ScaleModel(scale, [r for r, _ in regressions], [_detail_row(r, n) for r, n in regressions])
+        yield ScaleModel(scale, regressions)
     if not fitted:
         raise DegenerateSampleError("no parameter regressions could be fitted")
 

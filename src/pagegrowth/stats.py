@@ -130,21 +130,6 @@ def burr_cdf(x, p: BurrParams):
     return float(out) if out.ndim == 0 else out
 
 
-def burr_pdf(x, p: BurrParams):
-    """Density ck x^(c-1) / (1+x^c)^(k+1), in log space for stability."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("burr_pdf domain error: x must be positive")
-    lnx = np.log(x)
-    log_pdf = (
-        math.log(p.c) + math.log(p.k)
-        + (p.c - 1.0) * lnx
-        - (p.k + 1.0) * _log1p_xc(lnx, p.c, np.empty_like(lnx), np.empty_like(lnx))
-    )
-    out = np.exp(log_pdf)
-    return float(out) if out.ndim == 0 else out
-
-
 def _burr_ppf(u, c, k):
     # burr_ppf with u, c and k each a float or an array, u already in (0,1)
     w = -np.log1p(-u) / k  # positive

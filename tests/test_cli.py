@@ -26,6 +26,10 @@ from pagegrowth.model import COEFFS_HEADER, CollinearCovariatesError, published_
 from pagegrowth.stats import DegenerateSampleError, FitConvergenceError
 from pagegrowth.synth import GeneratorConfig, generate, write_files
 
+CORPUS = Path(__file__).with_name("golden_corpus")
+CORPUS_DATA = ["--input", str(CORPUS / "posts.csv"), "--pages", str(CORPUS / "pages.csv")]
+NARROW_TRIM = ["--trim", "50,50.0000001"]  # a band that keeps at most one value of each sample
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -252,6 +256,8 @@ def test_bad_class_bound_exit_2_with_line(synth_dir, tmp_path, capsys, row, mess
                  id="missing-pages"),
     pytest.param(["analyze", "--input", "{synth}/posts.csv", "--trim", "5,9_5"], "error: --trim must be a number, got '9_5'",
                  id="trim-underscore"),
+    pytest.param(["analyze", "--input", "{synth}/posts.csv", "--trim", "95,5"],
+                 "error: trim bounds must satisfy 0 <= lo < hi <= 100, got 95.0,5.0", id="trim-reversed"),
 ])
 def test_refused_data_command_leaves_no_out(tmp_path, capsys, synth_dir, argv, message):
     (tmp_path / "header.csv").write_text("page_id,post_id\n")
@@ -604,6 +610,24 @@ class TestAnalyzeCmd:
         assert trim_lines and all(l.endswith("values (< 20); passing through") for l in trim_lines)
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
+    def test_refused_cells_are_error_rows_and_dashes(self, tmp_path, capsys):
+        # trimmed to one value or none, most classes are empty, and mann_whitney refuses their pairs
+        out = tmp_path / "out"
+        argv = ["analyze", *CORPUS_DATA, "--timescales", "W", *NARROW_TRIM, "--trim-rates", "--out", str(out)]
+        assert main(argv) == 0
+        errors = [line for line in (out / "matrices.csv").read_bytes().split(b"\n") if b"error" in line]
+        assert len(errors) == 84
+        assert errors[0] == b"engagement,followers_class,W,10K-50K,50K-150K,greater,,,error: mann_whitney: empty sample"
+        assert all(line.endswith(b",,,error: mann_whitney: empty sample") for line in errors)
+        stdout = capsys.readouterr().out.splitlines()
+        for metric in ("engagement", "mean_engagement", "followers"):
+            title = stdout.index(f"[{metric} growth | size by followers_class | W] one-sided p (smaller > larger)")
+            assert stdout[title + 1:title + 4] == [
+                "              50K-150K  150K-500K    500K-5M",
+                "10K-50K              -          -          -",
+                "50K-150K                        -          -",
+            ]
+
     def test_floored_p_in_stdout(self, synth_dir, tmp_path, capsys):
         main(
             [
@@ -766,6 +790,16 @@ class TestSimulateCmd:
         assert code == 2
         assert "error: simulate supports W, M, Q timescales, not D\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_library_refuses_trim_bounds_out_of_order():
+    # analyze once warned about its quartile bins and returned matrices of error cells; model raised IndexError
+    dataset, _ = pipeline.load_dataset(CORPUS / "posts.csv", CORPUS / "pages.csv")
+    for bounds in [(95.0, 5.0), (5.0, 5.0), (-1.0, 50.0), (50.0, 101.0), (math.nan, 95.0)]:
+        with pytest.raises(ValueError, match="trim bounds must satisfy 0 <= lo < hi <= 100"):
+            next(pipeline.analyze(dataset, [].append, timescales=(Timescale.W,), trim_bounds=bounds, trim_rates=True))
+        with pytest.raises(ValueError, match="trim bounds must satisfy 0 <= lo < hi <= 100"):
+            next(pipeline.model(dataset, [].append, timescales=(Timescale.W,), trim_bounds=bounds))
 
 
 def test_pipeline_simulate_runs_every_pair_in_order():
@@ -969,6 +1003,14 @@ class TestModelCmd:
             f"warning: {p}/{s}: collinear covariates" for s in "WMQ" for p in ("mu", "b")]
         assert err[-1] == "numerical error: no parameter regressions could be fitted"
         assert not (tmp_path / "out/coefficients.csv").exists()
+
+    @pytest.mark.parametrize("metric", ["engagement", "mean_engagement", "followers"])
+    def test_empty_trimmed_sample_fits_nothing(self, tmp_path, capsys, metric):
+        # the Burr side once binned an empty trimmed follower sample: IndexError and exit 1
+        out = tmp_path / "out"
+        assert main(["model", *CORPUS_DATA, *NARROW_TRIM, "--metric", metric, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == "numerical error: no parameter regressions could be fitted"
+        assert not (out / "coefficients.csv").exists()
 
 
 # Runs in a fresh interpreter: imports pagegrowth.cli, runs all six commands,

@@ -284,7 +284,7 @@ def test_commands_build_no_sample_objects(monkeypatch):
     for result in analyses:
         growth.write_growth_samples_csv(result.samples, io.StringIO())
     assert sum(len(result.samples) for result in analyses) > 1000
-    assert all(result.matrices and result.fit_rows for result in analyses)
+    assert all(result.matrices and result.fits for result in analyses)
     fitted = list(pipeline.model(dataset, warnings.append))  # the library's default timescales are W, M, Q
     assert [result.scale for result in fitted] == list(SIM_TIMESCALES)
     assert sum(len(result.regressions) for result in fitted) > 0
@@ -505,9 +505,9 @@ RECORD_CASES = {
     cohort.ReliabilityLabel: ({"frozen": True}, ("a", 75.0, "reliable")),
     cohort.MatchResult: ({"frozen": True}, ([("q", "r")], [0.5], 0.5, "assignment")),
     pipeline.MatrixBlock: ({}, ("engagement", "followers", [stats.MatrixCell("a", "b", "greater", _RESULT)])),
-    pipeline.ScaleAnalysis: ({}, (Timescale.W, _SAMPLES, [], [["laplace"]], _RESULT)),
+    pipeline.ScaleAnalysis: ({}, (Timescale.W, _SAMPLES, [], [("all", stats.LaplaceParams(0.0, 1.0))], _RESULT)),
     pipeline._BinnedFits: ({"frozen": True}, (("mu", "b"), ("prior_followers",), 4, 10, 20, len)),
-    pipeline.ScaleModel: ({}, (Timescale.W, [_MU], [["mu"]])),
+    pipeline.ScaleModel: ({}, (Timescale.W, [(_MU, 5)])),
     pipeline.Cohort: ({}, ([cohort.ReliabilityLabel("a", 75.0, "reliable")], _MATCH, {"a": (1.0, 2.0)}, iter(()))),
     GeneratorConfig: ({}, (3, date(2018, 1, 1), date(2018, 3, 1), 1.5, None, (1e4, 1e5), (1e3, 1e4), 0.5)),
     synth.SynthResult: ({}, (_POSTS, {}, {"a": 1})),

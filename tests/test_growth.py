@@ -29,6 +29,7 @@ from pagegrowth.growth import (
     growth_samples,
     split_class_by_median,
     trim,
+    trim_mask,
     write_growth_samples_csv,
 )
 from pagegrowth.ingest import EPOCH_ORDINAL, POSTS_HEADER, PostColumns, PostRecord, write_posts_csv
@@ -129,6 +130,16 @@ class TestTrim:
 
     def test_empty(self):
         assert trim([]).size == 0
+
+    @pytest.mark.parametrize("bounds", [(95.0, 5.0), (50.0, 50.0), (-5.0, 95.0), (5.0, 100.5), (math.nan, 95.0)])
+    def test_bounds_outside_the_band_refused(self, bounds, recwarn):
+        for size in (0, 10, 100):  # refused before the small-input pass-through
+            for cut in (trim, trim_mask):
+                with pytest.raises(ValueError, match="trim bounds must satisfy 0 <= lo < hi <= 100"):
+                    cut(np.arange(size, dtype=float), *bounds)
+        with pytest.raises(ValueError, match="trim bounds must satisfy"):
+            engagement_quartile_bins(GrowthSamples.from_rows([]), *bounds)
+        assert not recwarn  # trim refuses before it warns of a small input
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=21, max_size=200))
     @settings(max_examples=100, deadline=None)

@@ -353,6 +353,6 @@ def test_model_leaves_out_samples_without_a_follower_count(monkeypatch):
 
         monkeypatch.setattr(pipeline, "pooled_growth_samples", samples)
         fits = pipeline.model(dataset, [].append, timescales=(Timescale.W,))
-        return [row for scale in fits for row in scale.detail_rows]
+        return [pair for scale in fits for pair in scale.regressions]
 
     assert fitted(drop=False) == fitted(drop=True) != []

@@ -25,7 +25,6 @@ from pagegrowth.stats import (
     FitConvergenceError,
     LaplaceParams,
     burr_cdf,
-    burr_pdf,
     burr_ppf,
     class_test_matrix,
     detailed_balance_check,
@@ -156,11 +155,6 @@ class TestBurr:
                 p = BurrParams(c, k)
                 back = burr_cdf(burr_ppf(us, p), p)
                 assert np.max(np.abs(back - us)) < 1e-9
-
-    def test_pdf_integrates_to_cdf(self):
-        p = BurrParams(2.0, 1.0)
-        mass, _ = quad(lambda x: burr_pdf(x, p), 1e-12, 50.0, limit=200)
-        assert mass == pytest.approx(burr_cdf(50.0, p), abs=1e-8)
 
 
 class TestBurrFit:
